@@ -9,10 +9,11 @@ Conventions fixed throughout the package:
   construction (round trip to the identity, nonvanishing Jacobian
   determinant).
 
-Linear solves are exact: Gaussian elimination over the rational-function
-field with zero tests through normal forms, plus Cramer determinants, so a
-frame that is singular only on a measure-zero set is usable away from it,
-with its determinant showing up in denominators.
+Linear algebra is exact: one forward-elimination kernel over the
+rational-function field, with unit pivots and zero tests through normal
+forms, plus back substitution, serves determinants, solves, inverses, rank
+and span tests.  A frame that is singular only on a measure-zero set is
+usable away from it, with its determinant showing up in denominators.
 """
 
 from __future__ import annotations
@@ -565,57 +566,116 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
 # symbolic linear algebra
 
 
-def _expr_is_zero(e: Expr) -> bool:
-    return is_zero(e)
-
-
 def _compact(e: Expr) -> Expr:
     """Rebuild an expression from its normal form to keep matrices small."""
     return e.normal().as_expr()
 
 
+def _eliminate(rows, ncols, swap=False):
+    """Forward elimination in place over the first `ncols` columns.
+
+    Columns past `ncols` are augmented columns and ride along.  The rows not
+    yet used as pivots are kept in a scan order that starts as the original
+    row order.  A column's pivot is the first nonzero rational constant in
+    scan order, otherwise the first nonzero entry; a column without one is
+    skipped.  The pivot row is scaled once to a unit pivot, and the unused
+    rows are eliminated against it.  Entries are compacted after every
+    update and zero-tested through their normal forms.
+
+    With `swap`, a pivot is brought into place by a row swap, as in
+    textbook square elimination: the first row in scan order takes the
+    pivot row's place there.  Without it, the pivot row just leaves the
+    scan order, which stays the original row order.  The printed sign
+    layout of a determinant and the witness of a failed span test depend
+    on which rows pivot, so the square routines swap and the rectangular
+    ones do not.
+
+    Returns the pivots as (column, row, raw pivot) in column order, and the
+    unused rows in scan order.
+    """
+    width = len(rows[0]) if rows else 0
+    unused = list(range(len(rows)))
+    pivots = []
+    for col in range(ncols):
+        found = None
+        for q, i in enumerate(unused):
+            entry = rows[i][col]
+            if is_zero(entry):
+                continue
+            if entry.is_rational_const():
+                found = q
+                break
+            if found is None:
+                found = q
+        if found is None:
+            continue
+        pivot_row = unused[found]
+        if swap:
+            unused[found] = unused[0]
+            found = 0
+        del unused[found]
+        prow = rows[pivot_row]
+        raw = prow[col]
+        inv_pivot = ONE / raw
+        prow[col:] = [_compact(e * inv_pivot) for e in prow[col:]]
+        pivots.append((col, pivot_row, raw))
+        for i in unused:
+            row = rows[i]
+            factor = row[col]
+            if is_zero(factor):
+                continue
+            for c in range(col, width):
+                row[c] = _compact(row[c] - factor * prow[c])
+    return pivots, unused
+
+
+def _back_substitute(rows, pivots, ncols):
+    """Solve an eliminated system for every augmented column.
+
+    Returns one list per unknown, indexed by column, holding its value for
+    each augmented column; unknowns without a pivot are 0.
+    """
+    naug = len(rows[0]) - ncols if rows else 0
+    solution = [[ZERO] * naug for _ in range(ncols)]
+    for p in range(len(pivots) - 1, -1, -1):
+        col, i, _ = pivots[p]
+        row = rows[i]
+        later = [c for c, _, _ in pivots[p + 1:] if not is_zero(row[c])]
+        for k in range(naug):
+            terms = [row[c] * solution[c][k] for c in later if not is_zero(solution[c][k])]
+            total = row[ncols + k]
+            for term in terms:
+                total = total - term
+            solution[col][k] = _compact(total) if terms else total
+    return solution
+
+
 def sym_det(matrix) -> Expr:
-    """Exact determinant by fraction-full Gaussian elimination."""
+    """Exact determinant: the elimination pivots' product, signed by their rows' permutation."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
-    sign = 1
+    pivots, _ = _eliminate(rows, n, swap=True)
+    if len(pivots) < n:
+        return ZERO
     det = ONE
-    for col in range(n):
-        pivot_row = None
-        # prefer a rational-constant pivot; fall back to any nonzero entry
-        for r in range(col, n):
-            if rows[r][col].is_rational_const() and not _expr_is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            for r in range(col, n):
-                if not _expr_is_zero(rows[r][col]):
-                    pivot_row = r
-                    break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det = det * pivot
-        inv_pivot = ONE / pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if _expr_is_zero(factor):
-                continue
-            scale = _compact(factor * inv_pivot)
-            for c in range(col, n):
-                rows[r][c] = _compact(rows[r][c] - scale * rows[col][c])
+    for _, _, raw in pivots:
+        det = det * raw
     det = _compact(det)
-    return det if sign == 1 else -det
+    return det if _perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
+
+
+def _solve_square(rows, n):
+    pivots, _ = _eliminate(rows, n, swap=True)
+    if len(pivots) < n:
+        raise SingularFrame("matrix determinant is identically zero")
+    return _back_substitute(rows, pivots, n)
 
 
 def sym_solve(matrix, rhs):
-    """Solve a square system exactly by Gauss-Jordan elimination.
+    """Solve a square system exactly.
 
     Raises SingularFrame when the matrix determinant is identically zero.
     Pivots that are singular only at points are fine symbolically: their
@@ -623,66 +683,14 @@ def sym_solve(matrix, rhs):
     """
     n = len(matrix)
     rows = [list(r) + [rhs[i]] for i, r in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col].is_rational_const() and not _expr_is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            for r in range(col, n):
-                if not _expr_is_zero(rows[r][col]):
-                    pivot_row = r
-                    break
-        if pivot_row is None:
-            raise SingularFrame("matrix determinant is identically zero")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv_pivot = ONE / rows[col][col]
-        rows[col] = [_compact(e * inv_pivot) for e in rows[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if _expr_is_zero(factor):
-                continue
-            rows[r] = [
-                _compact(rows[r][c] - factor * rows[col][c])
-                for c in range(n + 1)
-            ]
-    return tuple(rows[i][n] for i in range(n))
+    return tuple(x[0] for x in _solve_square(rows, n))
 
 
 def sym_inverse(matrix):
     """Exact matrix inverse via elimination on an augmented system."""
     n = len(matrix)
     rows = [list(r) + [ONE if j == i else ZERO for j in range(n)] for i, r in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col].is_rational_const() and not _expr_is_zero(rows[r][col]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            for r in range(col, n):
-                if not _expr_is_zero(rows[r][col]):
-                    pivot_row = r
-                    break
-        if pivot_row is None:
-            raise SingularFrame("matrix determinant is identically zero")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv_pivot = ONE / rows[col][col]
-        rows[col] = [_compact(e * inv_pivot) for e in rows[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if _expr_is_zero(factor):
-                continue
-            rows[r] = [
-                _compact(rows[r][c] - factor * rows[col][c])
-                for c in range(2 * n)
-            ]
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(x) for x in _solve_square(rows, n))
 
 
 def frame_decompose(x: VectorField, frame) -> tuple:
@@ -712,44 +720,11 @@ def span_membership(x: VectorField, fields) -> tuple:
     r = len(fields)
     rows = [[fields[j].components[i] for j in range(r)] + [x.components[i]]
             for i in range(m)]
-    col_of_pivot = {}
-    row_used = [False] * m
-    for col in range(r):
-        pivot_row = None
-        for i in range(m):
-            if row_used[i]:
-                continue
-            if rows[i][col].is_rational_const() and not _expr_is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            for i in range(m):
-                if not row_used[i] and not _expr_is_zero(rows[i][col]):
-                    pivot_row = i
-                    break
-        if pivot_row is None:
-            continue
-        row_used[pivot_row] = True
-        col_of_pivot[col] = pivot_row
-        inv_pivot = ONE / rows[pivot_row][col]
-        rows[pivot_row] = [_compact(e * inv_pivot) for e in rows[pivot_row]]
-        for i in range(m):
-            if i == pivot_row:
-                continue
-            factor = rows[i][col]
-            if _expr_is_zero(factor):
-                continue
-            rows[i] = [
-                _compact(rows[i][c] - factor * rows[pivot_row][c])
-                for c in range(r + 1)
-            ]
-    for i in range(m):
-        if not row_used[i] and not equal_zero(rows[i][r]):
+    pivots, unused = _eliminate(rows, r)
+    for i in unused:
+        if not equal_zero(rows[i][r]):
             return False, i
-    coeffs = [ZERO] * r
-    for col, i in col_of_pivot.items():
-        coeffs[col] = rows[i][r]
-    return True, tuple(coeffs)
+    return True, tuple(x[0] for x in _back_substitute(rows, pivots, r))
 
 
 class FrameBasis:
@@ -833,30 +808,6 @@ def frame_rank_full(fields) -> bool:
     r = len(fields)
     if r > m:
         return False
-    # full column rank iff elimination finds a pivot in every column
     rows = [[fields[j].components[i] for j in range(r)] for i in range(m)]
-    row_used = [False] * m
-    for col in range(r):
-        pivot_row = None
-        for i in range(m):
-            if row_used[i]:
-                continue
-            if rows[i][col].is_rational_const() and not _expr_is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            for i in range(m):
-                if not row_used[i] and not _expr_is_zero(rows[i][col]):
-                    pivot_row = i
-                    break
-        if pivot_row is None:
-            return False
-        row_used[pivot_row] = True
-        inv_pivot = ONE / rows[pivot_row][col]
-        for i in range(m):
-            if row_used[i] or _expr_is_zero(rows[i][col]):
-                continue
-            scale = _compact(rows[i][col] * inv_pivot)
-            for c in range(col, r):
-                rows[i][c] = _compact(rows[i][c] - scale * rows[pivot_row][c])
-    return True
+    pivots, _ = _eliminate(rows, r)
+    return len(pivots) == r

@@ -40,6 +40,7 @@ from .calculus import (
     VectorField,
     coordinate_frame,
     d_coord,
+    wedge,
 )
 from .lift import (
     LiftError,
@@ -57,7 +58,6 @@ from .structures import (
     is_flat,
     para_structure,
     push_structure,
-    torsion,
     validate_bilagrangian,
 )
 from .symexpr import (
@@ -66,13 +66,10 @@ from .symexpr import (
     OpaqueSymbol,
     ParseError,
     Rat,
-    UnknownIdentifier,
-    Var,
+    _Parser,
     as_expr,
     check_seed,
     parse_expr,
-    resolve_name,
-    tokenize,
 )
 from .symplectic import SymplecticError, validate_symplectic
 
@@ -122,175 +119,65 @@ class SceneError(Exception):
 # geometric expressions: scalars, vector fields, and forms in one grammar
 
 
-class _GeomParser:
-    """Typed mirror of the scalar grammar.
+def _kind(value) -> str:
+    if isinstance(value, VectorField):
+        return "vector field"
+    if isinstance(value, KForm):
+        return f"{value.degree}-form"
+    return "scalar"
 
-    Values are scalar Expr, VectorField, or KForm.  ``@name`` is the
-    coordinate vector field, ``dname`` the coordinate 1-form; ``^``
-    wedges two forms and exponentiates scalars by integer literals.
-    """
 
-    def __init__(self, text: str, chart: Chart):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.chart = chart
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError("trailing input after expression", self.text, tok[2])
-        return value
-
-    @staticmethod
-    def _kind(value):
-        if isinstance(value, VectorField):
-            return "vector field"
-        if isinstance(value, KForm):
-            return f"{value.degree}-form"
-        return "scalar"
-
-    def _combine(self, op, a, b, pos):
-        try:
-            if op == "+":
-                if isinstance(a, (VectorField, KForm)) and type(a) is type(b):
-                    return a + b
-                if isinstance(a, Expr) and isinstance(b, Expr):
-                    return a + b
-            elif op == "-":
-                if isinstance(a, (VectorField, KForm)) and type(a) is type(b):
-                    return a - b
-                if isinstance(a, Expr) and isinstance(b, Expr):
-                    return a - b
-            elif op == "*":
-                if isinstance(a, Expr) and isinstance(b, Expr):
-                    return a * b
-                if isinstance(a, Expr) and isinstance(b, (VectorField, KForm)):
-                    return b.scale(a)
-                if isinstance(b, Expr) and isinstance(a, (VectorField, KForm)):
-                    return a.scale(b)
-                if isinstance(a, KForm) and isinstance(b, KForm):
-                    raise ParseError("use '^' to wedge forms", self.text, pos)
-            elif op == "/":
-                if isinstance(b, Expr):
-                    if isinstance(a, Expr):
-                        return a / b
-                    return a.scale(Rat(1) / b)
-        except DegreeError as exc:
-            raise ParseError(str(exc), self.text, pos) from None
-        raise ParseError(
-            f"cannot apply {op!r} to {self._kind(a)} and {self._kind(b)}",
-            self.text, pos,
-        )
-
-    def expr(self):
-        value = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                rhs = self.term()
-                value = self._combine(tok[1], value, rhs, tok[2])
-            else:
-                return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                rhs = self.factor()
-                value = self._combine(tok[1], value, rhs, tok[2])
-            else:
-                return value
-
-    def factor(self):
-        sign = 1
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                if tok[1] == "-":
-                    sign = -sign
-            else:
-                break
-        value = self.power()
-        return value if sign > 0 else -value
-
-    def power(self):
-        value = self.atom()
-        while True:
-            tok = self.peek()
-            if not (tok and tok[0] == "op" and tok[1] == "^"):
-                return value
-            self.next()
-            if isinstance(value, KForm):
-                from .calculus import wedge
-
-                rhs = self.atom()
-                if not isinstance(rhs, KForm):
-                    raise ParseError(
-                        f"'^' after a form wedges another form, got {self._kind(rhs)}",
-                        self.text, tok[2],
-                    )
-                value = wedge(value, rhs)
-                continue
-            if not isinstance(value, Expr):
-                raise ParseError("cannot exponentiate a vector field", self.text, tok[2])
-            neg = False
-            t = self.next()
-            if t[0] == "op" and t[1] == "-":
-                neg = True
-                t = self.next()
-            if t[0] != "int":
-                raise ParseError("scalar exponent must be an integer literal",
-                                 self.text, t[2])
-            n = int(t[1])
-            value = value ** (-n if neg else n)
-            return value
-
-    def atom(self):
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "int":
-            return Rat(int(value))
-        if kind == "op" and value == "@":
-            t = self.next()
-            if t[0] != "name" or t[1] not in self.chart.names:
-                raise ParseError("'@' must be followed by a coordinate name",
-                                 self.text, pos)
-            return coordinate_frame(self.chart)[self.chart.index(t[1])]
-        if kind == "name":
-            try:
-                return resolve_name(value, self.chart.names, self.chart.symbols)
-            except KeyError:
-                pass
-            if len(value) > 1 and value.startswith("d") and value[1:] in self.chart.names:
-                return d_coord(self.chart, self.chart.index(value[1:]))
-            raise UnknownIdentifier(f"unknown identifier {value!r}", self.text, pos)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            tok = self.next()
-            if tok[0] != "op" or tok[1] != ")":
-                raise ParseError("expected ')'", self.text, tok[2])
-            return e
-        raise ParseError(f"unexpected token {value!r}", self.text, pos)
+def _geometric_combine(op, a, b):
+    """Typed binary operators of the geometric grammar; ``^`` wedges forms."""
+    tensor = (VectorField, KForm)
+    try:
+        if op in "+-":
+            if (isinstance(a, Expr) and isinstance(b, Expr)
+                    or isinstance(a, tensor) and type(a) is type(b)):
+                return a + b if op == "+" else a - b
+        elif op == "*":
+            if isinstance(a, Expr) and isinstance(b, Expr):
+                return a * b
+            if isinstance(a, Expr) and isinstance(b, tensor):
+                return b.scale(a)
+            if isinstance(b, Expr) and isinstance(a, tensor):
+                return a.scale(b)
+            if isinstance(a, KForm) and isinstance(b, KForm):
+                raise ExprError("use '^' to wedge forms")
+        elif op == "/":
+            if isinstance(b, Expr):
+                return a / b if isinstance(a, Expr) else a.scale(Rat(1) / b)
+        elif op == "^":
+            if isinstance(a, KForm) and isinstance(b, KForm):
+                return wedge(a, b)
+    except DegreeError as exc:
+        raise ExprError(str(exc)) from None
+    raise ExprError(f"cannot apply {op!r} to {_kind(a)} and {_kind(b)}")
 
 
 def parse_geometric(text: str, chart: Chart):
-    return _GeomParser(text, chart).parse()
+    """Parse a scalar, vector field or form over the chart.
+
+    The scalar grammar plus ``@name`` for a coordinate vector field and
+    ``dname`` for a coordinate 1-form (a coordinate literally named
+    ``dname`` wins); ``^`` after a form wedges the next atom.
+    """
+
+    def geometric_atom(parser, tok):
+        kind, value, pos = tok
+        if kind == "name":
+            if len(value) > 1 and value.startswith("d") and value[1:] in chart.names:
+                return d_coord(chart, chart.index(value[1:]))
+            return None
+        if kind == "op" and value == "@":
+            t = parser.next()
+            if t[0] != "name" or t[1] not in chart.names:
+                raise ParseError("'@' must be followed by a coordinate name", text, pos)
+            return coordinate_frame(chart)[chart.index(t[1])]
+        return None
+
+    return _Parser(text, chart.names, chart.symbols,
+                   geometric_atom, _geometric_combine).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +328,10 @@ def loads(text: str, name: str = "<scene>") -> Scene:
             raise SceneError(str(exc), lineno) from None
         if want == "field" and not isinstance(value, VectorField):
             raise SceneError(f"expected a vector field, got "
-                             f"{_GeomParser._kind(value)}: {payload!r}", lineno)
+                             f"{_kind(value)}: {payload!r}", lineno)
         if want == "2-form" and not (isinstance(value, KForm) and value.degree == 2):
             raise SceneError(f"expected a 2-form, got "
-                             f"{_GeomParser._kind(value)}: {payload!r}", lineno)
+                             f"{_kind(value)}: {payload!r}", lineno)
         return value
 
     def scalar(payload, lineno):

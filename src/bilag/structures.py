@@ -360,19 +360,6 @@ class Connection:
             self.chart, tuple(c.normal().as_expr() for c in out.components)
         )
 
-    def in_frame(self, new_frame) -> "Connection":
-        """Re-express the same connection in another frame."""
-        new_basis = FrameBasis(new_frame)
-        n = len(new_basis.fields)
-        gamma = []
-        for i in range(n):
-            block = []
-            for j in range(n):
-                w = self.apply(new_basis.fields[i], new_basis.fields[j])
-                block.append(new_basis.decompose(w))
-            gamma.append(tuple(block))
-        return Connection(new_basis.fields, tuple(gamma))
-
     def __repr__(self):
         n = len(self.frame)
         entries = []

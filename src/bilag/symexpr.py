@@ -1106,24 +1106,50 @@ def resolve_name(name: str, chart_names, symbols) -> Expr:
     raise KeyError(name)
 
 
+def _scalar_combine(op: str, a: Expr, b: Expr) -> Expr:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / b
+
+
+def _no_extra_atom(parser, tok):
+    return None
+
+
 class _Parser:
-    """Recursive-descent parser for scalar expressions.
+    """Recursive-descent parser for scalar and geometric expressions.
 
     Grammar::
 
         expr   := term (('+' | '-') term)*
         term   := factor (('*' | '/') factor)*
         factor := ('+' | '-')* power
-        power  := atom ('^' ('-')? int)?
+        power  := atom ('^' ('-')? int)?      on a scalar
+                | atom ('^' atom)*            on any other value
         atom   := int | name | '(' expr ')'
+
+    Two hooks extend it beyond scalars.  ``extra_atom(parser, tok)`` is
+    consulted for a name that is neither a coordinate nor a symbol jet, and
+    for a token that starts no scalar atom; it returns a value, or None to
+    let the parser report the token.  ``combine(op, a, b)`` applies a binary
+    operator, including ``^`` after a non-scalar; it raises ExprError with
+    a message when the operands do not combine, and the parser adds the
+    operator's position.
     """
 
-    def __init__(self, text: str, tokens, chart_names, symbols):
+    def __init__(self, text: str, chart_names, symbols,
+                 extra_atom=_no_extra_atom, combine=_scalar_combine):
         self.text = text
-        self.tokens = tokens
+        self.tokens = tokenize(text)
         self.pos = 0
         self.chart_names = tuple(chart_names)
         self.symbols = tuple(symbols)
+        self.extra_atom = extra_atom
+        self.combine = combine
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -1135,48 +1161,42 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, value):
-        tok = self.next()
-        if tok[0] != "op" or tok[1] != value:
-            raise ParseError(f"expected {value!r}", self.text, tok[2])
-        return tok
-
-    def parse(self) -> Expr:
+    def parse(self):
         e = self.expr()
         tok = self.peek()
         if tok is not None:
             raise ParseError("trailing input after expression", self.text, tok[2])
         return e
 
-    def expr(self) -> Expr:
+    def apply(self, tok, a, b):
+        try:
+            return self.combine(tok[1], a, b)
+        except ZeroDenominator:
+            raise ParseError("division by zero", self.text, tok[2]) from None
+        except ExprError as exc:
+            raise ParseError(str(exc), self.text, tok[2]) from None
+
+    def expr(self):
         e = self.term()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.next()
-                rhs = self.term()
-                e = e + rhs if tok[1] == "+" else e - rhs
+                e = self.apply(tok, e, self.term())
             else:
                 return e
 
-    def term(self) -> Expr:
+    def term(self):
         e = self.factor()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
                 self.next()
-                rhs = self.factor()
-                if tok[1] == "*":
-                    e = e * rhs
-                else:
-                    try:
-                        e = e / rhs
-                    except ZeroDenominator:
-                        raise ParseError("division by zero", self.text, tok[2]) from None
+                e = self.apply(tok, e, self.factor())
             else:
                 return e
 
-    def factor(self) -> Expr:
+    def factor(self):
         sign = 1
         while True:
             tok = self.peek()
@@ -1189,11 +1209,16 @@ class _Parser:
         e = self.power()
         return e if sign > 0 else -e
 
-    def power(self) -> Expr:
+    def power(self):
         e = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+        while True:
+            tok = self.peek()
+            if not (tok and tok[0] == "op" and tok[1] == "^"):
+                return e
             self.next()
+            if not isinstance(e, Expr):
+                e = self.apply(tok, e, self.atom())
+                continue
             neg = False
             t = self.next()
             if t[0] == "op" and t[1] == "-":
@@ -1203,12 +1228,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", self.text, t[2])
             n = int(t[1])
             try:
-                e = e ** (-n if neg else n)
+                return e ** (-n if neg else n)
             except ZeroDenominator:
                 raise ParseError("zero raised to a negative power", self.text, t[2]) from None
-        return e
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
@@ -1217,19 +1241,26 @@ class _Parser:
             try:
                 return resolve_name(value, self.chart_names, self.symbols)
             except KeyError as exc:
-                detail = str(exc).strip("'")
-                raise UnknownIdentifier(f"unknown identifier {detail!r}", self.text, pos) from None
+                e = self.extra_atom(self, tok)
+                if e is None:
+                    detail = str(exc).strip("'")
+                    raise UnknownIdentifier(f"unknown identifier {detail!r}", self.text, pos) from None
+                return e
         if kind == "op" and value == "(":
             e = self.expr()
-            self.expect_op(")")
+            tok = self.next()
+            if tok[0] != "op" or tok[1] != ")":
+                raise ParseError("expected ')'", self.text, tok[2])
             return e
-        raise ParseError(f"unexpected token {value!r}", self.text, pos)
+        e = self.extra_atom(self, tok)
+        if e is None:
+            raise ParseError(f"unexpected token {value!r}", self.text, pos)
+        return e
 
 
 def parse_expr(text: str, chart_names, symbols=()) -> Expr:
     """Parse a scalar expression over the given coordinate names and symbols."""
-    tokens = tokenize(text)
-    return _Parser(text, tokens, chart_names, symbols).parse()
+    return _Parser(text, chart_names, symbols).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Charts, fields, forms, maps, and exact linear algebra."""
 
+import random
+
 import pytest
 
 from bilag.calculus import (
@@ -300,6 +302,109 @@ class TestLinearAlgebra:
         ok, witness = span_membership(VectorField(CH, (ZERO, ONE)), (u,))
         assert not ok
         assert witness == 1
+
+
+def _random_poly(rng):
+    """Zero, a small constant, or a small linear polynomial in x, y."""
+    kind = rng.random()
+    if kind < 0.25:
+        return ZERO
+    if kind < 0.5:
+        return as_expr(rng.choice((1, -1, 2, -2)))
+    return rng.choice((1, -1, 2)) * rng.choice((X, Y)) + rng.randint(-2, 2)
+
+
+def _random_square(rng, n):
+    rows = [[_random_poly(rng) for _ in range(n)] for _ in range(n)]
+    kind = rng.choice(("generic", "zero-first-column", "singular"))
+    if kind == "zero-first-column":
+        # force a non-first pivot row in column 0
+        for i in range(rng.randint(1, n - 1)):
+            rows[i][0] = ZERO
+    elif kind == "singular":
+        a, b = rng.sample(range(n), 2)
+        f = _random_poly(rng)
+        rows[b] = [f * e for e in rows[a]]
+    return rows
+
+
+class TestEliminationKernel:
+    """Seeded random matrices against independent references."""
+
+    CASES = [(seed, n) for n in (2, 3, 4) for seed in range(8)]
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_det_matches_cofactor_expansion(self, seed, n):
+        from bilag.calculus import _small_det
+
+        rows = _random_square(random.Random(seed * 10 + n), n)
+        assert equal_zero(sym_det(rows) - _small_det(rows))
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_inverse_and_solve(self, seed, n):
+        rng = random.Random(seed * 10 + n)
+        rows = _random_square(rng, n)
+        rhs = [_random_poly(rng) for _ in range(n)]
+        if is_zero(sym_det(rows)):
+            with pytest.raises(SingularFrame):
+                sym_inverse(rows)
+            with pytest.raises(SingularFrame):
+                sym_solve(rows, rhs)
+            return
+        inv = sym_inverse(rows)
+        for i in range(n):
+            for j in range(n):
+                entry = sum((inv[i][k] * rows[k][j] for k in range(n)), ZERO)
+                assert is_zero(entry - (ONE if i == j else ZERO))
+        sol = sym_solve(rows, rhs)
+        for i in range(n):
+            residual = sum((rows[i][k] * sol[k] for k in range(n)), ZERO) - rhs[i]
+            assert is_zero(residual)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_span_membership_rank_deficient(self, seed):
+        # three fields on a 5-dimensional chart, supported on two rows and so
+        # of rank 2: the rows outside the support are never pivots, and
+        # their residual is the target's own component
+        rng = random.Random(seed)
+        ch = Chart(("x", "y", "z", "u", "v"))
+        support = sorted(rng.sample(range(5), 2))
+        block = [[rng.choice((1, -1, 2)), _random_poly(rng)], [0, rng.choice((1, -2))]]
+        a, b = _random_poly(rng), _random_poly(rng)
+
+        def field(col0, col1):
+            comps = [ZERO] * 5
+            comps[support[0]], comps[support[1]] = as_expr(col0), as_expr(col1)
+            return VectorField(ch, comps)
+
+        base = [field(block[0][j], block[1][j]) for j in range(2)]
+        fields = base + [base[0].scale(a) + base[1].scale(b)]
+        target = base[0].scale(_random_poly(rng)) + base[1].scale(_random_poly(rng))
+        outside = [i for i in range(5) if i not in support]
+        bumped = sorted(rng.sample(outside, rng.randint(0, 2)))
+        comps = list(target.components)
+        for i in bumped:
+            comps[i] = comps[i] + (X + 1)
+        target = VectorField(ch, comps)
+
+        ok, cert = span_membership(target, fields)
+        if bumped:
+            assert not ok
+            assert cert == bumped[0]
+        else:
+            assert ok
+            recombined = zero_field(ch)
+            for c, f in zip(cert, fields):
+                recombined = recombined + f.scale(c)
+            assert fields_equal(recombined, target)
+
+    def test_det_text_on_odd_pivot_path(self):
+        # reports print determinants, so their text must not drift: the sign
+        # layout depends on which rows pivot, and a square matrix pivots by
+        # row swaps (after swapping rows 0 and 2, row 1 is scanned first)
+        assert str(sym_det([[ZERO, ONE], [X + 1, Y]])) == "(-1)*(x + 1)"
+        swapped = [[ZERO, ONE, X], [ZERO, ONE, Y], [ONE, ZERO, ZERO]]
+        assert str(sym_det(swapped)) == "(-1)*(x + (-1)*y)"
 
 
 class TestFrameBasis:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bilag.calculus import Chart, KForm
 from bilag.cli import bundled_scene_dir, find_scene, main
 from bilag.scene import (
     OPERATIONS,
@@ -13,10 +14,11 @@ from bilag.scene import (
     Task,
     load_scene,
     loads,
+    parse_geometric,
     run_task,
     run_tasks,
 )
-from bilag.symexpr import ONE, ZERO, check_seed, diff, equal_zero, parse_expr
+from bilag.symexpr import ONE, ZERO, ParseError, check_seed, diff, equal_zero, parse_expr
 from bilag.structures import christoffels
 
 MINIMAL = """
@@ -112,6 +114,24 @@ class TestParsing:
         with pytest.raises(SceneError) as err:
             loads(MINIMAL + "map ok: x, y inverse x, y\ntask t: push map=missing\n")
         assert "missing" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["@x/0", "dx/(x-x)"])
+    def test_geometric_division_by_zero_has_position(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_geometric(text, Chart(("x", "y")))
+        assert err.value.position == text.index("/")
+        assert str(err.value).startswith("division by zero")
+
+    @pytest.mark.parametrize("text", ["dx^x", "@x^2"])
+    def test_geometric_power_of_non_scalar_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_geometric(text, Chart(("x", "y")))
+
+    def test_coordinate_named_like_a_form_wins(self):
+        chart = Chart(("x", "dx"))
+        assert str(parse_geometric("dx", chart)) == "dx"
+        form = parse_geometric("ddx", chart)
+        assert isinstance(form, KForm) and form.coeffs == {(1,): ONE}
 
     def test_operations_inventory(self):
         assert OPERATIONS == (
