@@ -29,7 +29,6 @@ import sys
 from .lift import DEFAULT_MAX_DIM
 from .scene import (
     OPERATIONS,
-    Scene,
     SceneError,
     SceneReport,
     Task,

@@ -27,7 +27,6 @@ the Lagrangian check fail, and that failure is reported, not patched.
 from __future__ import annotations
 
 from .calculus import (
-    Chart,
     KForm,
     SmoothMap,
     VectorField,
@@ -40,11 +39,9 @@ from .structures import (
     push_structure,
     validate_bilagrangian,
 )
-from .symexpr import Expr, ONE, Var, ZERO, as_expr, diff, equal_zero, is_zero
+from .symexpr import Var, ZERO, diff, equal_zero, is_zero
 from .symplectic import (
-    SymplecticForm,
     TrivialBundleChart,
-    tautological_theta,
     trivial_bundle_symplectic,
     validate_symplectic,
 )

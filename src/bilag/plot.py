@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .calculus import VectorField
-from .symexpr import Expr, ZeroDenominator, as_expr, bind_symbol, eval_float
+from .symexpr import ZeroDenominator, as_expr, bind_symbol, eval_float
 
 __all__ = ["PlotError", "Window", "bind_field", "integral_curve", "leaf_plot"]
 

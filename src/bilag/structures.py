@@ -11,6 +11,15 @@ where subscripts denote the splitting along the two foliations.  The test
 suite checks this connection against an independent Levi-Civita oracle for
 the associated neutral metric G(X, Y) = omega(FX, Y).
 
+In the foliation frame (the F1 fields, then the F2 fields) each E_i lies in
+one leaf, so the formula is applied leaf-wise: nabla_{E_i} E_j = D(E_i, E_j)
+for E_i, E_j in one leaf, and across leaves the projected bracket, whose
+coefficients are the structure functions c^k_{ij} for k in the leaf of E_j
+(Hess, LNM 836, 1980).  hess_nabla, which splits arbitrary fields, serves
+the coordinate frame and is the independent route the tests compare
+against.  Curvature forms only the products of nonzero Christoffel symbols
+and structure functions, for i < j only, and fills R(E_j, E_i) by negation.
+
 A structure optionally carries "adapted functions": 2n scalar functions
 (p_1..p_n, q_1..q_n) whose level sets straighten the two foliations (the
 q's are constant along foliation 1 and the p's along foliation 2), with an
@@ -25,7 +34,6 @@ from .calculus import (
     Chart,
     FrameBasis,
     KForm,
-    SingularFrame,
     SmoothMap,
     VectorField,
     coordinate_frame,
@@ -314,12 +322,19 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
 
 
 class Connection:
-    """Christoffel data Gamma[i][j][k] on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k."""
+    """Christoffel data Gamma[i][j][k] on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k.
+
+    `frame_fields` is the frame, or a FrameBasis over it whose cached
+    inverse and structure functions the connection then shares.
+    """
 
     __slots__ = ("basis", "gamma")
 
     def __init__(self, frame_fields, gamma):
-        self.basis = FrameBasis(frame_fields)
+        if isinstance(frame_fields, FrameBasis):
+            self.basis = frame_fields
+        else:
+            self.basis = FrameBasis(frame_fields)
         self.gamma = tuple(
             tuple(tuple(as_expr(g) for g in row) for row in block)
             for block in gamma
@@ -377,24 +392,45 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
     """Christoffel coefficients of the canonical connection.
 
     `frame` is "foliation" (the combined F1+F2 frame) or "coordinate".
+
+    In the foliation frame every E_i lies in one leaf, so Hess's formula
+    needs no splitting and is assembled leaf by leaf:
+
+        E_i, E_j in one leaf:   nabla_{E_i} E_j = D(E_i, E_j)
+        different leaves:       nabla_{E_i} E_j = [E_i, E_j] projected to
+                                leaf(j), i.e. Gamma^k_{ij} = c^k_{ij} for k
+                                in leaf(j) and 0 otherwise.
+
+    The coordinate frame has no leaf structure; there every entry goes
+    through hess_nabla.
     """
-    if frame == "foliation":
-        fields = s.frame
-        basis = s.basis
-    elif frame == "coordinate":
+    if frame not in ("foliation", "coordinate"):
+        raise ValueError(f"unknown frame kind {frame!r}")
+    if frame == "coordinate":
         fields = coordinate_frame(s.chart)
         basis = FrameBasis(fields)
-    else:
-        raise ValueError(f"unknown frame kind {frame!r}")
-    n = len(fields)
+        gamma = tuple(
+            tuple(basis.decompose(hess_nabla(s, x, y)) for y in fields)
+            for x in fields
+        )
+        return Connection(basis, gamma)
+    n = s.n
+    fields = s.frame
+    basis = s.basis
     gamma = []
-    for i in range(n):
+    for i, x in enumerate(fields):
         block = []
-        for j in range(n):
-            w = hess_nabla(s, fields[i], fields[j])
-            block.append(basis.decompose(w))
+        for j, y in enumerate(fields):
+            if i // n == j // n:
+                block.append(basis.decompose(d_map(s, x, y)))
+            else:
+                leaf = range(j // n * n, j // n * n + n)
+                block.append(tuple(
+                    basis.structure_coeff(i, j, k).normal().as_expr() if k in leaf else ZERO
+                    for k in range(2 * n)
+                ))
         gamma.append(tuple(block))
-    return Connection(fields, tuple(gamma))
+    return Connection(basis, tuple(gamma))
 
 
 class TorsionTensor:
@@ -478,6 +514,23 @@ class CurvatureTensor:
         return out
 
 
+def _curvature_terms(fields, gam, struct, i, j, k):
+    """(l, term) for each product of R^l_{ijk} that is not structurally zero."""
+    for l, g in gam[j][k]:
+        yield l, fields[i].apply(g)
+    for l, g in gam[i][k]:
+        yield l, -fields[j].apply(g)
+    for s, g in gam[j][k]:
+        for l, h in gam[i][s]:
+            yield l, g * h
+    for s, g in gam[i][k]:
+        for l, h in gam[j][s]:
+            yield l, -(g * h)
+    for s, c in struct:
+        for l, h in gam[s][k]:
+            yield l, -(c * h)
+
+
 def curvature(conn) -> CurvatureTensor:
     """Frame curvature R(E_i, E_j) E_k = R^l_{ijk} E_l.
 
@@ -485,34 +538,41 @@ def curvature(conn) -> CurvatureTensor:
               + Gamma^s_{jk} Gamma^l_{is} - Gamma^s_{ik} Gamma^l_{js}
               - c^s_{ij} Gamma^l_{sk}
 
+    Only the products of nonzero Gamma entries and nonzero structure
+    functions c are formed, and only for i < j: R is antisymmetric in i
+    and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  The
+    table is dense, with ZERO in every slot no product reaches.
+
     Accepts a Connection, or a BiLagStructure whose canonical connection
     is computed first.
     """
     if isinstance(conn, BiLagStructure):
         conn = christoffels(conn)
     n = len(conn.frame)
-    fields = conn.frame
-    gamma = conn.gamma
-    table = []
+    # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
+    gam = [
+        [[(k, g) for k, g in enumerate(row) if not is_zero(g)] for row in block]
+        for block in conn.gamma
+    ]
+    table = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        block = []
-        for j in range(n):
-            plane = []
+        for j in range(i + 1, n):
+            struct = [
+                (s, c) for s, c in enumerate(conn.basis.structure_functions()[(i, j)])
+                if not is_zero(c)
+            ]
             for k in range(n):
-                row = []
-                for l in range(n):
-                    val = fields[i].apply(gamma[j][k][l]) - fields[j].apply(gamma[i][k][l])
-                    for sdx in range(n):
-                        val = val + gamma[j][k][sdx] * gamma[i][sdx][l]
-                        val = val - gamma[i][k][sdx] * gamma[j][sdx][l]
-                        c = conn.basis.structure_coeff(i, j, sdx)
-                        if not is_zero(c):
-                            val = val - c * gamma[sdx][k][l]
-                    row.append(val.normal().as_expr())
-                plane.append(tuple(row))
-            block.append(tuple(plane))
-        table.append(tuple(block))
-    return CurvatureTensor(conn.frame, tuple(table))
+                acc = {}
+                for l, term in _curvature_terms(conn.frame, gam, struct, i, j, k):
+                    acc[l] = acc.get(l, ZERO) + term
+                for l, val in acc.items():
+                    nf = val.normal()
+                    table[i][j][k][l] = nf.as_expr()
+                    table[j][i][k][l] = nf.neg().as_expr()
+    return CurvatureTensor(
+        conn.frame,
+        tuple(tuple(tuple(tuple(row) for row in plane) for plane in block) for block in table),
+    )
 
 
 class FlatnessResult:

@@ -1243,8 +1243,11 @@ class _Parser:
             except KeyError as exc:
                 e = self.extra_atom(self, tok)
                 if e is None:
-                    detail = str(exc).strip("'")
-                    raise UnknownIdentifier(f"unknown identifier {detail!r}", self.text, pos) from None
+                    # resolve_name's KeyError carries the bare name, or why
+                    # the name's jet suffix could not be read
+                    detail = exc.args[0]
+                    message = f"unknown identifier {detail!r}" if detail == value else detail
+                    raise UnknownIdentifier(message, self.text, pos) from None
                 return e
         if kind == "op" and value == "(":
             e = self.expr()
@@ -1342,8 +1345,9 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
 
     The verdict comes from the normal form; it is then cross-checked by
     evaluating the original tree at `points` random rational points that
-    avoid denominator zeros.  Disagreement raises RuntimeError, since it
-    would mean the normalizer itself is wrong.
+    avoid denominator zeros (a constant tree is evaluated once).
+    Disagreement raises RuntimeError, since it would mean the normalizer
+    itself is wrong.
     """
     e = as_expr(e)
     verdict = e.normal().is_zero
@@ -1361,7 +1365,9 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
         except ZeroDenominator:
             spread += 1
             continue
-        checked += 1
+        # A tree without atoms draws no point, so its one value stands for
+        # all `points` evaluations.
+        checked += 1 if names else points
         if value != 0:
             saw_nonzero = True
             if verdict:

@@ -18,13 +18,11 @@ from .calculus import (
     Chart,
     KForm,
     VectorField,
-    coordinate_frame,
     exterior_d,
-    interior_product,
     sym_det,
     sym_inverse,
 )
-from .symexpr import Expr, ONE, ZERO, Var, as_expr, equal_zero, is_zero
+from .symexpr import Expr, ONE, ZERO, Var, as_expr, equal_zero
 
 __all__ = [
     "SymplecticError",

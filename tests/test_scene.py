@@ -18,7 +18,16 @@ from bilag.scene import (
     run_task,
     run_tasks,
 )
-from bilag.symexpr import ONE, ZERO, ParseError, check_seed, diff, equal_zero, parse_expr
+from bilag.symexpr import (
+    ONE,
+    ZERO,
+    OpaqueSymbol,
+    ParseError,
+    check_seed,
+    diff,
+    equal_zero,
+    parse_expr,
+)
 from bilag.structures import christoffels
 
 MINIMAL = """
@@ -126,6 +135,23 @@ class TestParsing:
     def test_geometric_power_of_non_scalar_rejected(self, text):
         with pytest.raises(ParseError):
             parse_geometric(text, Chart(("x", "y")))
+
+    @pytest.mark.parametrize("name, message", [
+        ("h_aa", "ambiguous jet suffix 'aa'"),
+        ("foo", "unknown identifier 'foo'"),
+    ])
+    def test_unresolved_name_messages(self, name, message):
+        # on chart (a, aa) the suffix "aa" reads as a twice or as aa once
+        symbol = OpaqueSymbol("h", ("a", "aa"))
+        text = f"{name} + a"
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, ("a", "aa"), (symbol,))
+        assert str(err.value) == f"{message} (at position 0: {text!r})"
+        line = f"{name} * daa^da"
+        with pytest.raises(SceneError) as err:
+            loads(f"chart: a aa\nsymbol: h(a aa)\nomega: {line}\n")
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message} (at position 0: {line[:12]!r})"
 
     def test_coordinate_named_like_a_form_wins(self):
         chart = Chart(("x", "dx"))

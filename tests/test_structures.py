@@ -10,6 +10,7 @@ from bilag.calculus import (
     form_from_matrix,
     lie_bracket,
 )
+from bilag.lift import lift_structure
 from bilag.structures import (
     BiLagError,
     christoffels,
@@ -66,6 +67,91 @@ def parabola_structure(h_value=None):
         [VectorField(ch, (ZERO, ONE))],
         adapted=(x, y - x * x),
     )
+
+
+def rescaled_structure():
+    """The parabola's leaves, framed by fields rescaled by non-constant functions.
+
+    F1 = (1+y^2)(d/dx + 2x d/dy) and F2 = (1+x^2) d/dy do not commute, so
+    the cross-leaf Gamma entries and the c^s_ij term of the curvature are
+    nonzero; in the bundled scenes' frames both vanish.
+    """
+    ch = Chart(("x", "y"), symbols=(H,))
+    x, y = ch.coords()
+    hv = H.jet((0, 0))
+    om = validate_symplectic(form_from_matrix(ch, [[ZERO, -hv], [hv, ZERO]]))
+    return validate_bilagrangian(
+        om,
+        [VectorField(ch, ((1 + y * y), (1 + y * y) * 2 * x))],
+        [VectorField(ch, (ZERO, 1 + x * x))],
+        adapted=(x, y - x * x),
+    )
+
+
+def noncommuting_structure():
+    """Dim 4, omega = dy1^dx1 + dy2^dx2, leaves framed by non-commuting fields.
+
+    [E_1, E_2], [E_3, E_4] and [E_1, E_3] are nonzero, so the order of D's
+    arguments and the cross-leaf projection both matter.
+    """
+    ch = Chart(("x1", "x2", "y1", "y2"))
+    x1, _, y1, _ = ch.coords()
+    om = validate_symplectic(form_from_matrix(ch, [
+        [ZERO, ZERO, -ONE, ZERO],
+        [ZERO, ZERO, ZERO, -ONE],
+        [ONE, ZERO, ZERO, ZERO],
+        [ZERO, ONE, ZERO, ZERO],
+    ]))
+    return validate_bilagrangian(
+        om,
+        [VectorField(ch, (ONE, ZERO, ZERO, ZERO)),
+         VectorField(ch, (ZERO, 1 + x1 * x1, ZERO, ZERO))],
+        [VectorField(ch, (ZERO, ZERO, 1 + x1 * x1, ZERO)),
+         VectorField(ch, (ZERO, ZERO, y1, ONE))],
+    )
+
+
+def lifted(s, dim):
+    while s.chart.dim < dim:
+        s = lift_structure(s)
+    return s
+
+
+STRUCTURES = {
+    "parabola": parabola_structure,
+    "standard": standard_structure,
+    "parabola-dim4": lambda: lifted(parabola_structure(), 4),
+    "standard-dim4": lambda: lifted(standard_structure(), 4),
+    "rescaled": rescaled_structure,
+    "noncommuting-dim4": noncommuting_structure,
+}
+
+
+def dense_curvature(conn):
+    """Reference: every R^l_{ijk} from all n^5 products, zero or not."""
+    n = len(conn.frame)
+    fields = conn.frame
+    gamma = conn.gamma
+    table = []
+    for i in range(n):
+        block = []
+        for j in range(n):
+            plane = []
+            for k in range(n):
+                row = []
+                for l in range(n):
+                    val = fields[i].apply(gamma[j][k][l]) - fields[j].apply(gamma[i][k][l])
+                    for sdx in range(n):
+                        val = val + gamma[j][k][sdx] * gamma[i][sdx][l]
+                        val = val - gamma[i][k][sdx] * gamma[j][sdx][l]
+                        c = conn.basis.structure_coeff(i, j, sdx)
+                        if not is_zero(c):
+                            val = val - c * gamma[sdx][k][l]
+                    row.append(val.normal().as_expr())
+                plane.append(tuple(row))
+            block.append(tuple(plane))
+        table.append(tuple(block))
+    return tuple(table)
 
 
 def fields_equal(a, b):
@@ -245,6 +331,44 @@ class TestConnection:
                         assert ok
 
 
+class TestLeafwiseAssembly:
+    """The leaf-wise Gamma and the sparse curvature against the general routes."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_gamma_matches_hess_nabla(self, name):
+        s = STRUCTURES[name]()
+        conn = christoffels(s)
+        frame = s.frame
+        for i, x in enumerate(frame):
+            for j, y in enumerate(frame):
+                via_hess = s.basis.decompose(hess_nabla(s, x, y))
+                for k in range(len(frame)):
+                    assert conn.gamma[i][j][k].normal() == via_hess[k].normal(), (i, j, k)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_curvature_matches_dense_loop(self, name):
+        conn = christoffels(STRUCTURES[name]())
+        sparse = curvature(conn).table
+        dense = dense_curvature(conn)
+        n = len(conn.frame)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        assert sparse[i][j][k][l].normal() == dense[i][j][k][l].normal(), \
+                            (i, j, k, l)
+
+    def test_rescaled_frame_exercises_cross_leaf_terms(self):
+        s = rescaled_structure()
+        conn = christoffels(s)
+        assert not is_zero(conn.gamma[0][1][1])  # [E_1, E_2] projected to leaf 2
+        assert not is_zero(conn.gamma[1][0][0])  # [E_2, E_1] projected to leaf 1
+        assert is_zero(conn.gamma[0][1][0]) and is_zero(conn.gamma[1][0][1])
+        assert not is_zero(s.basis.structure_coeff(0, 1, 0))
+        assert curvature(conn).nonzero_entries()
+        assert torsion(conn).is_zero()
+
+
 class TestCurvature:
     def test_parabola_nonzero_slots_exact(self):
         s = parabola_structure()
@@ -344,6 +468,22 @@ class TestLeviCivitaOracle:
             hess = christoffels(s)
             oracle = levi_civita_oracle(para_structure(s))
             assert connections_equal(hess, oracle)
+
+    @pytest.mark.parametrize(
+        "name", ["parabola-dim4", "standard-dim4", "rescaled", "noncommuting-dim4"])
+    def test_agrees_on_lifts_and_rescaled_frame(self, name):
+        s = STRUCTURES[name]()
+        assert connections_equal(christoffels(s), levi_civita_oracle(para_structure(s)))
+
+
+@pytest.mark.parametrize("build, flat, witnesses", [
+    (parabola_structure, False, 4),
+    (standard_structure, True, 0),
+])
+def test_flatness_verdict_on_dim16_lift(build, flat, witnesses):
+    verdict = is_flat(lifted(build(), 16))
+    assert verdict.flat is flat
+    assert len(verdict.witnesses) == witnesses
 
 
 class TestPush:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bilag import symexpr
 from bilag.symexpr import (
     CompositionError,
     OpaqueSymbol,
@@ -13,6 +14,7 @@ from bilag.symexpr import (
     ZeroDenominator,
     ONE,
     ZERO,
+    Rat,
     as_expr,
     bind_symbol,
     check_seed,
@@ -29,6 +31,24 @@ from bilag.symexpr import (
 
 X = Var("x")
 Y = Var("y")
+
+
+class _Constant(Rat):
+    """A constant that counts its evaluations; its normal form claims `claims`."""
+
+    __slots__ = ("claims", "evaluations")
+
+    def __init__(self, value, claims):
+        super().__init__(value)
+        self.claims = claims
+        self.evaluations = 0
+
+    def _normal(self):
+        return Rat(self.claims).normal()
+
+    def _eval(self, env, numeric):
+        self.evaluations += 1
+        return super()._eval(env, numeric)
 
 
 class TestParsing:
@@ -101,6 +121,23 @@ class TestEquality:
 
     def test_nonzero_detected(self):
         assert not equal_zero(X ** 2 - Y)
+
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_constant_tree_evaluated_once(self, value):
+        state = symexpr._check_rng.getstate()
+        c = _Constant(value, value)
+        assert equal_zero(c) is (value == 0)
+        assert c.evaluations == 1
+        assert symexpr._check_rng.getstate() == state
+
+    @pytest.mark.parametrize("value, claims, message", [
+        (3, 0, "normal form claims zero but 3 evaluates to 3 at {}"),
+        (0, 1, "normal form claims nonzero but 0 vanished at 20 random points"),
+    ])
+    def test_constant_tree_disagreement_raises(self, value, claims, message):
+        with pytest.raises(RuntimeError) as err:
+            equal_zero(_Constant(value, claims))
+        assert str(err.value) == message
 
     def test_seed_roundtrip(self):
         old = check_seed()
