@@ -25,8 +25,10 @@ from .symexpr import (
     ZERO,
     ONE,
     as_expr,
+    compact,
     diff,
     directional,
+    dot,
     equal_zero,
     is_zero,
     substitute,
@@ -566,11 +568,6 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
 # symbolic linear algebra
 
 
-def _compact(e: Expr) -> Expr:
-    """Rebuild an expression from its normal form to keep matrices small."""
-    return e.normal().as_expr()
-
-
 def _eliminate(rows, ncols, swap=False):
     """Forward elimination in place over the first `ncols` columns.
 
@@ -579,8 +576,9 @@ def _eliminate(rows, ncols, swap=False):
     row order.  A column's pivot is the first nonzero rational constant in
     scan order, otherwise the first nonzero entry; a column without one is
     skipped.  The pivot row is scaled once to a unit pivot, and the unused
-    rows are eliminated against it.  Entries are compacted after every
-    update and zero-tested through their normal forms.
+    rows are eliminated against it.  Every updated entry goes through
+    symexpr.compact, which keeps it small and caches its normal form, and
+    entries are zero-tested through that form.
 
     With `swap`, a pivot is brought into place by a row swap, as in
     textbook square elimination: the first row in scan order takes the
@@ -617,7 +615,7 @@ def _eliminate(rows, ncols, swap=False):
         prow = rows[pivot_row]
         raw = prow[col]
         inv_pivot = ONE / raw
-        prow[col:] = [_compact(e * inv_pivot) for e in prow[col:]]
+        prow[col:] = [compact(e * inv_pivot) for e in prow[col:]]
         pivots.append((col, pivot_row, raw))
         for i in unused:
             row = rows[i]
@@ -625,7 +623,7 @@ def _eliminate(rows, ncols, swap=False):
             if is_zero(factor):
                 continue
             for c in range(col, width):
-                row[c] = _compact(row[c] - factor * prow[c])
+                row[c] = compact(row[c] - factor * prow[c])
     return pivots, unused
 
 
@@ -646,7 +644,7 @@ def _back_substitute(rows, pivots, ncols):
             total = row[ncols + k]
             for term in terms:
                 total = total - term
-            solution[col][k] = _compact(total) if terms else total
+            solution[col][k] = compact(total) if terms else total
     return solution
 
 
@@ -663,7 +661,7 @@ def sym_det(matrix) -> Expr:
     det = ONE
     for _, _, raw in pivots:
         det = det * raw
-    det = _compact(det)
+    det = compact(det)
     return det if _perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
 
 
@@ -767,15 +765,7 @@ class FrameBasis:
         return self._inverse
 
     def decompose(self, x: VectorField) -> tuple:
-        inv = self.inverse
-        n = self.chart.dim
-        out = []
-        for i in range(n):
-            total = ZERO
-            for j in range(n):
-                total = total + inv[i][j] * x.components[j]
-            out.append(_compact(total))
-        return tuple(out)
+        return tuple(dot(row, x.components) for row in self.inverse)
 
     def structure_functions(self) -> dict:
         """c[i, j] with [E_i, E_j] = sum_k c[i, j][k] E_k, for i < j."""

@@ -39,7 +39,7 @@ from .structures import (
     push_structure,
     validate_bilagrangian,
 )
-from .symexpr import Var, ZERO, diff, equal_zero, is_zero
+from .symexpr import Var, ZERO, compact, diff, dot, equal_zero
 from .symplectic import (
     TrivialBundleChart,
     trivial_bundle_symplectic,
@@ -92,26 +92,15 @@ def _transpose(m):
 
 def _linear_in_fibers(kmat, fiber_coords):
     """The functions (K xi)_l = sum_m K_lm xi_m."""
-    out = []
-    for row in kmat:
-        total = ZERO
-        for coeff, xi in zip(row, fiber_coords):
-            total = total + coeff * xi
-        out.append(total.normal().as_expr())
-    return out
+    return [dot(row, fiber_coords) for row in kmat]
 
 
 def _lift_base_field(bundle: TrivialBundleChart, e: VectorField, jac, kxi) -> VectorField:
     """E~ = E + sum_i C_i d/dxi_i with C_i = sum_l E(J_li) (K xi)_l."""
     n2 = bundle.base.dim
-    comps = list(e.components) + [ZERO] * n2
-    for i in range(n2):
-        total = ZERO
-        for l in range(n2):
-            rate = e.apply(jac[l][i])
-            if not is_zero(rate):
-                total = total + rate * kxi[l]
-        comps[n2 + i] = total.normal().as_expr()
+    comps = list(e.components) + [
+        dot([e.apply(jac[l][i]) for l in range(n2)], kxi) for i in range(n2)
+    ]
     return VectorField(bundle.chart, comps)
 
 
@@ -158,7 +147,7 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> LiftedStructure:
     bundle = TrivialBundleChart(s.chart, fiber_names)
     omega_lift = trivial_bundle_symplectic(s.omega, bundle)
 
-    jac = [[diff(a, name).normal().as_expr() for name in s.chart.names]
+    jac = [[compact(diff(a, name)) for name in s.chart.names]
            for a in s.adapted]
     kmat = sym_inverse(_transpose(jac))
     fiber_coords = [Var(name) for name in fiber_names]
@@ -238,14 +227,11 @@ def _fiber_components(psi: SmoothMap, fiber_coords):
     comps = []
     for j, tname in enumerate(psi.target.names):
         row = [
-            psi.pull_scalar(diff(inv_comp, tname)).normal().as_expr()
+            compact(psi.pull_scalar(diff(inv_comp, tname)))
             for inv_comp in psi.inverse_components
         ]
-        total = ZERO
-        for xi, entry in zip(fiber_coords, row):
-            total = total + xi * entry
         block.append(tuple(row))
-        comps.append(total.normal().as_expr())
+        comps.append(dot(fiber_coords, row))
     return tuple(comps), tuple(block)
 
 

@@ -43,7 +43,6 @@ from .calculus import (
     wedge,
 )
 from .lift import (
-    LiftError,
     iterate_lift,
     lift_structure,
     lifted_action_check,
@@ -787,8 +786,7 @@ def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
             for c in exc.report.checks
         ]}
         messages = [repr(c) for c in exc.report.failures()]
-    except (SceneError, SymplecticError, LiftError, PlotError, CalculusError,
-            ExprError, ValueError, OSError) as exc:
+    except Exception as exc:
         status, payload, messages = "error", {}, [f"{type(exc).__name__}: {exc}"]
     ms = int((time.perf_counter() - start) * 1000)
     return TaskOutcome(task.name, task.operation, status, payload, messages, ms)

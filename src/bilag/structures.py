@@ -48,7 +48,7 @@ from .calculus import (
     sym_inverse,
     zero_field,
 )
-from .symexpr import Expr, ONE, ZERO, Rat, as_expr, diff, equal_zero, is_zero
+from .symexpr import Expr, ONE, ZERO, Rat, as_expr, compact, diff, dot, equal_zero, is_zero
 from .symplectic import SymplecticForm, validate_symplectic
 
 __all__ = [
@@ -297,16 +297,9 @@ def _project(s: BiLagStructure, x: VectorField, leaf: int) -> VectorField:
 def d_map(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
     """The derivative map D(X, Y): the unique field with i_D omega = L_X i_Y omega."""
     beta = lie_derivative_form(x, interior_product(y, s.omega.form))
-    bvec = [beta.coeffs.get((j,), ZERO) for j in range(s.chart.dim)]
-    inv = s.omega.inverse_matrix
-    comps = []
-    for i in range(s.chart.dim):
-        total = ZERO
-        for j in range(s.chart.dim):
-            total = total + inv[i][j] * bvec[j]
-        # i_D omega = -(Omega D) as a coefficient vector, hence the sign
-        comps.append((-total).normal().as_expr())
-    return VectorField(s.chart, comps)
+    # i_D omega = -(Omega D) as a coefficient vector, hence the sign
+    bvec = [-beta.coeffs.get((j,), ZERO) for j in range(s.chart.dim)]
+    return VectorField(s.chart, [dot(row, bvec) for row in s.omega.inverse_matrix])
 
 
 def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
@@ -318,7 +311,7 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     term3 = d_map(s, x2, y2)
     term4 = _project(s, lie_bracket(x1, y2), 2)
     total = term1 + term2 + term3 + term4
-    return VectorField(s.chart, tuple(c.normal().as_expr() for c in total.components))
+    return VectorField(s.chart, tuple(compact(c) for c in total.components))
 
 
 class Connection:
@@ -371,9 +364,7 @@ class Connection:
                     if is_zero(g):
                         continue
                     out = out + self.frame[k].scale(cx[i] * cy[j] * g)
-        return VectorField(
-            self.chart, tuple(c.normal().as_expr() for c in out.components)
-        )
+        return VectorField(self.chart, tuple(compact(c) for c in out.components))
 
     def __repr__(self):
         n = len(self.frame)
@@ -426,7 +417,7 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
             else:
                 leaf = range(j // n * n, j // n * n + n)
                 block.append(tuple(
-                    basis.structure_coeff(i, j, k).normal().as_expr() if k in leaf else ZERO
+                    compact(basis.structure_coeff(i, j, k)) if k in leaf else ZERO
                     for k in range(2 * n)
                 ))
         gamma.append(tuple(block))
@@ -473,8 +464,8 @@ def torsion(conn) -> TorsionTensor:
     table = tuple(
         tuple(
             tuple(
-                (conn.gamma[i][j][k] - conn.gamma[j][i][k]
-                 - conn.basis.structure_coeff(i, j, k)).normal().as_expr()
+                compact(conn.gamma[i][j][k] - conn.gamma[j][i][k]
+                        - conn.basis.structure_coeff(i, j, k))
                 for k in range(n)
             )
             for j in range(n)
@@ -566,9 +557,9 @@ def curvature(conn) -> CurvatureTensor:
                 for l, term in _curvature_terms(conn.frame, gam, struct, i, j, k):
                     acc[l] = acc.get(l, ZERO) + term
                 for l, val in acc.items():
-                    nf = val.normal()
-                    table[i][j][k][l] = nf.as_expr()
-                    table[j][i][k][l] = nf.neg().as_expr()
+                    entry = compact(val)
+                    table[i][j][k][l] = entry
+                    table[j][i][k][l] = compact(-entry)
     return CurvatureTensor(
         conn.frame,
         tuple(tuple(tuple(tuple(row) for row in plane) for plane in block) for block in table),
@@ -631,22 +622,10 @@ class ParaKahler:
         self.G = tuple(tuple(as_expr(e) for e in row) for row in G)
 
     def apply_F(self, x: VectorField) -> VectorField:
-        n = self.chart.dim
-        comps = []
-        for a in range(n):
-            total = ZERO
-            for b in range(n):
-                total = total + self.F[a][b] * x.components[b]
-            comps.append(total.normal().as_expr())
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, [dot(row, x.components) for row in self.F])
 
     def g(self, x: VectorField, y: VectorField) -> Expr:
-        n = self.chart.dim
-        total = ZERO
-        for a in range(n):
-            for b in range(n):
-                total = total + self.G[a][b] * x.components[a] * y.components[b]
-        return total.normal().as_expr()
+        return dot(x.components, [dot(row, y.components) for row in self.G])
 
     def __repr__(self):
         return f"ParaKahler(F={self.F}, G={self.G})"
@@ -666,19 +645,11 @@ def para_structure(s: BiLagStructure) -> ParaKahler:
     for b in range(m):
         x1, x2 = split(s, coords[b])
         fx = x1 - x2
-        columns.append(tuple(c.normal().as_expr() for c in fx.components))
+        columns.append(tuple(compact(c) for c in fx.components))
     F = tuple(tuple(columns[b][a] for b in range(m)) for a in range(m))
-    omega_mat = s.omega.matrix
-    G = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            total = ZERO
-            for c in range(m):
-                total = total + F[c][a] * omega_mat[c][b]
-            row.append(total.normal().as_expr())
-        G.append(tuple(row))
-    G = tuple(G)
+    # G[a][b] = sum_c F[c][a] omega[c][b]: column a of F against column b of omega
+    omega_cols = tuple(zip(*s.omega.matrix))
+    G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
     # internal checks: F^2 = id and G symmetric
     for a in range(m):
         for b in range(m):
@@ -725,7 +696,7 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
                         - diff(G[i][j], names[l])
                     )
                     total = total + Ginv[k][l] * term
-                row.append((half * total).normal().as_expr())
+                row.append(compact(half * total))
             block.append(tuple(row))
         gamma.append(tuple(block))
     return Connection(coordinate_frame(chart), tuple(gamma))
@@ -775,7 +746,7 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
         pulled = pushforward_field(inv, target_coords[b])
         mapped = para.apply_F(pulled)
         pushed = pushforward_field(psi, mapped)
-        columns.append(tuple(c.normal().as_expr() for c in pushed.components))
+        columns.append(tuple(compact(c) for c in pushed.components))
     m = psi.target.dim
     return tuple(tuple(columns[b][a] for b in range(m)) for a in range(m))
 

@@ -11,6 +11,12 @@ polynomials with exact ``Fraction`` coefficients, the denominator made monic
 under lexicographic order.  ``equal_zero`` decides equality through the
 normal form and cross-checks the verdict by evaluating the original tree at
 random rational points.  No floating point enters any decision.
+
+``compact`` is the one way to shrink a tree: it rebuilds the tree from its
+normal form and caches that (canonical) form on the result, so the rebuilt
+tree is never normalized again.  ``dot`` is the compacted sum of products.
+``NormalForm.as_expr`` stays uncached, so renormalizing its tree still
+tests that the form is canonical.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ __all__ = [
     "diff",
     "directional",
     "normalize",
+    "compact",
+    "dot",
     "equal_zero",
     "is_zero",
     "eval_num",
@@ -87,13 +95,6 @@ class CompositionError(ExprError):
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on rationals: gcd of numerators over lcm of denominators."""
-    num = math.gcd(a.numerator, b.numerator)
-    den = math.lcm(a.denominator, b.denominator)
-    return Fraction(num, den)
 
 
 def _mono_mul(m1, m2):
@@ -219,15 +220,6 @@ class Poly:
             bucket[rest] = bucket.get(rest, Fraction(0)) + c
         return {e: Poly(t) for e, t in out.items() if any(t.values())}
 
-    @staticmethod
-    def from_coeffs_in(var: str, coeffs: dict) -> "Poly":
-        terms: dict = {}
-        for e, p in coeffs.items():
-            for m, c in p.terms.items():
-                mm = _mono_mul(m, ((var, e),) if e else ())
-                terms[mm] = terms.get(mm, Fraction(0)) + c
-        return Poly(terms)
-
     def _sorted_monos(self):
         """Monomials in descending lexicographic order over sorted variables."""
         varlist = sorted(self.variables())
@@ -254,24 +246,6 @@ class Poly:
             mm = tuple(sorted((v, k) for v, k in d.items() if k))
             terms[mm] = terms.get(mm, Fraction(0)) + c * e
         return Poly(terms)
-
-    def eval(self, env: dict) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for v, e in m:
-                term *= Fraction(env[v]) ** e
-            total += term
-        return total
-
-    def eval_float(self, env: dict) -> float:
-        total = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for v, e in m:
-                term *= float(env[v]) ** e
-            total += term
-        return total
 
     def __str__(self):
         if self.is_zero:
@@ -315,7 +289,7 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
         d = dict(m)
         return tuple(d.get(v, 0) for v in varlist)
 
-    bm, bc = max(b.terms, key=key), None
+    bm = max(b.terms, key=key)
     bc = b.terms[bm]
     quotient: dict = {}
     rem = a
@@ -410,8 +384,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             pa = pb
             break
         pa, pb = pb, _int_primitive(_poly_divexact(r, _content_in(r, var)))
-    else:
-        pass
     return _int_primitive(g_cont * pa)
 
 
@@ -933,6 +905,9 @@ class Pow(Expr):
 
 ZERO = Rat(0)
 ONE = Rat(1)
+# compact may hand back the shared ZERO; its cache is set here, so compact
+# never attaches another expression's atom table to it
+ZERO.normal()
 
 
 def as_expr(value) -> Expr:
@@ -1314,6 +1289,31 @@ def directional(components, chart_names, f: Expr) -> Expr:
 def normalize(e: Expr) -> NormalForm:
     """Canonical reduced numerator/denominator pair for the expression."""
     return as_expr(e).normal()
+
+
+def _cached_tree(nf: NormalForm) -> Expr:
+    """nf.as_expr(), with nf cached on the new tree unless it has a cache."""
+    out = nf.as_expr()
+    if out._nf is None:
+        out._nf = nf
+    return out
+
+
+def compact(e: Expr) -> Expr:
+    """The tree rebuilt from e's normal form, which it keeps as its cache."""
+    return _cached_tree(as_expr(e).normal())
+
+
+def dot(xs, ys) -> Expr:
+    """compact(sum of x*y over paired entries), summed on normal forms."""
+    total = None
+    for x, y in zip(xs, ys):
+        a, b = as_expr(x).normal(), as_expr(y).normal()
+        if a.is_zero or b.is_zero:
+            continue
+        term = a.mul(b)
+        total = term if total is None else total.add(term)
+    return ZERO if total is None else _cached_tree(total)
 
 
 _DEFAULT_CHECK_SEED = 97131

@@ -22,7 +22,7 @@ from .calculus import (
     sym_det,
     sym_inverse,
 )
-from .symexpr import Expr, ONE, ZERO, Var, as_expr, equal_zero
+from .symexpr import Expr, ONE, ZERO, Var, as_expr, compact, diff, dot, equal_zero
 
 __all__ = [
     "SymplecticError",
@@ -131,6 +131,7 @@ def validate_symplectic(form: KForm) -> SymplecticForm:
         witness = pfaffian(matrix)
     else:
         witness = sym_det(matrix)
+    witness = compact(witness)
     witness_nf = witness.normal()
     if witness_nf.is_zero:
         raise SymplecticError(
@@ -142,33 +143,24 @@ def validate_symplectic(form: KForm) -> SymplecticForm:
         warnings.append(
             f"form degenerates where the witness vanishes: {witness_nf}"
         )
-    return SymplecticForm(form, witness_nf.as_expr(), warnings)
+    return SymplecticForm(form, witness, warnings)
 
 
 def hamiltonian_field(omega: SymplecticForm, f: Expr) -> VectorField:
     """The field X_f with i_{X_f} omega = -df."""
     chart = omega.chart
     f = as_expr(f)
-    from .symexpr import diff
-
     df = [diff(f, n) for n in chart.names]
     # (i_X omega)_j = omega(X, d/dx_j) = sum_i X^i Omega_ij = -(Omega X)_j,
     # so Omega X = df and X = Omega^{-1} df.
-    inv = omega.inverse_matrix
-    comps = []
-    for i in range(chart.dim):
-        total = ZERO
-        for j in range(chart.dim):
-            total = total + inv[i][j] * df[j]
-        comps.append(total.normal().as_expr())
-    return VectorField(chart, comps)
+    return VectorField(chart, [dot(row, df) for row in omega.inverse_matrix])
 
 
 def poisson_bracket(omega: SymplecticForm, f: Expr, g: Expr) -> Expr:
     """{f, g} = omega(X_f, X_g)."""
     xf = hamiltonian_field(omega, f)
     xg = hamiltonian_field(omega, g)
-    return omega(xf, xg).normal().as_expr()
+    return compact(omega(xf, xg))
 
 
 class TrivialBundleChart:
@@ -195,10 +187,6 @@ class TrivialBundleChart:
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-    def fiber_index(self, i: int) -> int:
-        """Chart index of fiber coordinate i."""
-        return self.base.dim + i
 
     def __repr__(self):
         return f"TrivialBundleChart(base={self.base.names}, fibers={self.fiber_names})"

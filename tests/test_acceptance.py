@@ -14,7 +14,6 @@ from bilag.calculus import (
     KForm,
     SmoothMap,
     VectorField,
-    coordinate_frame,
     d_coord,
     exterior_d,
     form_from_matrix,
@@ -23,7 +22,6 @@ from bilag.calculus import (
     lie_derivative_form,
     pullback_form,
     span_membership,
-    wedge,
 )
 from bilag.lift import iterate_lift, lift_map, lift_structure, lifted_action_check
 from bilag.structures import (

@@ -10,7 +10,6 @@ from bilag.calculus import (
     ChartMismatch,
     DegreeError,
     FrameBasis,
-    KForm,
     SingularFrame,
     SmoothMap,
     VectorField,
@@ -33,7 +32,7 @@ from bilag.calculus import (
     wedge,
     zero_field,
 )
-from bilag.symexpr import ONE, ZERO, OpaqueSymbol, Var, as_expr, diff, equal_zero, is_zero
+from bilag.symexpr import ONE, ZERO, Var, as_expr, equal_zero, is_zero
 
 CH = Chart(("x", "y"))
 X, Y = CH.coords()

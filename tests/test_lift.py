@@ -9,7 +9,6 @@ from bilag.calculus import (
     form_from_matrix,
     lie_bracket,
     pullback_form,
-    span_membership,
 )
 from bilag.lift import (
     LiftError,

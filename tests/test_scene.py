@@ -9,9 +9,7 @@ from bilag.cli import bundled_scene_dir, find_scene, main
 from bilag.scene import (
     OPERATIONS,
     REPORT_FORMAT,
-    Scene,
     SceneError,
-    Task,
     load_scene,
     loads,
     parse_geometric,
@@ -20,11 +18,9 @@ from bilag.scene import (
 )
 from bilag.symexpr import (
     ONE,
-    ZERO,
     OpaqueSymbol,
     ParseError,
     check_seed,
-    diff,
     equal_zero,
     parse_expr,
 )
@@ -341,6 +337,15 @@ class TestCli:
         ])
         assert code == 0
         assert out.read_text().startswith("<svg")
+
+    def test_plot_with_zero_steps_reports_error(self, capsys, tmp_path):
+        scene = tmp_path / "zero-steps.scene"
+        scene.write_text(MINIMAL + f"task figure: plot steps=0 out={tmp_path / 'p.svg'}\n")
+        code = main(["report", "--scene", str(scene), "--format", "machine"])
+        assert code == 1
+        task = json.loads(capsys.readouterr().out)["tasks"][-1]
+        assert task["status"] == "error"
+        assert task["messages"] == ["ZeroDivisionError: float division by zero"]
 
     def test_plot_on_lifted_scene_rejected(self, capsys):
         code = main(["plot", "--scene", "lifted-standard", "--out", "/tmp/x.svg"])

@@ -8,7 +8,6 @@ from bilag.calculus import (
     SmoothMap,
     VectorField,
     form_from_matrix,
-    lie_bracket,
 )
 from bilag.lift import lift_structure
 from bilag.structures import (

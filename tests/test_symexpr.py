@@ -18,7 +18,9 @@ from bilag.symexpr import (
     as_expr,
     bind_symbol,
     check_seed,
+    compact,
     diff,
+    dot,
     equal_zero,
     eval_float,
     eval_num,
@@ -239,19 +241,67 @@ class TestSubstitution:
         assert equal_zero(out - X * Y)
 
 
-def test_normalize_idempotence_randomized():
+def _random_exprs(seed, operators, count=100):
+    """Seeded random combinations of a fixed pool of small expressions."""
     import random
 
-    rng = random.Random(2024)
+    rng = random.Random(seed)
     names = ("x", "y", "z")
     pool = ["x", "y", "z", "1", "2", "1/2", "x + y", "y - z", "x*z"]
-    for _ in range(100):
+    for _ in range(count):
         parts = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
-        ops = [rng.choice(["+", "-", "*"]) for _ in range(len(parts) - 1)]
+        ops = [rng.choice(operators) for _ in range(len(parts) - 1)]
         text = parts[0]
         for op, part in zip(ops, parts):
             text = f"({text}) {op} ({part})"
-        e = parse_expr(text, names)
+        yield parse_expr(text, names)
+
+
+def test_normalize_idempotence_randomized():
+    for e in _random_exprs(2024, ["+", "-", "*"]):
         first = normalize(e)
         second = normalize(first.as_expr())
         assert str(first) == str(second)
+
+
+def test_compact_caches_the_canonical_form_randomized():
+    uncached = 0
+    for e in _random_exprs(2025, ["+", "-", "*", "/"]):
+        nf = e.normal()
+        rebuilt = nf.as_expr()
+        fresh = normalize(nf.as_expr())
+        c = compact(e)
+        assert (c.normal().num, c.normal().den) == (fresh.num, fresh.den)
+        assert str(c) == str(rebuilt)
+        # as_expr builds a new, uncached tree, except when the form is 0 or
+        # one bare atom: then it hands back the shared ZERO or that atom
+        if rebuilt is not ZERO and all(rebuilt is not a for a in nf.atoms.values()):
+            assert rebuilt._nf is None
+            assert c.normal() is nf
+            uncached += 1
+    assert uncached > 50
+
+
+def test_compact_keeps_an_existing_cache():
+    x_nf = X.normal()
+    assert compact(X + Y - Y) is X
+    assert X.normal() is x_nf
+    assert compact(X - X) is ZERO
+    assert ZERO.normal().atoms == {}
+
+
+def test_dot_matches_the_accumulating_loop():
+    h = OpaqueSymbol("h", ("x", "y"))
+    hv = h()
+    xs = [diff(hv, "x"), ZERO, X * hv, ONE / (1 + Y * Y)]
+    ys = [Y, X, diff(diff(hv, "x"), "y"), hv - X]
+    total = ZERO
+    for a, b in zip(xs, ys):
+        total = total + a * b
+    expected = total.normal().as_expr()
+    got = dot(xs, ys)
+    assert str(got) == str(expected)
+    assert equal_zero(got - expected)
+    # the rebuilt jets still differentiate as jets
+    assert equal_zero(diff(got, "y") - diff(expected, "y"))
+    assert dot([ZERO, X], [Y, ZERO]) is ZERO

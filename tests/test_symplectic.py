@@ -5,12 +5,8 @@ import pytest
 from bilag.calculus import (
     Chart,
     KForm,
-    VectorField,
-    coordinate_frame,
-    d_coord,
     form_from_matrix,
     sym_det,
-    wedge,
 )
 from bilag.symexpr import (
     ONE,
