@@ -22,6 +22,7 @@ Layers, lowest first:
 
 from .symexpr import (
     CompositionError,
+    CrossCheckError,
     EvalError,
     Expr,
     ExprError,

@@ -68,6 +68,7 @@ from .symexpr import (
     _Parser,
     as_expr,
     check_seed,
+    check_stream,
     parse_expr,
 )
 from .symplectic import SymplecticError, validate_symplectic
@@ -775,11 +776,17 @@ _RUNNERS = {
 
 
 def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
-    """Run one task; operation failures become fail/error outcomes."""
+    """Run one task; operation failures become fail/error outcomes.
+
+    The task's zero tests draw their points from a stream derived from the
+    check seed and the task's name, so a task alone draws the same points as
+    in a full report.
+    """
     runner = _RUNNERS[task.operation]
     start = time.perf_counter()
     try:
-        status, payload, messages = runner(scene, task, options)
+        with check_stream(task.name):
+            status, payload, messages = runner(scene, task, options)
     except BiLagError as exc:
         status, payload = "fail", {"checks": [
             {"name": c.name, "passed": c.passed, "detail": c.detail}

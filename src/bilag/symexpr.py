@@ -7,10 +7,13 @@ declared on coordinates ``(x, y)`` comes with the lazily generated family
 partials commute, so ``h_xy`` and ``h_yx`` are the same variable).
 
 Every expression has a canonical normal form: a reduced pair of multivariate
-polynomials with exact ``Fraction`` coefficients, the denominator made monic
-under lexicographic order.  ``equal_zero`` decides equality through the
-normal form and cross-checks the verdict by evaluating the original tree at
-random rational points.  No floating point enters any decision.
+polynomials with exact rational coefficients (an ``int`` where integral, a
+``Fraction`` otherwise), the denominator made monic under lexicographic
+order.  ``equal_zero`` decides equality through the normal form and
+cross-checks the verdict by evaluating the original tree at random rational
+points: modulo the prime 2^61 - 1 first, and exactly wherever the residue
+contradicts the verdict or a denominator vanishes modulo the prime.  No
+floating point enters any decision.
 
 ``compact`` is the one way to shrink a tree: it rebuilds the tree from its
 normal form and caches that (canonical) form on the result, so the rebuilt
@@ -21,6 +24,7 @@ tests that the form is canonical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -31,6 +35,7 @@ __all__ = [
     "ParseError",
     "UnknownIdentifier",
     "ZeroDenominator",
+    "CrossCheckError",
     "EvalError",
     "CompositionError",
     "OpaqueSymbol",
@@ -59,6 +64,7 @@ __all__ = [
     "bind_symbol",
     "set_check_seed",
     "check_seed",
+    "check_stream",
     "ZERO",
     "ONE",
 ]
@@ -85,12 +91,29 @@ class ZeroDenominator(ExprError):
     """Division by something that is identically zero, or zero at a point."""
 
 
+class CrossCheckError(RuntimeError):
+    """The random-point cross-check contradicts the normal form.
+
+    This means a defect in the engine, not in its input.
+    """
+
+
 class EvalError(ExprError):
     """Numeric evaluation failed (missing assignment)."""
 
 
 class CompositionError(ExprError):
     """A substitution would need the composite of an opaque symbol."""
+
+
+# The cross-check's modulus, the Mersenne prime 2^61 - 1, and the inverses
+# modulo it of the point denominators 1..7.
+_P = (1 << 61) - 1
+_INVERSES = (None,) + tuple(pow(d, -1, _P) for d in range(1, 8))
+
+
+class _ModZero(Exception):
+    """A denominator vanishes modulo _P; exact evaluation must decide."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,26 +141,46 @@ def _mono_div(m1, m2):
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
+def _lex_key(variables):
+    """Sort key of a monomial: its exponents over the sorted variables."""
+    varlist = sorted(variables)
+
+    def key(m):
+        d = dict(m)
+        return tuple(d.get(v, 0) for v in varlist)
+
+    return key
+
+
+def _coef(c):
+    """The rational c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
 
     Terms map a monomial -- a sorted tuple of (variable, exponent) pairs with
-    positive exponents -- to a nonzero coefficient.
+    positive exponents -- to a nonzero coefficient: an ``int`` when it is
+    integral, a ``Fraction`` otherwise.  An int and the equal Fraction
+    compare and hash alike, so equality, hashing and printing do not depend
+    on which of the two a coefficient is.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {
+            m: c if c.__class__ is int else _coef(c) for m, c in terms.items() if c
+        }
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({(): c} if c else {})
+        return Poly({(): Fraction(c)})
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly({((name, 1),): Fraction(1)})
+        return Poly({((name, 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -145,12 +188,13 @@ class Poly:
 
     @property
     def is_const(self) -> bool:
-        return all(m == () for m in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def const_value(self) -> Fraction:
         if not self.is_const:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def variables(self) -> set:
         out = set()
@@ -168,7 +212,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
@@ -182,19 +226,21 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(terms)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _coef(Fraction(c))
         if not c:
             return Poly({})
+        if c == 1:
+            return self
         return Poly({m: k * c for m, k in self.terms.items()})
 
     def pow_int(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
+        result = _POLY_ONE
         base = self
         while n:
             if n & 1:
@@ -217,23 +263,20 @@ class Poly:
             e = d.pop(var, 0)
             rest = tuple(sorted(d.items()))
             bucket = out.setdefault(e, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
+            bucket[rest] = bucket.get(rest, 0) + c
         return {e: Poly(t) for e, t in out.items() if any(t.values())}
 
     def _sorted_monos(self):
         """Monomials in descending lexicographic order over sorted variables."""
-        varlist = sorted(self.variables())
-
-        def key(m):
-            d = dict(m)
-            return tuple(d.get(v, 0) for v in varlist)
-
-        return sorted(self.terms, key=key, reverse=True)
+        return sorted(self.terms, key=_lex_key(self.variables()), reverse=True)
 
     def leading(self):
         """(monomial, coefficient) of the lex-leading term; poly must be nonzero."""
-        m = self._sorted_monos()[0]
-        return m, self.terms[m]
+        terms = self.terms
+        if len(terms) == 1:
+            return next(iter(terms.items()))
+        m = max(terms, key=_lex_key(self.variables()))
+        return m, terms[m]
 
     def diff(self, var: str) -> "Poly":
         terms: dict = {}
@@ -244,7 +287,7 @@ class Poly:
                 continue
             d[var] = e - 1
             mm = tuple(sorted((v, k) for v, k in d.items() if k))
-            terms[mm] = terms.get(mm, Fraction(0)) + c * e
+            terms[mm] = terms.get(mm, 0) + c * e
         return Poly(terms)
 
     def __str__(self):
@@ -271,7 +314,18 @@ class Poly:
     __repr__ = __str__
 
 
-def _frac_str(c: Fraction) -> str:
+_POLY_ONE = Poly({(): 1})
+
+
+def _qdiv(a, b):
+    """a / b for nonzero b, exactly."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return q if not r else Fraction(a, b)
+    return Fraction(a) / b
+
+
+def _frac_str(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -283,12 +337,10 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return a
-    varlist = sorted(a.variables() | b.variables())
-
-    def key(m):
-        d = dict(m)
-        return tuple(d.get(v, 0) for v in varlist)
-
+    if b.is_const:
+        bc = b.terms[()]
+        return Poly({m: _qdiv(c, bc) for m, c in a.terms.items()})
+    key = _lex_key(a.variables() | b.variables())
     bm = max(b.terms, key=key)
     bc = b.terms[bm]
     quotient: dict = {}
@@ -299,8 +351,8 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
         if not _mono_divides(bm, rm):
             raise ValueError("inexact polynomial division")
         qm = _mono_div(rm, bm)
-        qc = rc / bc
-        quotient[qm] = quotient.get(qm, Fraction(0)) + qc
+        qc = _qdiv(rc, bc)
+        quotient[qm] = quotient.get(qm, 0) + qc
         rem = rem - b * Poly({qm: qc})
     return Poly(quotient)
 
@@ -335,7 +387,7 @@ def _prem(a: Poly, b: Poly, var: str) -> Poly:
         if dr < db:
             break
         lr = r.coeffs_in(var)[dr]
-        shift = Poly({((var, dr - db),): Fraction(1)}) if dr > db else Poly.const(1)
+        shift = Poly({((var, dr - db),): 1}) if dr > db else _POLY_ONE
         r = lb * r - shift * lr * b
         e -= 1
     if e > 0:
@@ -364,13 +416,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _int_primitive(b)
     if b.is_zero:
         return _int_primitive(a)
+    if a.is_const or b.is_const:
+        return _POLY_ONE
     a = _int_primitive(a)
     b = _int_primitive(b)
-    if a.is_const or b.is_const:
-        return Poly.const(1)
     shared = a.variables() & b.variables()
     if not shared:
-        return Poly.const(1)
+        return _POLY_ONE
     var = sorted(shared)[0]
     ca, cb = _content_in(a, var), _content_in(b, var)
     g_cont = poly_gcd(ca, cb)
@@ -431,21 +483,15 @@ class NormalForm:
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
         self.atoms = atoms or {}
-        if not reduced:
-            if num.is_zero:
-                den = Poly.const(1)
-            else:
-                g = poly_gcd(num, den)
-                if not (g.is_const and g.const_value() == 1):
-                    num = _poly_divexact(num, g)
-                    den = _poly_divexact(den, g)
+        if not reduced and not num.is_zero:
+            num, den = _cancel(num, den)
         if num.is_zero:
-            self.num, self.den = num, Poly.const(1)
+            self.num, self.den = num, _POLY_ONE
             return
         _, lc = den.leading()
         if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
+            num = num.scale(Fraction(1) / lc)
+            den = den.scale(Fraction(1) / lc)
         self.num, self.den = num, den
 
     @property
@@ -466,23 +512,21 @@ class NormalForm:
 
     def add(self, other: "NormalForm") -> "NormalForm":
         atoms = _merge_atoms(self.atoms, other.atoms)
+        if self.den.is_const and other.den.is_const:
+            # both denominators are 1: the sum of the numerators is reduced
+            return NormalForm(self.num + other.num, _POLY_ONE, atoms, reduced=True)
         g = poly_gcd(self.den, other.den)
         e1 = _poly_divexact(self.den, g)
         e2 = _poly_divexact(other.den, g)
-        num = self.num * e2 + other.num * e1
-        gg = poly_gcd(num, g)
-        if not (gg.is_const and gg.const_value() == 1):
-            num = _poly_divexact(num, gg)
-            g = _poly_divexact(g, gg)
+        num, g = _cancel(self.num * e2 + other.num * e1, g)
         return NormalForm(num, g * e1 * e2, atoms, reduced=True)
 
     def mul(self, other: "NormalForm") -> "NormalForm":
         atoms = _merge_atoms(self.atoms, other.atoms)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        num = _poly_divexact(self.num, g1) * _poly_divexact(other.num, g2)
-        den = _poly_divexact(self.den, g2) * _poly_divexact(other.den, g1)
-        return NormalForm(num, den, atoms, reduced=True)
+        # a constant denominator is 1 and cancels against nothing
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return NormalForm(n1 * n2, d1 * d2, atoms, reduced=True)
 
     def neg(self) -> "NormalForm":
         return NormalForm(-self.num, self.den, self.atoms, reduced=True)
@@ -490,7 +534,8 @@ class NormalForm:
     def inv(self) -> "NormalForm":
         if self.num.is_zero:
             raise ZeroDenominator("division by an expression that normalizes to zero")
-        return NormalForm(self.den, self.num, self.atoms)
+        # the pair is already reduced; only the new denominator needs scaling
+        return NormalForm(self.den, self.num, self.atoms, reduced=True)
 
     def pow_int(self, n: int) -> "NormalForm":
         if n < 0:
@@ -515,6 +560,16 @@ class NormalForm:
         return f"{num}/{den}"
 
     __repr__ = __str__
+
+
+def _cancel(a: Poly, b: Poly):
+    """(a / g, b / g) for g = gcd(a, b); no gcd when either is constant."""
+    if a.is_const or b.is_const:
+        return a, b
+    g = poly_gcd(a, b)
+    if g.is_const:
+        return a, b
+    return _poly_divexact(a, g), _poly_divexact(b, g)
 
 
 def _needs_parens_as_den(p: Poly) -> bool:
@@ -682,14 +737,16 @@ class Expr:
 
 
 class Rat(Expr):
+    """A rational constant; its value is an int when integral."""
+
     __slots__ = ("value",)
 
     def __init__(self, value):
         super().__init__()
-        self.value = Fraction(value)
+        self.value = value if value.__class__ is int else _coef(Fraction(value))
 
     def _normal(self):
-        return NormalForm(Poly.const(self.value), Poly.const(1), reduced=True)
+        return NormalForm(Poly({(): self.value}), _POLY_ONE, reduced=True)
 
     def _collect_atoms(self, out):
         pass
@@ -704,7 +761,15 @@ class Rat(Expr):
         return s
 
     def _eval(self, env, numeric):
-        return self.value if not numeric else float(self.value)
+        return Fraction(self.value) if not numeric else float(self.value)
+
+    def _mod(self, env):
+        v = self.value
+        if v.__class__ is int:
+            return v % _P
+        if not v.denominator % _P:
+            raise _ModZero
+        return v.numerator * pow(v.denominator, -1, _P) % _P
 
 
 class Var(Expr):
@@ -717,7 +782,7 @@ class Var(Expr):
         self.name = name
 
     def _normal(self):
-        return NormalForm(Poly.variable(self.name), Poly.const(1),
+        return NormalForm(Poly.variable(self.name), _POLY_ONE,
                           {self.name: self}, reduced=True)
 
     def _collect_atoms(self, out):
@@ -735,6 +800,9 @@ class Var(Expr):
         except KeyError:
             raise EvalError(f"missing assignment for {self.name!r}") from None
         return float(v) if numeric else Fraction(v)
+
+    def _mod(self, env):
+        return env[self.name]
 
 
 class JetVar(Expr):
@@ -768,7 +836,7 @@ class JetVar(Expr):
         return JetVar(self.symbol, orders)
 
     def _normal(self):
-        return NormalForm(Poly.variable(self.name), Poly.const(1),
+        return NormalForm(Poly.variable(self.name), _POLY_ONE,
                           {self.name: self}, reduced=True)
 
     def _collect_atoms(self, out):
@@ -786,6 +854,9 @@ class JetVar(Expr):
         except KeyError:
             raise EvalError(f"missing assignment for {self.name!r}") from None
         return float(v) if numeric else Fraction(v)
+
+    def _mod(self, env):
+        return env[self.name]
 
     # JetVar is used in sets during traversal; identity there must be
     # structural, not semantic, so override the Expr comparison.
@@ -830,6 +901,9 @@ class Add(Expr):
     def _eval(self, env, numeric):
         return sum(t._eval(env, numeric) for t in self.terms)
 
+    def _mod(self, env):
+        return sum(t._mod(env) for t in self.terms) % _P
+
 
 class Mul(Expr):
     __slots__ = ("factors",)
@@ -871,6 +945,12 @@ class Mul(Expr):
             out *= f._eval(env, numeric)
         return out
 
+    def _mod(self, env):
+        out = 1
+        for f in self.factors:
+            out = out * f._mod(env) % _P
+        return out
+
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
@@ -902,6 +982,12 @@ class Pow(Expr):
             raise ZeroDenominator("division by zero at the evaluation point")
         return b ** self.exponent
 
+    def _mod(self, env):
+        b = self.base._mod(env)
+        if self.exponent < 0 and not b:
+            raise _ModZero
+        return pow(b, self.exponent, _P)
+
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -921,7 +1007,7 @@ def as_expr(value) -> Expr:
 
 def _make_add(*parts: Expr) -> Expr:
     terms = []
-    const = Fraction(0)
+    const = 0
     for p in parts:
         queue = list(p.terms) if isinstance(p, Add) else [p]
         for t in queue:
@@ -946,7 +1032,7 @@ def _make_neg(e: Expr) -> Expr:
 
 def _make_mul(*parts: Expr) -> Expr:
     factors = []
-    const = Fraction(1)
+    const = 1
     for p in parts:
         queue = list(p.factors) if isinstance(p, Mul) else [p]
         for f in queue:
@@ -973,7 +1059,7 @@ def _make_pow(base: Expr, n: int) -> Expr:
     if isinstance(base, Rat):
         if base.value == 0 and n < 0:
             raise ZeroDenominator("division by an expression that normalizes to zero")
-        return Rat(base.value ** n)
+        return Rat(Fraction(base.value) ** n)
     if isinstance(base, Pow):
         return _make_pow(base.base, base.exponent * n)
     if n < 0 and base.normal().is_zero:
@@ -1279,10 +1365,15 @@ def diff(e: Expr, var: str) -> Expr:
 
 
 def directional(components, chart_names, f: Expr) -> Expr:
-    """Derivative of f along a vector with the given components."""
+    """Derivative of f along a vector with the given components.
+
+    A component that is the literal 0 contributes nothing, so f is not
+    differentiated along its coordinate.
+    """
     return _make_add(*(
         _make_mul(c, diff(f, name))
         for c, name in zip(components, chart_names)
+        if not (isinstance(c, Rat) and c.value == 0)
     ))
 
 
@@ -1333,20 +1424,42 @@ def check_seed() -> int:
     return _check_seed_value
 
 
-def _random_point(names, rng, spread):
-    return {
-        name: Fraction(rng.randint(-spread, spread), rng.randint(1, 7))
-        for name in names
-    }
+@contextlib.contextmanager
+def check_stream(label: str):
+    """Within the block, draw cross-check points from a stream of their own.
+
+    The stream is derived from (check seed, label), so the points drawn in
+    the block do not depend on what was drawn before it.  The check seed is
+    unchanged, and the outer stream resumes where it was after the block.
+    """
+    global _check_rng
+    outer = _check_rng
+    _check_rng = random.Random(f"{_check_seed_value}/{label}")
+    try:
+        yield
+    finally:
+        _check_rng = outer
+
+
+def _draw_point(names, rng, spread):
+    """One random rational point as (numerator, denominator) per name."""
+    return [(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in names]
 
 
 def equal_zero(e: Expr, points: int = 20) -> bool:
     """Decide whether the expression is identically zero.
 
     The verdict comes from the normal form; it is then cross-checked by
-    evaluating the original tree at `points` random rational points that
-    avoid denominator zeros (a constant tree is evaluated once).
-    Disagreement raises RuntimeError, since it would mean the normalizer
+    evaluating the original tree -- never the normal form -- at `points`
+    random rational points that avoid denominator zeros (a constant tree
+    is evaluated once, exactly).  This is a Schwartz-Zippel identity test.
+    At each point the tree is first evaluated modulo the prime 2^61 - 1;
+    a residue that agrees with the verdict is accepted.  Exact ``Fraction``
+    evaluation at the same point decides when the residue disagrees, or
+    when a denominator (of a power or of a constant) vanishes modulo the
+    prime, so the points drawn, the resampling after a true zero
+    denominator and every message are those of exact evaluation alone.
+    Disagreement raises CrossCheckError, since it would mean the normalizer
     itself is wrong.
     """
     e = as_expr(e)
@@ -1359,7 +1472,21 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
     attempts = 0
     while checked < points and attempts < 40 * points:
         attempts += 1
-        env = _random_point(names, rng, spread)
+        draws = _draw_point(names, rng, spread)
+        if names:
+            try:
+                residue = e._mod({
+                    name: a * _INVERSES[d] % _P for name, (a, d) in zip(names, draws)
+                })
+            except _ModZero:
+                residue = None
+            if residue is not None and (residue == 0) == verdict:
+                checked += 1
+                if residue:
+                    saw_nonzero = True
+                    break
+                continue
+        env = {name: Fraction(a, d) for name, (a, d) in zip(names, draws)}
         try:
             value = e._eval(env, numeric=False)
         except ZeroDenominator:
@@ -1371,7 +1498,7 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
         if value != 0:
             saw_nonzero = True
             if verdict:
-                raise RuntimeError(
+                raise CrossCheckError(
                     f"normal form claims zero but {e} evaluates to {value} at {env}"
                 )
             break
@@ -1380,7 +1507,7 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
     if not verdict and not saw_nonzero and checked >= points:
         # Vanishing at many random rational points while the normal form is
         # nonzero would indicate a normalizer defect.
-        raise RuntimeError(
+        raise CrossCheckError(
             f"normal form claims nonzero but {e} vanished at {checked} random points"
         )
     return verdict

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from bilag import scene as scene_module
+from bilag import symexpr
 from bilag.calculus import Chart, KForm
 from bilag.cli import bundled_scene_dir, find_scene, main
 from bilag.scene import (
@@ -262,6 +264,42 @@ class TestRunTasks:
         scene = loads(MINIMAL)
         with pytest.raises(SceneError):
             run_tasks(scene, names=["nope"])
+
+    def test_cross_check_failure_is_a_typed_error(self, monkeypatch):
+        class Lying(symexpr.Rat):
+            __slots__ = ()
+
+            def _normal(self):
+                return symexpr.ZERO.normal()
+
+        def contradicted(scene, task, options):
+            equal_zero(Lying(3))
+
+        monkeypatch.setitem(scene_module._RUNNERS, "validate", contradicted)
+        outcome = run_task(loads(MINIMAL), loads(MINIMAL).task("check"))
+        assert outcome.status == "error"
+        assert outcome.messages == [
+            "CrossCheckError: normal form claims zero but 3 evaluates to 3 at {}"
+        ]
+
+    def test_task_draws_the_same_points_alone_and_after_others(self, monkeypatch):
+        entry_states = {}
+        for op, runner in list(scene_module._RUNNERS.items()):
+            def recording(scene, task, options, runner=runner):
+                entry_states.setdefault(task.name, []).append(
+                    symexpr._check_rng.getstate())
+                return runner(scene, task, options)
+
+            monkeypatch.setitem(scene_module._RUNNERS, op, recording)
+        names = [t.name for t in load_scene(find_scene("affine-action")).tasks]
+        assert len(names) > 2
+        run_tasks(load_scene(find_scene("affine-action")))
+        for name in names:
+            run_tasks(load_scene(find_scene("affine-action")), names=[name])
+        for name in names:
+            full, alone = entry_states[name]
+            assert full == alone
+        assert len({entry_states[n][0] for n in names}) == len(names)
 
 
 class TestMachineReport:

@@ -7,8 +7,11 @@ import pytest
 from bilag import symexpr
 from bilag.symexpr import (
     CompositionError,
+    CrossCheckError,
+    NormalForm,
     OpaqueSymbol,
     ParseError,
+    Poly,
     UnknownIdentifier,
     Var,
     ZeroDenominator,
@@ -18,8 +21,10 @@ from bilag.symexpr import (
     as_expr,
     bind_symbol,
     check_seed,
+    check_stream,
     compact,
     diff,
+    directional,
     dot,
     equal_zero,
     eval_float,
@@ -140,6 +145,34 @@ class TestEquality:
         with pytest.raises(RuntimeError) as err:
             equal_zero(_Constant(value, claims))
         assert str(err.value) == message
+        assert isinstance(err.value, CrossCheckError)
+
+    def test_denominator_vanishing_mod_p_falls_back_to_exact(self):
+        # p*x is 0 modulo p at every point; resampling would never find a
+        # point, so only exact evaluation can decide these
+        inverse = ONE / (Rat(P) * X)
+        assert equal_zero(inverse) is False
+        assert equal_zero(inverse - inverse) is True
+        small = Rat(Fraction(1, P)) * X
+        assert equal_zero(small) is False
+        assert equal_zero(small - X / P) is True
+
+    def test_check_stream_is_derived_from_seed_and_label(self):
+        old = check_seed()
+        try:
+            set_check_seed(7)
+            outer = symexpr._check_rng.getstate()
+            with check_stream("a"):
+                first = symexpr._check_rng.getstate()
+                equal_zero(X * Y - Y * X)
+            assert symexpr._check_rng.getstate() == outer
+            assert check_seed() == 7
+            with check_stream("a"):
+                assert symexpr._check_rng.getstate() == first
+            with check_stream("b"):
+                assert symexpr._check_rng.getstate() != first
+        finally:
+            set_check_seed(old)
 
     def test_seed_roundtrip(self):
         old = check_seed()
@@ -165,6 +198,21 @@ class TestDifferentiation:
 
     def test_constant_derivative(self):
         assert is_zero(diff(as_expr(Fraction(7, 3)), "x"))
+
+    def test_directional_skips_literal_zero_components(self, monkeypatch):
+        f = X ** 2 * Y + ONE / Y
+        full = ONE * diff(f, "x") + ZERO * diff(f, "y")
+        along = []
+
+        def counting_diff(e, var):
+            if e is f:
+                along.append(var)
+            return diff(e, var)
+
+        monkeypatch.setattr(symexpr, "diff", counting_diff)
+        got = directional((ONE, ZERO), ("x", "y"), f)
+        assert along == ["x"]
+        assert str(got) == str(full)
 
 
 class TestJets:
@@ -305,3 +353,139 @@ def test_dot_matches_the_accumulating_loop():
     # the rebuilt jets still differentiate as jets
     assert equal_zero(diff(got, "y") - diff(expected, "y"))
     assert dot([ZERO, X], [Y, ZERO]) is ZERO
+
+
+P = symexpr._P
+
+
+def _residue(value):
+    return value.numerator * pow(value.denominator, -1, P) % P
+
+
+def test_modular_evaluation_matches_exact_randomized():
+    import random
+
+    rng = random.Random(77)
+    agreed = 0
+    for e in _random_exprs(2026, ["+", "-", "*", "/"]):
+        for _ in range(5):
+            point = {n: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for n in "xyz"}
+            try:
+                exact = e._eval(point, numeric=False)
+            except ZeroDenominator:
+                # a true zero denominator is zero modulo p too
+                with pytest.raises(symexpr._ModZero):
+                    e._mod({n: _residue(v) for n, v in point.items()})
+                continue
+            assert e._mod({n: _residue(v) for n, v in point.items()}) == _residue(exact)
+            agreed += 1
+    assert agreed > 300
+
+
+def _rational_equal_zero(e, rng, points=20):
+    """Reference: the zero test's point loop on exact rationals alone."""
+    verdict = e.normal().is_zero
+    names = sorted(e.atoms())
+    checked = 0
+    saw_nonzero = False
+    spread = 12
+    attempts = 0
+    while checked < points and attempts < 40 * points:
+        attempts += 1
+        env = {
+            name: Fraction(rng.randint(-spread, spread), rng.randint(1, 7))
+            for name in names
+        }
+        try:
+            value = e._eval(env, numeric=False)
+        except ZeroDenominator:
+            spread += 1
+            continue
+        checked += 1 if names else points
+        if value != 0:
+            saw_nonzero = True
+            if verdict:
+                raise RuntimeError(
+                    f"normal form claims zero but {e} evaluates to {value} at {env}"
+                )
+            break
+    if checked == 0:
+        raise RuntimeError(f"could not sample an evaluation point for {e}")
+    if not verdict and not saw_nonzero and checked >= points:
+        raise RuntimeError(
+            f"normal form claims nonzero but {e} vanished at {checked} random points"
+        )
+    return verdict
+
+
+def test_equal_zero_draws_like_the_rational_loop():
+    import random
+
+    old = check_seed()
+    trees = []
+    for e in _random_exprs(2027, ["+", "-", "*", "/"]):
+        trees += [e, e - compact(e), ONE / (X - Y) - ONE / (X - Y)]
+    try:
+        for seed in (1, 2):
+            set_check_seed(seed)
+            reference = random.Random(seed)
+            for e in trees:
+                assert equal_zero(e) == _rational_equal_zero(e, reference)
+                assert symexpr._check_rng.getstate() == reference.getstate()
+    finally:
+        set_check_seed(old)
+
+
+class _LyingVar(Var):
+    """A coordinate whose normal form claims it is zero."""
+
+    __slots__ = ()
+
+    def _normal(self):
+        return ZERO.normal()
+
+
+class _LyingAdd(symexpr.Add):
+    """A sum whose normal form claims it is x."""
+
+    __slots__ = ()
+
+    def _normal(self):
+        return X.normal()
+
+
+@pytest.mark.parametrize("tree", [
+    _LyingVar("x"),
+    _LyingVar("x") + ONE / (X - Y) - ONE / (X - Y),
+    _LyingAdd((X, -X)),
+])
+def test_disagreement_on_a_tree_with_atoms_raises(tree):
+    import random
+
+    old = check_seed()
+    try:
+        set_check_seed(11)
+        with pytest.raises(RuntimeError) as expected:
+            _rational_equal_zero(tree, random.Random(11))
+        with pytest.raises(CrossCheckError) as err:
+            equal_zero(tree)
+    finally:
+        set_check_seed(old)
+    assert str(err.value) == str(expected.value)
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    xy = (("x", 1), ("y", 1))
+    as_int = Poly({xy: 2, ((("x", 1),)): -3, (): 1})
+    as_frac = Poly({xy: Fraction(2), ((("x", 1),)): Fraction(-6, 2), (): Fraction(1)})
+    assert as_int == as_frac and hash(as_int) == hash(as_frac)
+    assert str(as_int) == str(as_frac)
+    one = Poly.const(1)
+    a = NormalForm(as_int, one, reduced=True)
+    b = NormalForm(as_frac, Poly.const(Fraction(2, 2)), reduced=True)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    assert all(type(c) is int for c in Poly.const(Fraction(4, 2)).terms.values())
+    for value in (3, Fraction(3), Fraction(1, 3)):
+        got = Rat(value).normal().const_value()
+        assert type(got) is Fraction and got == value
+    assert type(Poly.const(Fraction(6, 3)).const_value()) is Fraction
