@@ -705,24 +705,36 @@ def frame_decompose(x: VectorField, frame) -> tuple:
         raise SingularFrame("frame fields are linearly dependent") from None
 
 
-def span_membership(x: VectorField, fields) -> tuple:
-    """Is x in the pointwise span of the given fields?
+def span_membership(xs, fields) -> tuple:
+    """Is each x in xs in the pointwise span of the given fields?
 
-    Returns (True, coefficients) with a decomposition certificate, or
-    (False, witness_component_index) naming an unmatchable component.
-    Decided by exact elimination on the augmented component matrix.
+    Returns one verdict per x, in order: (True, coefficients) with a
+    decomposition certificate, or (False, witness_component_index) naming
+    an unmatchable component.  Decided by one exact elimination of the
+    fields' component matrix, with every x as an augmented column.  Pivots
+    come from the fields' columns only, so each verdict is the one a
+    single-vector elimination gives: the witness is the first unused row,
+    in original row order, whose residual is nonzero.  Residuals are
+    zero-tested x by x, each stopping at its witness, so the cross-check
+    draws the points that one call per x would.  An empty xs gives ().
     """
+    xs = tuple(xs)
+    if not xs:
+        return ()
     fields = tuple(fields)
-    _require_same_chart(x, *fields)
-    m = x.chart.dim
+    _require_same_chart(*xs, *fields)
+    m = xs[0].chart.dim
     r = len(fields)
-    rows = [[fields[j].components[i] for j in range(r)] + [x.components[i]]
+    rows = [[f.components[i] for f in fields] + [x.components[i] for x in xs]
             for i in range(m)]
     pivots, unused = _eliminate(rows, r)
-    for i in unused:
-        if not equal_zero(rows[i][r]):
-            return False, i
-    return True, tuple(x[0] for x in _back_substitute(rows, pivots, r))
+    witnesses = [next((i for i in unused if not equal_zero(rows[i][r + k])), None)
+                 for k in range(len(xs))]
+    solution = _back_substitute(rows, pivots, r)
+    return tuple(
+        (True, tuple(c[k] for c in solution)) if w is None else (False, w)
+        for k, w in enumerate(witnesses)
+    )
 
 
 class FrameBasis:

@@ -322,8 +322,7 @@ class ActionCheckResult:
 
 
 def _membership_pass(label_a: str, fields_a, label_b: str, fields_b, chart, out):
-    for idx, g in enumerate(fields_a):
-        ok, cert = span_membership(g, fields_b)
+    for idx, (ok, cert) in enumerate(span_membership(fields_a, fields_b)):
         if ok:
             detail = "coefficients (" + ", ".join(str(c) for c in cert) + ")"
         else:
@@ -337,10 +336,10 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure,
                         fiber_names=None) -> ActionCheckResult:
     """Does pushing then lifting agree with lifting then pushing?
 
-    Builds both structures on the same bundle chart and certifies, one
-    generator at a time, that each lifted foliation frame lies in the span
-    of its counterpart (both directions), alongside agreement of the two
-    lifted symplectic forms.
+    Builds both structures on the same bundle chart and certifies that
+    every generator of each lifted foliation frame lies in the span of its
+    counterpart (both directions, one elimination each), alongside
+    agreement of the two lifted symplectic forms.
     """
     if fiber_names is None:
         taken = set(psi.source.names) | set(psi.target.names)

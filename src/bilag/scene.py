@@ -547,28 +547,21 @@ def _parse_bool(raw: str, task: Task, key: str) -> bool:
     raise SceneError(f"task {task.name!r}: {key} must be true or false, got {raw!r}")
 
 
+def _checks_payload(report):
+    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks]
+
+
 def _run_validate(scene, task, options):
     try:
         s = scene.structure()
-    except (BiLagError,) as exc:
-        report = exc.report
-        payload = {
-            "ok": False,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }
-        messages = [repr(c) for c in report.failures()]
-        return "fail", payload, messages
+    except BiLagError as exc:
+        payload = {"ok": False, "checks": _checks_payload(exc.report)}
+        return "fail", payload, [repr(c) for c in exc.report.failures()]
     except SymplecticError as exc:
         return "fail", {"ok": False, "checks": []}, [str(exc)]
     payload = {
         "ok": True,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in s.report.checks
-        ],
+        "checks": _checks_payload(s.report),
         "omega_witness": _fmt(s.omega.witness),
         "omega_warnings": list(s.omega.warnings),
     }
@@ -720,9 +713,7 @@ def _run_act_check(scene, task, options):
             for v in result.verdicts
         ],
     }
-    messages = [f"omega agreement: {result.omega_match}"]
-    messages += [repr(v) for v in result.verdicts]
-    messages.append(f"actions agree: {result.equal}")
+    messages = repr(result).splitlines()
     expect = _parse_bool(task.args.get("expect", "true"), task, "expect")
     status = "pass" if result.equal == expect else "fail"
     return status, payload, messages
@@ -788,10 +779,7 @@ def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
         with check_stream(task.name):
             status, payload, messages = runner(scene, task, options)
     except BiLagError as exc:
-        status, payload = "fail", {"checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in exc.report.checks
-        ]}
+        status, payload = "fail", {"checks": _checks_payload(exc.report)}
         messages = [repr(c) for c in exc.report.failures()]
     except Exception as exc:
         status, payload, messages = "error", {}, [f"{type(exc).__name__}: {exc}"]

@@ -143,22 +143,17 @@ class FoliationFrame:
         return frame_rank_full(self.fields)
 
     def involutivity_report(self, report: ValidationReport, label: str):
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                bracket = lie_bracket(self.fields[i], self.fields[j])
-                ok, cert = span_membership(bracket, self.fields)
-                if ok:
-                    report.add(
-                        f"{label} involutive [{i},{j}]", True,
-                        "bracket decomposes with coefficients ("
-                        + ", ".join(str(c) for c in cert) + ")",
-                    )
-                else:
-                    report.add(
-                        f"{label} involutive [{i},{j}]", False,
-                        f"bracket {bracket} escapes the span "
-                        f"(unmatched component {self.chart.names[cert]})",
-                    )
+        pairs = [(i, j) for i in range(self.rank) for j in range(i + 1, self.rank)]
+        brackets = [lie_bracket(self.fields[i], self.fields[j]) for i, j in pairs]
+        verdicts = span_membership(brackets, self.fields)
+        for (i, j), bracket, (ok, cert) in zip(pairs, brackets, verdicts):
+            if ok:
+                detail = ("bracket decomposes with coefficients ("
+                          + ", ".join(str(c) for c in cert) + ")")
+            else:
+                detail = (f"bracket {bracket} escapes the span "
+                          f"(unmatched component {self.chart.names[cert]})")
+            report.add(f"{label} involutive [{i},{j}]", ok, detail)
 
 
 class BiLagStructure:
@@ -314,6 +309,22 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     return VectorField(s.chart, tuple(compact(c) for c in total.components))
 
 
+def _dense(n, rank, entry, idx=()):
+    """The table of nested tuples, `rank` deep over range(n), with entry(*idx) at idx."""
+    if len(idx) == rank:
+        return entry(*idx)
+    return tuple(_dense(n, rank, entry, idx + (i,)) for i in range(n))
+
+
+def _nonzero_entries(table, rank):
+    """(index tuple, entry) for each entry of a `rank`-deep table with a
+    nonzero normal form, in lexicographic index order."""
+    rows = [((), table)]
+    for _ in range(rank - 1):
+        rows = [(idx + (i,), sub) for idx, t in rows for i, sub in enumerate(t)]
+    return [(idx + (l,), e) for idx, row in rows for l, e in enumerate(row) if not is_zero(e)]
+
+
 class Connection:
     """Christoffel data Gamma[i][j][k] on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k.
 
@@ -321,17 +332,15 @@ class Connection:
     inverse and structure functions the connection then shares.
     """
 
-    __slots__ = ("basis", "gamma")
+    __slots__ = ("basis", "gamma", "_nonzero")
 
     def __init__(self, frame_fields, gamma):
         if isinstance(frame_fields, FrameBasis):
             self.basis = frame_fields
         else:
             self.basis = FrameBasis(frame_fields)
-        self.gamma = tuple(
-            tuple(tuple(as_expr(g) for g in row) for row in block)
-            for block in gamma
-        )
+        self.gamma = _dense(len(gamma), 3, lambda i, j, k: as_expr(gamma[i][j][k]))
+        self._nonzero = None
 
     @property
     def chart(self) -> Chart:
@@ -345,37 +354,29 @@ class Connection:
         """Gamma^k_{ij} (0-based indices)."""
         return self.gamma[i][j][k]
 
+    def _entries(self):
+        """The nonzero ((i, j, k), Gamma^k_{ij}), in lexicographic order."""
+        if self._nonzero is None:
+            self._nonzero = _nonzero_entries(self.gamma, 3)
+        return self._nonzero
+
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary fields, by expanding in the frame."""
         cx = self.basis.decompose(x)
         cy = self.basis.decompose(y)
-        n = len(self.frame)
         out = zero_field(self.chart)
-        for j in range(n):
-            out = out + self.frame[j].scale(x.apply(cy[j]))
-        for i in range(n):
-            if is_zero(cx[i]):
-                continue
-            for j in range(n):
-                if is_zero(cy[j]):
-                    continue
-                for k in range(n):
-                    g = self.gamma[i][j][k]
-                    if is_zero(g):
-                        continue
-                    out = out + self.frame[k].scale(cx[i] * cy[j] * g)
+        for e, c in zip(self.frame, cy):
+            out = out + e.scale(x.apply(c))
+        for (i, j, k), g in self._entries():
+            if not (is_zero(cx[i]) or is_zero(cy[j])):
+                out = out + self.frame[k].scale(cx[i] * cy[j] * g)
         return VectorField(self.chart, tuple(compact(c) for c in out.components))
 
     def __repr__(self):
-        n = len(self.frame)
-        entries = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not is_zero(self.gamma[i][j][k]):
-                        entries.append(
-                            f"Gamma^{k + 1}_{i + 1}{j + 1} = {self.gamma[i][j][k].normal()}"
-                        )
+        entries = [
+            f"Gamma^{k + 1}_{i + 1}{j + 1} = {g.normal()}"
+            for (i, j, k), g in self._entries()
+        ]
         return "Connection(" + ("; ".join(entries) or "flat coefficients") + ")"
 
 
@@ -424,32 +425,36 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
     return Connection(basis, tuple(gamma))
 
 
-class TorsionTensor:
-    """T[i][j][k]: the k-th frame coefficient of T(E_i, E_j)."""
+class _FrameTable:
+    """A dense table of frame coefficients, nested `rank` tuples deep."""
 
     __slots__ = ("frame", "table")
+    rank = 0
 
     def __init__(self, frame, table):
         self.frame = tuple(frame)
         self.table = table
 
-    def coefficient(self, i: int, j: int, k: int) -> Expr:
-        return self.table[i][j][k]
-
-    def is_zero(self) -> bool:
-        return all(
-            is_zero(c) for block in self.table for row in block for c in row
-        )
+    def coefficient(self, *idx) -> Expr:
+        """The entry at the given frame indices (0-based)."""
+        entry = self.table
+        for i in idx:
+            entry = entry[i]
+        return entry
 
     def nonzero_entries(self):
-        out = []
-        n = len(self.frame)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not is_zero(self.table[i][j][k]):
-                        out.append(((i, j, k), self.table[i][j][k]))
-        return out
+        """(index tuple, entry) for each nonzero entry, in lexicographic order."""
+        return _nonzero_entries(self.table, self.rank)
+
+    def is_zero(self) -> bool:
+        return not self.nonzero_entries()
+
+
+class TorsionTensor(_FrameTable):
+    """T[i][j][k]: the k-th frame coefficient of T(E_i, E_j)."""
+
+    __slots__ = ()
+    rank = 3
 
 
 def torsion(conn) -> TorsionTensor:
@@ -460,49 +465,16 @@ def torsion(conn) -> TorsionTensor:
     """
     if isinstance(conn, BiLagStructure):
         conn = christoffels(conn)
-    n = len(conn.frame)
-    table = tuple(
-        tuple(
-            tuple(
-                compact(conn.gamma[i][j][k] - conn.gamma[j][i][k]
-                        - conn.basis.structure_coeff(i, j, k))
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    g, c = conn.gamma, conn.basis.structure_coeff
+    table = _dense(len(g), 3, lambda i, j, k: compact(g[i][j][k] - g[j][i][k] - c(i, j, k)))
     return TorsionTensor(conn.frame, table)
 
 
-class CurvatureTensor:
+class CurvatureTensor(_FrameTable):
     """R[i][j][k][l]: the l-th frame coefficient of R(E_i, E_j) E_k."""
 
-    __slots__ = ("frame", "table")
-
-    def __init__(self, frame, table):
-        self.frame = tuple(frame)
-        self.table = table
-
-    def coefficient(self, i: int, j: int, k: int, l: int) -> Expr:
-        return self.table[i][j][k][l]
-
-    def is_zero(self) -> bool:
-        return all(
-            is_zero(c)
-            for block in self.table for plane in block for row in plane for c in row
-        )
-
-    def nonzero_entries(self):
-        out = []
-        n = len(self.frame)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if not is_zero(self.table[i][j][k][l]):
-                            out.append(((i, j, k, l), self.table[i][j][k][l]))
-        return out
+    __slots__ = ()
+    rank = 4
 
 
 def _curvature_terms(fields, gam, struct, i, j, k):
@@ -541,10 +513,9 @@ def curvature(conn) -> CurvatureTensor:
         conn = christoffels(conn)
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
-    gam = [
-        [[(k, g) for k, g in enumerate(row) if not is_zero(g)] for row in block]
-        for block in conn.gamma
-    ]
+    gam = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, k), g in conn._entries():
+        gam[i][j].append((k, g))
     table = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -594,20 +565,15 @@ class FlatnessResult:
 def is_flat(s: BiLagStructure) -> FlatnessResult:
     """Does the canonical connection have vanishing curvature?
 
-    Every curvature entry is put through the dual-route zero test; nonzero
-    entries are returned as the certificate.
+    Every curvature entry with a nonzero normal form is put through the
+    dual-route zero test, in lexicographic order; the entries it confirms
+    nonzero are returned as the certificate.  Every other entry is the
+    shared literal ZERO (compact returns it for a zero form), whose test
+    would draw no point, so it is skipped.
     """
     conn = christoffels(s, "foliation")
     curv = curvature(conn)
-    witnesses = []
-    n = len(conn.frame)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    entry = curv.table[i][j][k][l]
-                    if not equal_zero(entry):
-                        witnesses.append(((i, j, k, l), entry))
+    witnesses = [(idx, e) for idx, e in curv.nonzero_entries() if not equal_zero(e)]
     return FlatnessResult(not witnesses, conn, curv, witnesses)
 
 
@@ -682,24 +648,19 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     Ginv = sym_inverse([list(row) for row in G])
     names = chart.names
     half = Rat(1) / 2
-    gamma = []
-    for i in range(m):
-        block = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                total = ZERO
-                for l in range(m):
-                    term = (
-                        diff(G[j][l], names[i])
-                        + diff(G[i][l], names[j])
-                        - diff(G[i][j], names[l])
-                    )
-                    total = total + Ginv[k][l] * term
-                row.append(compact(half * total))
-            block.append(tuple(row))
-        gamma.append(tuple(block))
-    return Connection(coordinate_frame(chart), tuple(gamma))
+
+    def entry(i, j, k):
+        total = ZERO
+        for l in range(m):
+            term = (
+                diff(G[j][l], names[i])
+                + diff(G[i][l], names[j])
+                - diff(G[i][j], names[l])
+            )
+            total = total + Ginv[k][l] * term
+        return compact(half * total)
+
+    return Connection(coordinate_frame(chart), _dense(m, 3, entry))
 
 
 # ---------------------------------------------------------------------------
@@ -722,15 +683,8 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:
     """The image connection: pushed frame with composed coefficients."""
     new_frame = tuple(pushforward_field(psi, e) for e in conn.frame)
-    n = len(new_frame)
-    gamma = tuple(
-        tuple(
-            tuple(psi.push_scalar(conn.gamma[i][j][k]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Connection(new_frame, gamma)
+    g = conn.gamma
+    return Connection(new_frame, _dense(len(g), 3, lambda i, j, k: psi.push_scalar(g[i][j][k])))
 
 
 def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
@@ -767,10 +721,7 @@ def connections_equal(c1: Connection, c2: Connection) -> bool:
         return False
     t1 = connection_coordinate_table(c1)
     t2 = connection_coordinate_table(c2)
-    m = c1.chart.dim
-    for a in range(m):
-        for b in range(m):
-            for i in range(m):
-                if not equal_zero(t1[a][b].components[i] - t2[a][b].components[i]):
-                    return False
-    return True
+    return all(
+        equal_zero(c)
+        for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2) for c in (f1 - f2).components
+    )

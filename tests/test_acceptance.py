@@ -187,7 +187,7 @@ def test_criterion_04_connection_axioms_pin_it_down():
         for xf in frame:
             for leaf in (s.f1.fields, s.f2.fields):
                 for yf in leaf:
-                    ok, _ = span_membership(hess_nabla(s, xf, yf), leaf)
+                    ok, _ = span_membership([hess_nabla(s, xf, yf)], leaf)[0]
                     assert ok
     report_line(4, "torsion-free, parallel form, leaf-preserving")
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from bilag import calculus, symexpr
 from bilag.calculus import (
     CalculusError,
     Chart,
@@ -32,7 +33,7 @@ from bilag.calculus import (
     wedge,
     zero_field,
 )
-from bilag.symexpr import ONE, ZERO, Var, as_expr, equal_zero, is_zero
+from bilag.symexpr import ONE, ZERO, Var, as_expr, check_stream, equal_zero, is_zero
 
 CH = Chart(("x", "y"))
 X, Y = CH.coords()
@@ -292,13 +293,13 @@ class TestLinearAlgebra:
 
     def test_span_membership_positive(self):
         u = VectorField(CH, (ONE, 2 * X))
-        ok, cert = span_membership(VectorField(CH, (Y, 2 * X * Y)), (u,))
+        ok, cert = span_membership([VectorField(CH, (Y, 2 * X * Y))], (u,))[0]
         assert ok
         assert equal_zero(cert[0] - Y)
 
     def test_span_membership_negative_names_witness(self):
         u = VectorField(CH, (ONE, ZERO))
-        ok, witness = span_membership(VectorField(CH, (ZERO, ONE)), (u,))
+        ok, witness = span_membership([VectorField(CH, (ZERO, ONE))], (u,))[0]
         assert not ok
         assert witness == 1
 
@@ -325,6 +326,48 @@ def _random_square(rng, n):
         f = _random_poly(rng)
         rows[b] = [f * e for e in rows[a]]
     return rows
+
+
+def _rank_two_frame(rng):
+    """Three fields on a 5-dimensional chart, supported on two rows and so of
+    rank 2; returns the chart, the support, two independent fields and all three."""
+    ch = Chart(("x", "y", "z", "u", "v"))
+    support = sorted(rng.sample(range(5), 2))
+    block = [[rng.choice((1, -1, 2)), _random_poly(rng)], [0, rng.choice((1, -2))]]
+    a, b = _random_poly(rng), _random_poly(rng)
+
+    def field(col0, col1):
+        comps = [ZERO] * 5
+        comps[support[0]], comps[support[1]] = as_expr(col0), as_expr(col1)
+        return VectorField(ch, comps)
+
+    base = [field(block[0][j], block[1][j]) for j in range(2)]
+    return ch, support, base, base + [base[0].scale(a) + base[1].scale(b)]
+
+
+def _spanned_target(rng, ch, support, base, bumps=None):
+    """A field in the span of `base`, plus x + 1 on `bumps` (default: 0 to 2)
+    rows outside the support; returns it and the bumped rows."""
+    target = base[0].scale(_random_poly(rng)) + base[1].scale(_random_poly(rng))
+    outside = [i for i in range(5) if i not in support]
+    if bumps is None:
+        bumps = rng.randint(0, 2)
+    bumped = sorted(rng.sample(outside, bumps))
+    comps = list(target.components)
+    for i in bumped:
+        comps[i] = comps[i] + (X + 1)
+    return VectorField(ch, comps), bumped
+
+
+def _one_vector_membership(x, fields):
+    """Reference: span membership of one vector by its own elimination."""
+    r = len(fields)
+    rows = [[f.components[i] for f in fields] + [x.components[i]] for i in range(x.chart.dim)]
+    pivots, unused = calculus._eliminate(rows, r)
+    for i in unused:
+        if not equal_zero(rows[i][r]):
+            return False, i
+    return True, tuple(c[0] for c in calculus._back_substitute(rows, pivots, r))
 
 
 class TestEliminationKernel:
@@ -362,31 +405,13 @@ class TestEliminationKernel:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_span_membership_rank_deficient(self, seed):
-        # three fields on a 5-dimensional chart, supported on two rows and so
-        # of rank 2: the rows outside the support are never pivots, and
-        # their residual is the target's own component
+        # the rows outside the support are never pivots, and their residual
+        # is the target's own component
         rng = random.Random(seed)
-        ch = Chart(("x", "y", "z", "u", "v"))
-        support = sorted(rng.sample(range(5), 2))
-        block = [[rng.choice((1, -1, 2)), _random_poly(rng)], [0, rng.choice((1, -2))]]
-        a, b = _random_poly(rng), _random_poly(rng)
+        ch, support, base, fields = _rank_two_frame(rng)
+        target, bumped = _spanned_target(rng, ch, support, base)
 
-        def field(col0, col1):
-            comps = [ZERO] * 5
-            comps[support[0]], comps[support[1]] = as_expr(col0), as_expr(col1)
-            return VectorField(ch, comps)
-
-        base = [field(block[0][j], block[1][j]) for j in range(2)]
-        fields = base + [base[0].scale(a) + base[1].scale(b)]
-        target = base[0].scale(_random_poly(rng)) + base[1].scale(_random_poly(rng))
-        outside = [i for i in range(5) if i not in support]
-        bumped = sorted(rng.sample(outside, rng.randint(0, 2)))
-        comps = list(target.components)
-        for i in bumped:
-            comps[i] = comps[i] + (X + 1)
-        target = VectorField(ch, comps)
-
-        ok, cert = span_membership(target, fields)
+        ok, cert = span_membership([target], fields)[0]
         if bumped:
             assert not ok
             assert cert == bumped[0]
@@ -396,6 +421,45 @@ class TestEliminationKernel:
             for c, f in zip(cert, fields):
                 recombined = recombined + f.scale(c)
             assert fields_equal(recombined, target)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_span_membership_batch_matches_single_calls(self, seed):
+        # one elimination for the batch gives every vector the verdict, the
+        # certificate and the cross-check draws of its own elimination
+        rng = random.Random(seed)
+        ch, support, base, fields = _rank_two_frame(rng)
+        bumps = [0, 1, 2, 0, 1][:rng.randint(2, 5)]
+        rng.shuffle(bumps)
+        targets = []
+        for count in bumps:
+            target, _ = _spanned_target(rng, ch, support, base, count)
+            # a zero that is not the literal ZERO, so that every residual
+            # tested draws points
+            targets.append(VectorField(ch, [c + (Y - Y) for c in target.components]))
+
+        def text(verdict):
+            ok, cert = verdict
+            return ok, tuple(str(c) for c in cert) if ok else cert
+
+        runs = {}
+        for label, verdicts in (
+            ("batch", lambda: span_membership(targets, fields)),
+            ("single", lambda: [span_membership([t], fields)[0] for t in targets]),
+            ("reference", lambda: [_one_vector_membership(t, fields) for t in targets]),
+        ):
+            with check_stream("batch"):
+                runs[label] = [text(v) for v in verdicts()], symexpr._check_rng.getstate()
+        assert {ok for ok, _ in runs["batch"][0]} == {True, False}
+        assert runs["batch"] == runs["single"] == runs["reference"]
+
+    def test_span_membership_empty_batch_eliminates_nothing(self, monkeypatch):
+        def eliminate(*args, **kwargs):
+            raise AssertionError("an empty batch needs no elimination")
+
+        monkeypatch.setattr(calculus, "_eliminate", eliminate)
+        state = symexpr._check_rng.getstate()
+        assert span_membership([], (VectorField(CH, (ONE, X)),)) == ()
+        assert symexpr._check_rng.getstate() == state
 
     def test_det_text_on_odd_pivot_path(self):
         # reports print determinants, so their text must not drift: the sign

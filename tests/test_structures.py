@@ -2,6 +2,7 @@
 
 import pytest
 
+from bilag import symexpr
 from bilag.calculus import (
     Chart,
     KForm,
@@ -34,6 +35,7 @@ from bilag.symexpr import (
     OpaqueSymbol,
     as_expr,
     bind_symbol,
+    check_stream,
     diff,
     equal_zero,
     is_zero,
@@ -151,6 +153,20 @@ def dense_curvature(conn):
             block.append(tuple(plane))
         table.append(tuple(block))
     return tuple(table)
+
+
+def dense_is_flat(s):
+    """Reference: the witnesses of the zero test on every curvature entry."""
+    table = curvature(christoffels(s)).table
+    n = len(table)
+    witnesses = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    if not equal_zero(table[i][j][k][l]):
+                        witnesses.append(((i, j, k, l), table[i][j][k][l]))
+    return witnesses
 
 
 def fields_equal(a, b):
@@ -326,7 +342,7 @@ class TestConnection:
                 for leaf in (s.f1.fields, s.f2.fields):
                     for yf in leaf:
                         out = hess_nabla(s, xf, yf)
-                        ok, _ = span_membership(out, leaf)
+                        ok, _ = span_membership([out], leaf)[0]
                         assert ok
 
 
@@ -356,6 +372,24 @@ class TestLeafwiseAssembly:
                     for l in range(n):
                         assert sparse[i][j][k][l].normal() == dense[i][j][k][l].normal(), \
                             (i, j, k, l)
+
+    @pytest.mark.parametrize("build", [
+        lambda: lifted(parabola_structure(), 4),
+        lambda: lifted(parabola_structure(), 8),
+        lambda: lifted(standard_structure(), 4),
+        lambda: lifted(standard_structure(), 8),
+        rescaled_structure,
+    ], ids=["parabola-dim4", "parabola-dim8", "standard-dim4", "standard-dim8", "rescaled"])
+    def test_is_flat_matches_dense_loop(self, build):
+        # is_flat zero-tests only the nonzero entries: the same witnesses,
+        # in the same order, from the same cross-check draws
+        s = build()
+        runs = []
+        for flatness in (dense_is_flat, lambda s: is_flat(s).witnesses):
+            with check_stream("flat"):
+                witnesses = [(idx, str(e)) for idx, e in flatness(s)]
+                runs.append((witnesses, symexpr._check_rng.getstate()))
+        assert runs[0] == runs[1]
 
     def test_rescaled_frame_exercises_cross_leaf_terms(self):
         s = rescaled_structure()
