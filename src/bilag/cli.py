@@ -32,6 +32,7 @@ from .scene import (
     SceneError,
     SceneReport,
     Task,
+    _TASK_KEYS,
     load_scene,
     run_task,
     run_tasks,
@@ -111,28 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _adhoc_task(args) -> Task:
     op = args.command
     task_args = {}
-    if op == "christoffels":
-        task_args["frame"] = args.frame
-    if op in ("flat", "act-check") and getattr(args, "expect", None):
-        task_args["expect"] = args.expect
-    if op in ("push", "act-check"):
-        task_args["map"] = args.map
-    if op == "lift":
-        task_args["k"] = str(args.k)
-        if args.fibers:
-            task_args["fibers"] = args.fibers
     if op == "plot":
         for binding in args.bind:
             key, sep, value = binding.partition("=")
             if not sep:
                 raise SceneError(f"--bind needs NAME=EXPR, got {binding!r}")
             task_args[key] = value
-        if args.window:
-            task_args["window"] = args.window
-        if args.leaves is not None:
-            task_args["leaves"] = str(args.leaves)
-        if args.steps is not None:
-            task_args["steps"] = str(args.steps)
+    for key in _TASK_KEYS[op]:
+        if getattr(args, key) is not None:
+            task_args[key] = str(getattr(args, key))
     return Task(f"cli-{op}", op, task_args)
 
 
@@ -164,8 +152,6 @@ def main(argv=None) -> int:
                     f"scene declares no map named {task.args['map']!r}; "
                     f"available: {', '.join(sorted(scene.maps)) or 'none'}"
                 )
-            if task.operation == "plot":
-                options["out"] = args.out
             report = SceneReport(scene, [run_task(scene, task, **options)])
     except SceneError as exc:
         print(f"bilag: {exc}", file=sys.stderr)

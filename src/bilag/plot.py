@@ -33,6 +33,8 @@ class Window:
     def __init__(self, x0=-2.0, x1=2.0, y0=-2.0, y1=2.0):
         self.x0, self.x1 = float(x0), float(x1)
         self.y0, self.y1 = float(y0), float(y1)
+        if not all(map(math.isfinite, (self.x0, self.x1, self.y0, self.y1))):
+            raise PlotError("window bounds must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise PlotError("window must have positive extent on both axes")
 
@@ -160,6 +162,8 @@ def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
     """
     if f1.chart.dim != 2:
         raise PlotError(f"leaf plots need a 2-dimensional chart, got {f1.chart.dim}")
+    if leaves < 1 or steps < 1:
+        raise PlotError(f"leaves and steps must be at least 1, got {leaves} and {steps}")
     window = window or Window()
     if bindings:
         f1 = bind_field(f1, bindings)

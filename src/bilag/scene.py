@@ -20,7 +20,8 @@ acting as a wedge between forms (it stays integer power on scalars).
 
 Task lines name one of the operations validate, hess, christoffels,
 curvature, flat, para, push, lift, act-check, plot, followed by
-``key=value`` arguments.  Running tasks yields a report that prints as
+``key=value`` arguments; an argument the operation does not read makes the
+scene malformed.  Running tasks yields a report that prints as
 text or serializes to versioned, deterministic JSON (the per-task
 ``timing_ms`` field is the documented exception).
 """
@@ -88,19 +89,6 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "bilag-report/1"
-
-OPERATIONS = (
-    "validate",
-    "hess",
-    "christoffels",
-    "curvature",
-    "flat",
-    "para",
-    "push",
-    "lift",
-    "act-check",
-    "plot",
-)
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -408,11 +396,18 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                 raise SceneError(
                     f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
                     lineno)
+            allowed = _TASK_KEYS[op]
+            if op == "plot":
+                allowed += tuple(s.name for s in symbols)
             args = {}
             for w in words[1:]:
                 key, sep, value = w.partition("=")
                 if not sep or not key:
                     raise SceneError(f"task argument {w!r} must be key=value", lineno)
+                if key not in allowed:
+                    raise SceneError(
+                        f"task {label!r}: unknown {op} argument {key!r} "
+                        f"(known: {', '.join(allowed) or 'none'})", lineno)
                 args[key] = value
             tasks.append(Task(label, op, args, lineno))
         else:
@@ -723,16 +718,10 @@ def _run_plot(scene, task, options):
     s = scene.structure()
     if s.chart.dim != 2:
         raise PlotError(f"leaf plots need a 2-dimensional chart, got {s.chart.dim}")
-    known = {"out", "window", "leaves", "steps"}
-    symbol_names = {sym.name for sym in scene.chart.symbols}
-    bindings = {}
-    for key, raw in task.args.items():
-        if key in known:
-            continue
-        if key in symbol_names:
-            bindings[key] = parse_expr(raw, scene.chart.names, ())
-        else:
-            raise SceneError(f"task {task.name!r}: unknown plot argument {key!r}")
+    bindings = {
+        key: parse_expr(raw, scene.chart.names, ())
+        for key, raw in task.args.items() if key not in _TASK_KEYS["plot"]
+    }
     window = Window()
     if "window" in task.args:
         parts = task.args["window"].split(",")
@@ -764,6 +753,23 @@ _RUNNERS = {
     "act-check": _run_act_check,
     "plot": _run_plot,
 }
+
+# The task arguments each operation reads; a plot task also takes one
+# binding per declared symbol.  loads rejects any other argument.
+_TASK_KEYS = {
+    "validate": (),
+    "hess": (),
+    "christoffels": ("frame",),
+    "curvature": (),
+    "flat": ("expect",),
+    "para": (),
+    "push": ("map",),
+    "lift": ("k", "fibers"),
+    "act-check": ("map", "expect"),
+    "plot": ("out", "window", "leaves", "steps"),
+}
+
+OPERATIONS = tuple(_TASK_KEYS)
 
 
 def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:

@@ -5,6 +5,9 @@ variables, and jets of opaque function symbols (an opaque symbol ``h``
 declared on coordinates ``(x, y)`` comes with the lazily generated family
 ``h, h_x, h_y, h_xx, h_xy, ...`` of partial-derivative variables; mixed
 partials commute, so ``h_xy`` and ``h_yx`` are the same variable).
+Coordinates and jets are the variables of the normal forms below, and they
+share one leaf class: a named variable that prints, evaluates and
+normalizes by its name.
 
 Every expression has a canonical normal form: a reduced pair of multivariate
 polynomials with exact rational coefficients (an ``int`` where integral, a
@@ -705,20 +708,11 @@ class Expr:
 
     def atoms(self) -> set:
         """All variable names occurring in the tree (coordinates and jets)."""
-        out: set = set()
-        self._collect_atoms(out)
-        return out
-
-    def _collect_atoms(self, out: set):
-        raise NotImplementedError
+        return {leaf.name for leaf in _leaves(self)}
 
     def jet_atoms(self) -> set:
-        out: set = set()
-        self._collect_jets(out)
-        return out
-
-    def _collect_jets(self, out: set):
-        raise NotImplementedError
+        """The jets occurring in the tree."""
+        return {leaf for leaf in _leaves(self) if isinstance(leaf, JetVar)}
 
     def is_rational_const(self) -> bool:
         return isinstance(self, Rat)
@@ -748,12 +742,6 @@ class Rat(Expr):
     def _normal(self):
         return NormalForm(Poly({(): self.value}), _POLY_ONE, reduced=True)
 
-    def _collect_atoms(self, out):
-        pass
-
-    def _collect_jets(self, out):
-        pass
-
     def _fmt(self, prec):
         s = _frac_str(self.value)
         if (self.value < 0 and prec >= 1) or ("/" in s and prec >= 1):
@@ -772,24 +760,14 @@ class Rat(Expr):
         return v.numerator * pow(v.denominator, -1, _P) % _P
 
 
-class Var(Expr):
-    """A coordinate variable."""
+class _Leaf(Expr):
+    """A variable of the normal forms, known by its name: a coordinate or a jet."""
 
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
 
     def _normal(self):
         return NormalForm(Poly.variable(self.name), _POLY_ONE,
                           {self.name: self}, reduced=True)
-
-    def _collect_atoms(self, out):
-        out.add(self.name)
-
-    def _collect_jets(self, out):
-        pass
 
     def _fmt(self, prec):
         return self.name
@@ -805,8 +783,21 @@ class Var(Expr):
         return env[self.name]
 
 
-class JetVar(Expr):
-    """A jet of an opaque symbol: the symbol differentiated per a multi-index."""
+class Var(_Leaf):
+    """A coordinate variable."""
+
+    __slots__ = ()
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+
+class JetVar(_Leaf):
+    """A jet of an opaque symbol: the symbol differentiated per a multi-index.
+
+    Its name is the printable and re-parseable variable name, e.g. ``h_xxy``.
+    """
 
     __slots__ = ("symbol", "orders")
 
@@ -818,45 +809,14 @@ class JetVar(Expr):
             raise ValueError("jet multi-index length does not match symbol arity")
         if any(o < 0 for o in self.orders):
             raise ValueError("negative differentiation order")
-
-    @property
-    def name(self) -> str:
-        """The printable (and re-parseable) variable name, e.g. ``h_xxy``."""
-        if not any(self.orders):
-            return self.symbol.name
-        suffix = "".join(
-            dep * order for dep, order in zip(self.symbol.deps, self.orders)
-        )
-        return f"{self.symbol.name}_{suffix}"
+        suffix = "".join(dep * order for dep, order in zip(symbol.deps, self.orders))
+        self.name = f"{symbol.name}_{suffix}" if suffix else symbol.name
 
     def bump(self, coord: str) -> "JetVar":
         i = self.symbol.deps.index(coord)
         orders = list(self.orders)
         orders[i] += 1
         return JetVar(self.symbol, orders)
-
-    def _normal(self):
-        return NormalForm(Poly.variable(self.name), _POLY_ONE,
-                          {self.name: self}, reduced=True)
-
-    def _collect_atoms(self, out):
-        out.add(self.name)
-
-    def _collect_jets(self, out):
-        out.add(self)
-
-    def _fmt(self, prec):
-        return self.name
-
-    def _eval(self, env, numeric):
-        try:
-            v = env[self.name]
-        except KeyError:
-            raise EvalError(f"missing assignment for {self.name!r}") from None
-        return float(v) if numeric else Fraction(v)
-
-    def _mod(self, env):
-        return env[self.name]
 
     # JetVar is used in sets during traversal; identity there must be
     # structural, not semantic, so override the Expr comparison.
@@ -881,14 +841,6 @@ class Add(Expr):
         for t in self.terms[1:]:
             nf = nf.add(t.normal())
         return nf
-
-    def _collect_atoms(self, out):
-        for t in self.terms:
-            t._collect_atoms(out)
-
-    def _collect_jets(self, out):
-        for t in self.terms:
-            t._collect_jets(out)
 
     def _fmt(self, prec):
         parts = [self.terms[0]._fmt(0)]
@@ -917,14 +869,6 @@ class Mul(Expr):
         for f in self.factors[1:]:
             nf = nf.mul(f.normal())
         return nf
-
-    def _collect_atoms(self, out):
-        for f in self.factors:
-            f._collect_atoms(out)
-
-    def _collect_jets(self, out):
-        for f in self.factors:
-            f._collect_jets(out)
 
     def _fmt(self, prec):
         # negative-power factors print as division
@@ -962,12 +906,6 @@ class Pow(Expr):
 
     def _normal(self):
         return self.base.normal().pow_int(self.exponent)
-
-    def _collect_atoms(self, out):
-        self.base._collect_atoms(out)
-
-    def _collect_jets(self, out):
-        self.base._collect_jets(out)
 
     def _fmt(self, prec):
         if self.exponent < 0:
@@ -1069,6 +1007,44 @@ def _make_pow(base: Expr, n: int) -> Expr:
 
 def _make_div(a: Expr, b: Expr) -> Expr:
     return _make_mul(a, _make_pow(b, -1))
+
+
+def _leaves(e: Expr) -> list:
+    """The Var and JetVar nodes of the tree, each as often as it occurs.
+
+    A list, not a set: hashing an Expr normalizes it.
+    """
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Leaf):
+            out.append(node)
+        elif isinstance(node, Add):
+            stack.extend(node.terms)
+        elif isinstance(node, Mul):
+            stack.extend(node.factors)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    return out
+
+
+def _rebuild(e: Expr, leaf) -> Expr:
+    """The tree rebuilt through the _make_* constructors, each Var and JetVar
+    node replaced by leaf(node), left to right."""
+
+    def walk(node: Expr) -> Expr:
+        if isinstance(node, _Leaf):
+            return leaf(node)
+        if isinstance(node, Add):
+            return _make_add(*(walk(t) for t in node.terms))
+        if isinstance(node, Mul):
+            return _make_mul(*(walk(f) for f in node.factors))
+        if isinstance(node, Pow):
+            return _make_pow(walk(node.base), node.exponent)
+        return node
+
+    return walk(as_expr(e))
 
 
 # ---------------------------------------------------------------------------
@@ -1543,31 +1519,21 @@ def substitute(e: Expr, mapping: dict) -> Expr:
     """
     mapping = {name: as_expr(v) for name, v in mapping.items()}
 
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, Rat):
-            return node
+    def leaf(node):
         if isinstance(node, Var):
             return mapping.get(node.name, node)
-        if isinstance(node, JetVar):
-            for dep in node.symbol.deps:
-                if dep in mapping:
-                    target = mapping[dep]
-                    if not (isinstance(target, Var) and target.name == dep):
-                        raise CompositionError(
-                            f"cannot substitute {dep!r} inside opaque symbol "
-                            f"{node.symbol.name!r}: composites of opaque functions "
-                            "are not representable"
-                        )
-            return node
-        if isinstance(node, Add):
-            return _make_add(*(walk(t) for t in node.terms))
-        if isinstance(node, Mul):
-            return _make_mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return _make_pow(walk(node.base), node.exponent)
-        raise TypeError(f"cannot substitute into {node!r}")
+        for dep in node.symbol.deps:
+            if dep in mapping:
+                target = mapping[dep]
+                if not (isinstance(target, Var) and target.name == dep):
+                    raise CompositionError(
+                        f"cannot substitute {dep!r} inside opaque symbol "
+                        f"{node.symbol.name!r}: composites of opaque functions "
+                        "are not representable"
+                    )
+        return node
 
-    return walk(as_expr(e))
+    return _rebuild(e, leaf)
 
 
 def bind_symbol(e: Expr, symbol: OpaqueSymbol, value: Expr) -> Expr:
@@ -1586,19 +1552,9 @@ def bind_symbol(e: Expr, symbol: OpaqueSymbol, value: Expr) -> Expr:
                 out = diff(out, dep)
         return out
 
-    def walk(node: Expr) -> Expr:
-        if isinstance(node, (Rat, Var)):
-            return node
-        if isinstance(node, JetVar):
-            if node.symbol == symbol:
-                return deriv(node.orders)
-            return node
-        if isinstance(node, Add):
-            return _make_add(*(walk(t) for t in node.terms))
-        if isinstance(node, Mul):
-            return _make_mul(*(walk(f) for f in node.factors))
-        if isinstance(node, Pow):
-            return _make_pow(walk(node.base), node.exponent)
-        raise TypeError(f"cannot bind inside {node!r}")
+    def leaf(node):
+        if isinstance(node, JetVar) and node.symbol == symbol:
+            return deriv(node.orders)
+        return node
 
-    return walk(as_expr(e))
+    return _rebuild(e, leaf)

@@ -1,5 +1,7 @@
 """Leaf plots: numeric integration quarantine and SVG rendering."""
 
+import math
+
 import pytest
 
 from bilag.calculus import Chart, VectorField
@@ -21,6 +23,14 @@ class TestWindow:
         w = Window(-1.0, 1.0, -1.0, 1.0)
         assert w.contains(1.05, 0.0, margin=0.1)
         assert not w.contains(1.05, 0.0)
+
+
+    @pytest.mark.parametrize("bounds", [
+        (0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, 0, math.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(PlotError, match="window bounds must be finite"):
+            Window(*bounds)
 
 
 class TestBindField:

@@ -7,7 +7,7 @@ import pytest
 from bilag import scene as scene_module
 from bilag import symexpr
 from bilag.calculus import Chart, KForm
-from bilag.cli import bundled_scene_dir, find_scene, main
+from bilag.cli import _adhoc_task, build_parser, bundled_scene_dir, find_scene, main
 from bilag.scene import (
     OPERATIONS,
     REPORT_FORMAT,
@@ -156,6 +156,22 @@ class TestParsing:
         assert str(parse_geometric("dx", chart)) == "dx"
         form = parse_geometric("ddx", chart)
         assert isinstance(form, KForm) and form.coeffs == {(1,): ONE}
+
+    @pytest.mark.parametrize("task, key, known", [
+        ("flat expct=false", "expct", "expect"),
+        ("validate frame=foliation", "frame", "none"),
+        ("lift k=1 fiber=a,b", "fiber", "k, fibers"),
+        ("plot g=1 out=p.svg", "g", "out, window, leaves, steps, h"),
+    ])
+    def test_unknown_task_argument_rejected(self, task, key, known):
+        text = PARABOLA_TEXT + f"task bad: {task}\n"
+        line = text.splitlines().index(f"task bad: {task}") + 1
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        op = task.split()[0]
+        assert str(err.value) == (
+            f"line {line}: task 'bad': unknown {op} argument {key!r} (known: {known})"
+        )
 
     def test_operations_inventory(self):
         assert OPERATIONS == (
@@ -383,7 +399,50 @@ class TestCli:
         assert code == 1
         task = json.loads(capsys.readouterr().out)["tasks"][-1]
         assert task["status"] == "error"
-        assert task["messages"] == ["ZeroDivisionError: float division by zero"]
+        assert task["messages"] == [
+            "PlotError: leaves and steps must be at least 1, got 9 and 0"
+        ]
+
+    @pytest.mark.parametrize("args, message", [
+        ("window=0,inf,0,1", "window bounds must be finite"),
+        ("leaves=0", "leaves and steps must be at least 1, got 0 and 240"),
+        ("steps=-5", "leaves and steps must be at least 1, got 9 and -5"),
+    ])
+    def test_plot_arguments_out_of_range_report_error(self, capsys, tmp_path, args, message):
+        svg = tmp_path / "p.svg"
+        scene = tmp_path / "range.scene"
+        scene.write_text(MINIMAL + f"task figure: plot {args} out={svg}\n")
+        code = main(["report", "--scene", str(scene), "--format", "machine"])
+        assert code == 1
+        task = json.loads(capsys.readouterr().out)["tasks"][-1]
+        assert task["status"] == "error"
+        assert task["messages"] == [f"PlotError: {message}"]
+        assert not svg.exists()
+
+    def test_misspelled_task_argument_is_usage_error(self, capsys, tmp_path):
+        scene = tmp_path / "typo.scene"
+        scene.write_text(PARABOLA_TEXT + "task f: flat expct=false\n")
+        code = main(["report", "--scene", str(scene)])
+        assert code == 2
+        assert "unknown flat argument 'expct'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["christoffels"], {"frame": "foliation"}),
+        (["flat"], {}),
+        (["flat", "--expect", "false"], {"expect": "false"}),
+        (["push", "--map", "shear"], {"map": "shear"}),
+        (["act-check", "--map", "shear", "--expect", "false"],
+         {"map": "shear", "expect": "false"}),
+        (["lift"], {"k": "1"}),
+        (["lift", "--k", "2", "--fibers", "a,b"], {"k": "2", "fibers": "a,b"}),
+        (["plot", "--bind", "h=1", "--window", "0,1,0,1", "--leaves", "3",
+          "--steps", "7", "--out", "p.svg"],
+         {"h": "1", "window": "0,1,0,1", "leaves": "3", "steps": "7", "out": "p.svg"}),
+        (["validate", "--out", "r.json"], {}),
+    ])
+    def test_adhoc_task_copies_the_operation_flags(self, argv, expected):
+        args = build_parser().parse_args(argv[:1] + ["--scene", "parabola"] + argv[1:])
+        assert _adhoc_task(args).args == expected
 
     def test_plot_on_lifted_scene_rejected(self, capsys):
         code = main(["plot", "--scene", "lifted-standard", "--out", "/tmp/x.svg"])

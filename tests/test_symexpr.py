@@ -8,6 +8,7 @@ from bilag import symexpr
 from bilag.symexpr import (
     CompositionError,
     CrossCheckError,
+    JetVar,
     NormalForm,
     OpaqueSymbol,
     ParseError,
@@ -260,6 +261,52 @@ class TestJets:
     def test_bind_symbol_second_derivatives(self):
         e = diff(diff(self.hv, "x"), "x")
         assert equal_zero(bind_symbol(e, self.h, X ** 3) - 6 * X)
+
+    def test_bind_symbol_through_a_reciprocal(self):
+        e = ONE / self.hv + diff(ONE / self.hv, "x")
+        bound = bind_symbol(e, self.h, 1 + X * X)
+        assert bound.jet_atoms() == set()
+        assert equal_zero(bound - (ONE / (1 + X * X) - 2 * X / (1 + X * X) ** 2))
+
+    def test_substitute_keeps_a_jet_whose_dependencies_map_to_themselves(self):
+        e = self.hv * X + ONE / (Y - self.h.jet((1, 1)))
+        out = substitute(e, {"x": X, "y": Y, "u": X * X})
+        assert str(out) == str(e)
+        assert out.jet_atoms() == {self.hv, self.h.jet((1, 1))}
+
+    @pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 2), (2, 1), (1, 3)])
+    def test_jet_name_reads_back(self, orders):
+        jet = self.h.jet(orders)
+        parsed = parse_expr(jet.name, ("x", "y"), (self.h,))
+        assert isinstance(parsed, JetVar)
+        assert parsed.orders == orders
+        assert parsed.name == jet.name == str(jet)
+        assert (jet.name == "h") == (not any(orders))
+
+    def test_jet_is_not_a_coordinate(self):
+        assert not isinstance(self.hv, Var)
+        assert not isinstance(X, JetVar)
+
+
+class TestAtoms:
+    h = OpaqueSymbol("h", ("x", "y"))
+    hv = h.jet((0, 0))
+    hx = h.jet((1, 0))
+
+    @pytest.mark.parametrize("tree, names, jets", [
+        (X * X + X * Y + X, {"x", "y"}, set()),
+        (ONE / (X + hv) ** 2, {"x", "h"}, {hv}),
+        (Y * (X + hv) ** -1, {"x", "y", "h"}, {hv}),
+        (hv * hx * hv, {"h", "h_x"}, {hv, hx}),
+        (X - X, {"x"}, set()),
+        (hx - hx + 3, {"h_x"}, {hx}),
+        (Rat(3) / 4 + 2, set(), set()),
+        (ZERO, set(), set()),
+    ])
+    def test_atoms_and_jet_atoms(self, tree, names, jets):
+        assert tree.atoms() == names
+        assert tree.jet_atoms() == jets
+        assert all(isinstance(j, JetVar) for j in tree.jet_atoms())
 
 
 class TestEvaluation:
