@@ -152,6 +152,14 @@ def main(argv=None) -> int:
                     f"scene declares no map named {task.args['map']!r}; "
                     f"available: {', '.join(sorted(scene.maps)) or 'none'}"
                 )
+            if task.operation == "plot":
+                declared = [sym.name for sym in scene.chart.symbols]
+                unknown = sorted({b.partition("=")[0] for b in args.bind} - set(declared))
+                if unknown:
+                    raise SceneError(
+                        f"--bind names undeclared symbols: {', '.join(unknown)}; "
+                        f"declared: {', '.join(declared) or 'none'}"
+                    )
             report = SceneReport(scene, [run_task(scene, task, **options)])
     except SceneError as exc:
         print(f"bilag: {exc}", file=sys.stderr)

@@ -408,6 +408,9 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                     raise SceneError(
                         f"task {label!r}: unknown {op} argument {key!r} "
                         f"(known: {', '.join(allowed) or 'none'})", lineno)
+                if key in args:
+                    raise SceneError(
+                        f"task {label!r}: {op} argument {key!r} given twice", lineno)
                 args[key] = value
             tasks.append(Task(label, op, args, lineno))
         else:

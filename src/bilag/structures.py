@@ -361,16 +361,25 @@ class Connection:
         return self._nonzero
 
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
-        """nabla_X Y for arbitrary fields, by expanding in the frame."""
-        cx = self.basis.decompose(x)
-        cy = self.basis.decompose(y)
-        out = zero_field(self.chart)
-        for e, c in zip(self.frame, cy):
-            out = out + e.scale(x.apply(c))
+        """nabla_X Y for arbitrary fields, by expanding in the frame.
+
+        X and Y are decomposed once each; the result is assembled by
+        `_along`, the one route shared with connection_coordinate_table.
+        """
+        return self._along(x, self.basis.decompose(x), self.basis.decompose(y))
+
+    def _along(self, x: VectorField, cx, cy) -> VectorField:
+        """nabla_X Y from the frame coefficients cx of X and cy of Y.
+
+        One coefficient per frame index k, X(cy_k) + sum cx_i cy_j Gamma^k_{ij}
+        over the nonzero Gamma entries, then each component as one dot
+        against the frame's component rows.
+        """
+        coeffs = [x.apply(c) for c in cy]
         for (i, j, k), g in self._entries():
             if not (is_zero(cx[i]) or is_zero(cy[j])):
-                out = out + self.frame[k].scale(cx[i] * cy[j] * g)
-        return VectorField(self.chart, tuple(compact(c) for c in out.components))
+                coeffs[k] = coeffs[k] + cx[i] * cy[j] * g
+        return VectorField(self.chart, [dot(row, coeffs) for row in self.basis.matrix])
 
     def __repr__(self):
         entries = [
@@ -616,14 +625,12 @@ def para_structure(s: BiLagStructure) -> ParaKahler:
     # G[a][b] = sum_c F[c][a] omega[c][b]: column a of F against column b of omega
     omega_cols = tuple(zip(*s.omega.matrix))
     G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
-    # internal checks: F^2 = id and G symmetric
+    # internal checks: F^2 = id and G symmetric; (F^2)[a][b] is row a of F
+    # against column b of F
     for a in range(m):
         for b in range(m):
-            acc = ZERO
-            for c in range(m):
-                acc = acc + F[a][c] * F[c][b]
             expected = ONE if a == b else ZERO
-            if not is_zero(acc - expected):
+            if not is_zero(dot(F[a], columns[b]) - expected):
                 raise BiLagError(
                     "para-complex structure is not an involution",
                     ValidationReport([CheckResult("F^2 = id", False, f"entry ({a},{b})")]),
@@ -639,8 +646,13 @@ def para_structure(s: BiLagStructure) -> ParaKahler:
 def levi_civita_oracle(para: ParaKahler) -> Connection:
     """Levi-Civita connection of G in the coordinate frame.
 
-    Gamma^k_{ij} = (1/2) G^{kl} (d_i G_{jl} + d_j G_{il} - d_l G_{ij}).
-    Used as the independent oracle for the canonical connection.
+    Gamma^k_{ij} = G^{kl} Gamma_{ijl}, with the Christoffel symbols of the
+    first kind  Gamma_{ijl} = (1/2)(d_i G_{jl} + d_j G_{il} - d_l G_{ij}).
+    Both are symmetric in i and j, so each is formed once, for i <= j: m
+    derivatives of G per (i, j, l), and one dot against a row of G^{-1} per
+    (i, j, k).  This is the metric formula and reads only G, never the
+    foliations or the Hess route, so it stays the independent oracle for
+    the canonical connection.
     """
     chart = para.chart
     m = chart.dim
@@ -648,19 +660,17 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     Ginv = sym_inverse([list(row) for row in G])
     names = chart.names
     half = Rat(1) / 2
-
-    def entry(i, j, k):
-        total = ZERO
-        for l in range(m):
-            term = (
-                diff(G[j][l], names[i])
-                + diff(G[i][l], names[j])
-                - diff(G[i][j], names[l])
-            )
-            total = total + Ginv[k][l] * term
-        return compact(half * total)
-
-    return Connection(coordinate_frame(chart), _dense(m, 3, entry))
+    second = {}
+    for i in range(m):
+        for j in range(i, m):
+            first = [
+                compact(half * (diff(G[j][l], names[i]) + diff(G[i][l], names[j])
+                                - diff(G[i][j], names[l])))
+                for l in range(m)
+            ]
+            second[i, j] = [dot(row, first) for row in Ginv]
+    return Connection(coordinate_frame(chart),
+                      _dense(m, 3, lambda i, j, k: second[min(i, j), max(i, j)][k]))
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +716,18 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
 
 
 def connection_coordinate_table(conn: Connection):
-    """nabla_{d_a} d_b for all coordinate pairs, as component tuples."""
+    """nabla_{d_a} d_b for all coordinate pairs, as component tuples.
+
+    The frame coefficients of d_a are column a of the frame's inverse
+    matrix, read once per a; each pair is then assembled by the same
+    `Connection._along` that serves `Connection.apply`.
+    """
     coords = coordinate_frame(conn.chart)
     m = conn.chart.dim
+    inverse = conn.basis.inverse
+    columns = [tuple(compact(inverse[k][a]) for k in range(m)) for a in range(m)]
     return tuple(
-        tuple(conn.apply(coords[a], coords[b]) for b in range(m))
+        tuple(conn._along(coords[a], columns[a], columns[b]) for b in range(m))
         for a in range(m)
     )
 

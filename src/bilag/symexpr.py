@@ -1372,11 +1372,17 @@ def compact(e: Expr) -> Expr:
 
 
 def dot(xs, ys) -> Expr:
-    """compact(sum of x*y over paired entries), summed on normal forms."""
+    """compact(sum of x*y over paired entries), summed on normal forms.
+
+    A pair whose x is zero is skipped before its y is normalized.
+    """
     total = None
     for x, y in zip(xs, ys):
-        a, b = as_expr(x).normal(), as_expr(y).normal()
-        if a.is_zero or b.is_zero:
+        a = as_expr(x).normal()
+        if a.is_zero:
+            continue
+        b = as_expr(y).normal()
+        if b.is_zero:
             continue
         term = a.mul(b)
         total = term if total is None else total.add(term)

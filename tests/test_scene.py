@@ -173,6 +173,18 @@ class TestParsing:
             f"line {line}: task 'bad': unknown {op} argument {key!r} (known: {known})"
         )
 
+    @pytest.mark.parametrize("task, key", [
+        ("flat expect=false expect=true", "expect"),
+        ("plot h=1 out=a.svg h=2", "h"),
+    ])
+    def test_repeated_task_argument_rejected(self, task, key):
+        text = PARABOLA_TEXT + f"task bad: {task}\n"
+        line = text.splitlines().index(f"task bad: {task}") + 1
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        op = task.split()[0]
+        assert str(err.value) == f"line {line}: task 'bad': {op} argument {key!r} given twice"
+
     def test_operations_inventory(self):
         assert OPERATIONS == (
             "validate", "hess", "christoffels", "curvature", "flat",
@@ -425,6 +437,31 @@ class TestCli:
         code = main(["report", "--scene", str(scene)])
         assert code == 2
         assert "unknown flat argument 'expct'" in capsys.readouterr().err
+
+    def test_repeated_task_argument_is_usage_error(self, capsys, tmp_path):
+        scene = tmp_path / "twice.scene"
+        scene.write_text(PARABOLA_TEXT + "task f: flat expect=false expect=true\n")
+        code = main(["report", "--scene", str(scene)])
+        assert code == 2
+        assert "flat argument 'expect' given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scene, binds, named, declared", [
+        ("parabola", ["z=1"], "z", "h"),
+        ("parabola", ["h=1", "z=1", "a=2"], "a, z", "h"),
+        ("parabola", ["steps=5"], "steps", "h"),
+        ("standard", ["h=1"], "h", "none"),
+    ])
+    def test_undeclared_bind_is_usage_error(self, capsys, tmp_path, scene, binds,
+                                            named, declared):
+        out = tmp_path / "p.svg"
+        argv = ["plot", "--scene", scene, "--out", str(out)]
+        for b in binds:
+            argv += ["--bind", b]
+        code = main(argv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"bilag: --bind names undeclared symbols: {named}; declared: {declared}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, expected", [
         (["christoffels"], {"frame": "foliation"}),

@@ -8,7 +8,10 @@ from bilag.calculus import (
     KForm,
     SmoothMap,
     VectorField,
+    coordinate_frame,
     form_from_matrix,
+    sym_inverse,
+    zero_field,
 )
 from bilag.lift import lift_structure
 from bilag.structures import (
@@ -33,6 +36,7 @@ from bilag.symexpr import (
     ONE,
     ZERO,
     OpaqueSymbol,
+    Rat,
     as_expr,
     bind_symbol,
     check_stream,
@@ -167,6 +171,62 @@ def dense_is_flat(s):
                     if not equal_zero(table[i][j][k][l]):
                         witnesses.append(((i, j, k, l), table[i][j][k][l]))
     return witnesses
+
+
+def per_pair_apply(conn, x, y):
+    """Reference: nabla_X Y as a sum of scaled frame fields, compacted once."""
+    cx = conn.basis.decompose(x)
+    cy = conn.basis.decompose(y)
+    out = zero_field(conn.chart)
+    for e, c in zip(conn.frame, cy):
+        out = out + e.scale(x.apply(c))
+    for (i, j, k), g in conn._entries():
+        if not (is_zero(cx[i]) or is_zero(cy[j])):
+            out = out + conn.frame[k].scale(cx[i] * cy[j] * g)
+    return VectorField(conn.chart, tuple(c.normal().as_expr() for c in out.components))
+
+
+def per_pair_coordinate_table(conn):
+    """Reference: one apply, with both decompositions, per coordinate pair."""
+    coords = coordinate_frame(conn.chart)
+    return tuple(tuple(per_pair_apply(conn, x, y) for y in coords) for x in coords)
+
+
+def per_pair_connections_equal(c1, c2):
+    """Reference: connections_equal over the per-pair tables."""
+    t1 = per_pair_coordinate_table(c1)
+    t2 = per_pair_coordinate_table(c2)
+    return all(
+        equal_zero(c)
+        for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2) for c in (f1 - f2).components
+    )
+
+
+def dense_oracle(para):
+    """Reference: every Levi-Civita Gamma^k_{ij}, differentiating G m times each."""
+    m = para.chart.dim
+    G = para.G
+    Ginv = sym_inverse([list(row) for row in G])
+    names = para.chart.names
+    gamma = []
+    for i in range(m):
+        block = []
+        for j in range(m):
+            row = []
+            for k in range(m):
+                total = ZERO
+                for l in range(m):
+                    term = (diff(G[j][l], names[i]) + diff(G[i][l], names[j])
+                            - diff(G[i][j], names[l]))
+                    total = total + Ginv[k][l] * term
+                row.append((Rat(1) / 2 * total).normal().as_expr())
+            block.append(tuple(row))
+        gamma.append(tuple(block))
+    return tuple(gamma)
+
+
+def table_strings(table):
+    return [[[str(c) for c in f.components] for f in row] for row in table]
 
 
 def fields_equal(a, b):
@@ -400,6 +460,84 @@ class TestLeafwiseAssembly:
         assert not is_zero(s.basis.structure_coeff(0, 1, 0))
         assert curvature(conn).nonzero_entries()
         assert torsion(conn).is_zero()
+
+
+def transport_pair():
+    """The canonical connection of a pushed parabola and a differing pushed one.
+
+    psi is a vertical cubic shear after an affine map; psi . bump, with the
+    extra quadratic shear bump, pushes the base connection elsewhere.
+    """
+    x = Chart(("x", "y")).coord(0)
+    s = parabola_structure(h_value=1 + x * x)
+    x, y = s.chart.coords()
+    shear = SmoothMap(s.chart, s.chart, (x, y + 2 * x ** 3), (x, y - 2 * x ** 3))
+    affine = SmoothMap(s.chart, s.chart, (x + 1, 2 * x + y - 1), (x - 1, y + 1 - 2 * (x - 1)))
+    psi = affine.compose(shear)
+    bump = SmoothMap(s.chart, s.chart, (x, y + x * x), (x, y - x * x))
+    pushed = christoffels(push_structure(psi, s))
+    return pushed, push_connection(psi.compose(bump), christoffels(s))
+
+
+CROSS_CHECKED = dict(STRUCTURES, **{
+    "parabola-dim8": lambda: lifted(parabola_structure(), 8),
+    "standard-dim8": lambda: lifted(standard_structure(), 8),
+})
+
+
+class TestOnePassCrossCheck:
+    """Coordinate tables, the oracle and connections_equal against the
+    per-pair and per-entry routes they replace: the same trees, verdicts
+    and zero-test draws."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
+    def test_oracle_matches_per_entry_formula(self, name):
+        para = para_structure(CROSS_CHECKED[name]())
+        oracle = levi_civita_oracle(para).gamma
+        reference = dense_oracle(para)
+        m = len(reference)
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    assert str(oracle[i][j][k]) == str(reference[i][j][k]), (i, j, k)
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
+    def test_tables_and_verdict_match_per_pair_route(self, name):
+        s = CROSS_CHECKED[name]()
+        hess = christoffels(s)
+        oracle = levi_civita_oracle(para_structure(s))
+        for conn in (hess, oracle):
+            assert (table_strings(connection_coordinate_table(conn))
+                    == table_strings(per_pair_coordinate_table(conn)))
+        runs = []
+        for same in (per_pair_connections_equal, connections_equal):
+            with check_stream("oracle"):
+                runs.append((same(hess, oracle), symexpr._check_rng.getstate()))
+        assert runs[0] == runs[1]
+        assert runs[1][0] is True
+
+    def test_differing_connections_same_false_verdict_and_draws(self):
+        pushed, wrong = transport_pair()
+        for conn in (pushed, wrong):
+            assert (table_strings(connection_coordinate_table(conn))
+                    == table_strings(per_pair_coordinate_table(conn)))
+        runs = []
+        for same in (per_pair_connections_equal, connections_equal):
+            with check_stream("control"):
+                runs.append((same(pushed, wrong), symexpr._check_rng.getstate()))
+        assert runs[0] == runs[1]
+        assert runs[1][0] is False
+
+    @pytest.mark.parametrize("name", ["parabola", "rescaled", "noncommuting-dim4"])
+    def test_apply_matches_per_pair_route(self, name):
+        s = STRUCTURES[name]()
+        conn = christoffels(s)
+        coords = s.chart.coords()
+        bent = VectorField(s.chart, [c * c + ONE for c in reversed(coords)])
+        fields = s.frame + (bent,)
+        for x in fields:
+            for y in fields:
+                assert str(conn.apply(x, y)) == str(per_pair_apply(conn, x, y))
 
 
 class TestCurvature:
