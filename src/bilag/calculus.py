@@ -578,7 +578,9 @@ def _eliminate(rows, ncols, swap=False):
     skipped.  The pivot row is scaled once to a unit pivot, and the unused
     rows are eliminated against it.  Every updated entry goes through
     symexpr.compact, which keeps it small and caches its normal form, and
-    entries are zero-tested through that form.
+    entries are zero-tested through that form.  Where the pivot row's entry
+    is zero, the update is compact(entry) itself: the same value and the
+    same canonical tree as compact(entry - factor * 0), without the sum.
 
     With `swap`, a pivot is brought into place by a row swap, as in
     textbook square elimination: the first row in scan order takes the
@@ -617,13 +619,14 @@ def _eliminate(rows, ncols, swap=False):
         inv_pivot = ONE / raw
         prow[col:] = [compact(e * inv_pivot) for e in prow[col:]]
         pivots.append((col, pivot_row, raw))
+        tail = [(c, prow[c], is_zero(prow[c])) for c in range(col, width)]
         for i in unused:
             row = rows[i]
             factor = row[col]
             if is_zero(factor):
                 continue
-            for c in range(col, width):
-                row[c] = compact(row[c] - factor * prow[c])
+            for c, p, p_zero in tail:
+                row[c] = compact(row[c] if p_zero else row[c] - factor * p)
     return pivots, unused
 
 

@@ -32,7 +32,9 @@ from .scene import (
     SceneError,
     SceneReport,
     Task,
+    _ARG_TYPES,
     _TASK_KEYS,
+    _typed_arg,
     load_scene,
     run_task,
     run_tasks,
@@ -118,10 +120,13 @@ def _adhoc_task(args) -> Task:
             if not sep:
                 raise SceneError(f"--bind needs NAME=EXPR, got {binding!r}")
             task_args[key] = value
+    name = f"cli-{op}"
     for key in _TASK_KEYS[op]:
         if getattr(args, key) is not None:
             task_args[key] = str(getattr(args, key))
-    return Task(f"cli-{op}", op, task_args)
+            if key in _ARG_TYPES:
+                _typed_arg(name, key, task_args[key])
+    return Task(name, op, task_args)
 
 
 def _emit(report: SceneReport, args) -> None:

@@ -20,10 +20,11 @@ acting as a wedge between forms (it stays integer power on scalars).
 
 Task lines name one of the operations validate, hess, christoffels,
 curvature, flat, para, push, lift, act-check, plot, followed by
-``key=value`` arguments; an argument the operation does not read makes the
-scene malformed.  Running tasks yields a report that prints as
-text or serializes to versioned, deterministic JSON (the per-task
-``timing_ms`` field is the documented exception).
+``key=value`` arguments; an argument the operation does not read, or a
+value that is not of its argument's type, makes the scene malformed.
+Running tasks yields a report that prints as text or serializes to
+versioned, deterministic JSON (the per-task ``timing_ms`` field is the
+documented exception).
 """
 
 from __future__ import annotations
@@ -411,6 +412,8 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                 if key in args:
                     raise SceneError(
                         f"task {label!r}: {op} argument {key!r} given twice", lineno)
+                if key in _ARG_TYPES:
+                    _typed_arg(label, key, value, lineno)
                 args[key] = value
             tasks.append(Task(label, op, args, lineno))
         else:
@@ -536,13 +539,49 @@ def _structure_payload(s):
     }
 
 
-def _parse_bool(raw: str, task: Task, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1"):
         return True
     if low in ("false", "no", "0"):
         return False
-    raise SceneError(f"task {task.name!r}: {key} must be true or false, got {raw!r}")
+    raise ValueError(raw)
+
+
+def _parse_frame(raw: str) -> str:
+    if raw not in ("foliation", "coordinate"):
+        raise ValueError(raw)
+    return raw
+
+
+def _parse_window(raw: str) -> tuple:
+    parts = raw.split(",")
+    if len(parts) != 4:
+        raise ValueError(raw)
+    return tuple(float(p) for p in parts)
+
+
+# The typed task arguments: what each must be, and how it reads.  A value
+# that does not read makes the scene malformed; a value that reads but lies
+# outside the operation's range is the task's error when it runs.
+_ARG_TYPES = {
+    "frame": ("foliation or coordinate", _parse_frame),
+    "expect": ("true or false", _parse_bool),
+    "k": ("an integer", int),
+    "leaves": ("an integer", int),
+    "steps": ("an integer", int),
+    "window": ("x0,x1,y0,y1", _parse_window),
+}
+
+
+def _typed_arg(task_name: str, key: str, raw: str, line: int = None):
+    """The value of a typed task argument; SceneError when it does not read."""
+    kind, parse = _ARG_TYPES[key]
+    try:
+        return parse(raw)
+    except ValueError:
+        raise SceneError(
+            f"task {task_name!r}: {key} must be {kind}, got {raw!r}", line) from None
 
 
 def _checks_payload(report):
@@ -589,9 +628,7 @@ def _run_hess(scene, task, options):
 
 
 def _run_christoffels(scene, task, options):
-    frame_kind = task.args.get("frame", "foliation")
-    if frame_kind not in ("foliation", "coordinate"):
-        raise SceneError(f"task {task.name!r}: frame must be foliation or coordinate")
+    frame_kind = _typed_arg(task.name, "frame", task.args.get("frame", "foliation"))
     s = scene.structure()
     conn = christoffels(s, frame_kind)
     if frame_kind == "foliation":
@@ -647,7 +684,7 @@ def _run_flat(scene, task, options):
     messages = [f"flat: {result.flat}"]
     messages += [f"{k} = {v}" for k, v in sorted(payload["witnesses"].items())]
     if "expect" in task.args:
-        expect = _parse_bool(task.args["expect"], task, "expect")
+        expect = _typed_arg(task.name, "expect", task.args["expect"])
         status = "pass" if result.flat == expect else "fail"
         messages.append(f"expected flat={expect}: {status}")
         return status, payload, messages
@@ -677,7 +714,7 @@ def _run_push(scene, task, options):
 
 
 def _run_lift(scene, task, options):
-    k = int(task.args.get("k", "1"))
+    k = _typed_arg(task.name, "k", task.args.get("k", "1"))
     fibers = task.args.get("fibers")
     s = scene.structure()
     max_dim = options.get("max_dim", DEFAULT_MAX_DIM)
@@ -712,7 +749,7 @@ def _run_act_check(scene, task, options):
         ],
     }
     messages = repr(result).splitlines()
-    expect = _parse_bool(task.args.get("expect", "true"), task, "expect")
+    expect = _typed_arg(task.name, "expect", task.args.get("expect", "true"))
     status = "pass" if result.equal == expect else "fail"
     return status, payload, messages
 
@@ -727,12 +764,9 @@ def _run_plot(scene, task, options):
     }
     window = Window()
     if "window" in task.args:
-        parts = task.args["window"].split(",")
-        if len(parts) != 4:
-            raise SceneError(f"task {task.name!r}: window must be x0,x1,y0,y1")
-        window = Window(*(float(p) for p in parts))
-    leaves = int(task.args.get("leaves", "9"))
-    steps = int(task.args.get("steps", "240"))
+        window = Window(*_typed_arg(task.name, "window", task.args["window"]))
+    leaves = _typed_arg(task.name, "leaves", task.args.get("leaves", "9"))
+    steps = _typed_arg(task.name, "steps", task.args.get("steps", "240"))
     out = options.get("out") or task.args.get("out")
     if not out:
         raise SceneError(f"task {task.name!r}: plot needs out=PATH or --out")

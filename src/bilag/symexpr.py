@@ -18,11 +18,21 @@ points: modulo the prime 2^61 - 1 first, and exactly wherever the residue
 contradicts the verdict or a denominator vanishes modulo the prime.  No
 floating point enters any decision.
 
+``poly_gcd`` first tries to prove a pair coprime, which most pairs that
+reach it are: it maps both polynomials modulo 2^61 - 1 to univariate images
+in each shared variable, the other variables fixed at residues that depend
+on their names alone (Brown's modular gcd, used as a certificate only).  If
+every image pair has a constant gcd and keeps a leading coefficient, no
+common factor can exist, because one would survive into the images; the
+gcd is then 1, exactly as the pseudo-remainder sequence would find it.  Any
+other outcome runs that sequence, so a result never depends on the test.
+
 ``compact`` is the one way to shrink a tree: it rebuilds the tree from its
 normal form and caches that (canonical) form on the result, so the rebuilt
-tree is never normalized again.  ``dot`` is the compacted sum of products.
-``NormalForm.as_expr`` stays uncached, so renormalizing its tree still
-tests that the form is canonical.
+tree is never normalized again; the form keeps the tree, so it is built
+once.  ``dot`` is the compacted sum of products.  ``NormalForm.as_expr``
+stays uncached, so renormalizing its tree still tests that the form is
+canonical.
 """
 
 from __future__ import annotations
@@ -119,11 +129,24 @@ class _ModZero(Exception):
     """A denominator vanishes modulo _P; exact evaluation must decide."""
 
 
+def _residue(c) -> int:
+    """The rational c modulo _P; _ModZero when its denominator is 0 mod _P."""
+    if c.__class__ is int:
+        return c % _P
+    if not c.denominator % _P:
+        raise _ModZero
+    return c.numerator * pow(c.denominator, -1, _P) % _P
+
+
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
 
 def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     exps = dict(m1)
     for var, e in m2:
         exps[var] = exps.get(var, 0) + e
@@ -407,11 +430,100 @@ def _content_in(p: Poly, var: str) -> Poly:
     return g
 
 
+def _gcd_point(name: str) -> int:
+    """The nonzero residue modulo _P at which the certificate fixes a variable.
+
+    A fixed function of the name's bytes: never drawn from the cross-check's
+    random stream, and never from hash(), which varies with PYTHONHASHSEED.
+    """
+    k = 0
+    for byte in name.encode():
+        k = (k * 131 + byte) % (_P - 1)
+    return pow(3, k + 1, _P)
+
+
+def _image(residues, var: str, points: dict) -> list:
+    """The univariate image in `var` modulo _P, constant term first.
+
+    `residues` holds a polynomial's (monomial, coefficient mod _P) pairs,
+    and every other variable v is fixed at points[v].  The list has one entry
+    per degree up to the polynomial's degree in `var`, so a zero last entry
+    means the leading coefficient vanished at the point.
+    """
+    coeffs: dict = {}
+    for m, r in residues:
+        k = 0
+        for v, e in m:
+            if v == var:
+                k = e
+            else:
+                r = r * pow(points[v], e, _P) % _P
+        coeffs[k] = coeffs.get(k, 0) + r
+    image = [0] * (max(coeffs) + 1)
+    for k, r in coeffs.items():
+        image[k] = r % _P
+    return image
+
+
+def _gcd_degree_mod(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over the integers modulo _P, by Euclid.
+
+    f and g are coefficient lists, constant term first, which the division
+    consumes; trailing zeros are dropped first, and an empty list is the
+    zero polynomial.
+    """
+    while f and not f[-1]:
+        f.pop()
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, _P)
+        while len(f) > dg:
+            q = f[-1] * inv % _P
+            shift = len(f) - 1 - dg
+            for i in range(dg):
+                f[shift + i] = (f[shift + i] - q * g[i]) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime(a: Poly, b: Poly, shared) -> bool:
+    """A proof that gcd(a, b) is constant, or False when there is none.
+
+    For each shared variable v, in sorted order, a and b are mapped modulo
+    _P to univariate images in v, every other variable at its _gcd_point.
+    The proof holds when, for every v, the images have a constant gcd and
+    at least one of them keeps its full degree in v.  A gcd g of degree
+    d >= 1 in v would have a leading coefficient in v dividing that image's
+    (nonzero) leading coefficient, so the image of g would keep degree d
+    and divide both images.  A denominator that is 0 mod _P, a pair of
+    vanished leading coefficients or an image gcd of positive degree gives
+    False, and the caller computes the gcd in full.
+    """
+    try:
+        ra = [(m, _residue(c)) for m, c in a.terms.items()]
+        rb = [(m, _residue(c)) for m, c in b.terms.items()]
+    except _ModZero:
+        return False
+    points = {v: _gcd_point(v) for v in a.variables() | b.variables()}
+    for var in sorted(shared):
+        fa, fb = _image(ra, var, points), _image(rb, var, points)
+        if not (fa[-1] or fb[-1]) or _gcd_degree_mod(fa, fb):
+            return False
+    return True
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd via a primitive pseudo-remainder sequence.
 
     Returns an integer-primitive polynomial with positive leading
-    coefficient (1 for nonzero constants).
+    coefficient (1 for nonzero constants).  A pair that _coprime proves
+    coprime returns 1 before the sequence starts; the proof is exact, so
+    the result is the one the sequence would give.
     """
     if a.is_zero and b.is_zero:
         return Poly({})
@@ -421,11 +533,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _int_primitive(a)
     if a.is_const or b.is_const:
         return _POLY_ONE
+    shared = a.variables() & b.variables()
+    if not shared or _coprime(a, b, shared):
+        return _POLY_ONE
     a = _int_primitive(a)
     b = _int_primitive(b)
-    shared = a.variables() & b.variables()
-    if not shared:
-        return _POLY_ONE
     var = sorted(shared)[0]
     ca, cb = _content_in(a, var), _content_in(b, var)
     g_cont = poly_gcd(ca, cb)
@@ -480,12 +592,13 @@ class NormalForm:
     rebuild a tree that still differentiates correctly.
     """
 
-    __slots__ = ("num", "den", "atoms")
+    __slots__ = ("num", "den", "atoms", "_tree")
 
     def __init__(self, num: Poly, den: Poly, atoms=None, reduced: bool = False):
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
         self.atoms = atoms or {}
+        self._tree = None
         if not reduced and not num.is_zero:
             num, den = _cancel(num, den)
         if num.is_zero:
@@ -752,12 +865,7 @@ class Rat(Expr):
         return Fraction(self.value) if not numeric else float(self.value)
 
     def _mod(self, env):
-        v = self.value
-        if v.__class__ is int:
-            return v % _P
-        if not v.denominator % _P:
-            raise _ModZero
-        return v.numerator * pow(v.denominator, -1, _P) % _P
+        return _residue(self.value)
 
 
 class _Leaf(Expr):
@@ -1359,15 +1467,24 @@ def normalize(e: Expr) -> NormalForm:
 
 
 def _cached_tree(nf: NormalForm) -> Expr:
-    """nf.as_expr(), with nf cached on the new tree unless it has a cache."""
-    out = nf.as_expr()
-    if out._nf is None:
-        out._nf = nf
+    """nf's canonical tree, built by nf.as_expr() once and kept on nf.
+
+    nf is cached on the new tree unless the tree has a cache already.
+    """
+    out = nf._tree
+    if out is None:
+        out = nf._tree = nf.as_expr()
+        if out._nf is None:
+            out._nf = nf
     return out
 
 
 def compact(e: Expr) -> Expr:
-    """The tree rebuilt from e's normal form, which it keeps as its cache."""
+    """The tree rebuilt from e's normal form, which it keeps as its cache.
+
+    The form keeps the tree in turn, so compacting a compacted tree, or
+    any tree with the same form object, hands back the same tree.
+    """
     return _cached_tree(as_expr(e).normal())
 
 

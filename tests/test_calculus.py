@@ -469,6 +469,18 @@ class TestEliminationKernel:
         swapped = [[ZERO, ONE, X], [ZERO, ONE, Y], [ONE, ZERO, ZERO]]
         assert str(sym_det(swapped)) == "(-1)*(x + (-1)*y)"
 
+    def test_zero_pivot_row_entry_still_compacts_the_entry(self):
+        # the pivot row's middle entry is 0, so row 1's middle entry is not
+        # updated; it is still replaced by its canonical tree
+        raw = X * X + X * Y - X * X
+        rows = [[ONE, ZERO, ONE], [X, raw, Y]]
+        assert str(raw) == "x*x + x*y + (-1)*x*x" and raw._nf is None
+        pivots, unused = calculus._eliminate(rows, 1)
+        assert [(c, i) for c, i, _ in pivots] == [(0, 0)] and unused == [1]
+        assert [str(e) for e in rows[1]] == ["0", "x*y", "(-1)*x + y"]
+        assert rows[1][0] is ZERO
+        assert rows[1][1].normal() is raw.normal()
+
 
 class TestFrameBasis:
     def test_structure_functions(self):

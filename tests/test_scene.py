@@ -185,6 +185,32 @@ class TestParsing:
         op = task.split()[0]
         assert str(err.value) == f"line {line}: task 'bad': {op} argument {key!r} given twice"
 
+    @pytest.mark.parametrize("task, key, kind, raw", [
+        ("flat expect=maybe", "expect", "true or false", "maybe"),
+        ("act-check map=shear expect=2", "expect", "true or false", "2"),
+        ("christoffels frame=weird", "frame", "foliation or coordinate", "weird"),
+        ("lift k=1.5", "k", "an integer", "1.5"),
+        ("lift k=", "k", "an integer", ""),
+        ("plot leaves=abc out=p.svg", "leaves", "an integer", "abc"),
+        ("plot steps=1e3 out=p.svg", "steps", "an integer", "1e3"),
+        ("plot window=0,1,0 out=p.svg", "window", "x0,x1,y0,y1", "0,1,0"),
+        ("plot window=0,1,a,2 out=p.svg", "window", "x0,x1,y0,y1", "0,1,a,2"),
+    ])
+    def test_malformed_task_argument_value_rejected(self, task, key, kind, raw):
+        text = PARABOLA_TEXT + f"task bad: {task}\n"
+        line = text.splitlines().index(f"task bad: {task}") + 1
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        assert str(err.value) == f"line {line}: task 'bad': {key} must be {kind}, got {raw!r}"
+
+    @pytest.mark.parametrize("task", [
+        "flat expect=No", "christoffels frame=coordinate", "lift k=-1",
+        "plot steps=0 leaves=-3 window=0,inf,0,1 out=p.svg",
+    ])
+    def test_well_typed_task_argument_value_accepted(self, task):
+        scene = loads(PARABOLA_TEXT + f"task ok: {task}\n")
+        assert scene.task("ok").operation == task.split()[0]
+
     def test_operations_inventory(self):
         assert OPERATIONS == (
             "validate", "hess", "christoffels", "curvature", "flat",
@@ -444,6 +470,40 @@ class TestCli:
         code = main(["report", "--scene", str(scene)])
         assert code == 2
         assert "flat argument 'expect' given twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, message", [
+        ("f: flat expect=maybe", "task 'f': expect must be true or false, got 'maybe'"),
+        ("c: christoffels frame=weird",
+         "task 'c': frame must be foliation or coordinate, got 'weird'"),
+        ("l: lift k=1.5", "task 'l': k must be an integer, got '1.5'"),
+        ("p: plot leaves=abc out=p.svg", "task 'p': leaves must be an integer, got 'abc'"),
+    ])
+    def test_malformed_task_argument_value_is_usage_error(self, capsys, tmp_path,
+                                                           task, message):
+        scene = tmp_path / "bad-value.scene"
+        scene.write_text(PARABOLA_TEXT + f"task {task}\n")
+        line = (PARABOLA_TEXT + f"task {task}\n").splitlines().index(f"task {task}") + 1
+        code = main(["report", "--scene", str(scene), "--format", "machine"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"bilag: line {line}: {message}\n"
+
+    def test_malformed_window_flag_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--scene", "parabola", "--bind", "h=1",
+                     "--window", "0,1,0", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "bilag: task 'cli-plot': window must be x0,x1,y0,y1, got '0,1,0'\n")
+        assert not out.exists()
+
+    def test_lift_with_negative_k_reports_error(self, capsys, tmp_path):
+        scene = tmp_path / "negative-k.scene"
+        scene.write_text(MINIMAL + "task up: lift k=-1\n")
+        code = main(["report", "--scene", str(scene), "--format", "machine"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["tasks"][-1]["status"] == "error"
 
     @pytest.mark.parametrize("scene, binds, named, declared", [
         ("parabola", ["z=1"], "z", "h"),

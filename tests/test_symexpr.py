@@ -536,3 +536,171 @@ def test_int_and_fraction_coefficients_are_interchangeable():
         got = Rat(value).normal().const_value()
         assert type(got) is Fraction and got == value
     assert type(Poly.const(Fraction(6, 3)).const_value()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# poly_gcd's coprimality certificate against the plain pseudo-remainder
+# sequence, which is kept here as the reference
+
+
+def _prs_content_in(p, var):
+    coeffs = list(p.coeffs_in(var).values())
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        g = prs_gcd(g, c)
+    return g
+
+
+def prs_gcd(a, b):
+    """poly_gcd without the certificate: the primitive PRS alone."""
+    prim, divexact = symexpr._int_primitive, symexpr._poly_divexact
+    if a.is_zero and b.is_zero:
+        return Poly({})
+    if a.is_zero:
+        return prim(b)
+    if b.is_zero:
+        return prim(a)
+    if a.is_const or b.is_const:
+        return Poly({(): 1})
+    a, b = prim(a), prim(b)
+    shared = a.variables() & b.variables()
+    if not shared:
+        return Poly({(): 1})
+    var = sorted(shared)[0]
+    ca, cb = _prs_content_in(a, var), _prs_content_in(b, var)
+    g_cont = prs_gcd(ca, cb)
+    pa, pb = prim(divexact(a, ca)), prim(divexact(b, cb))
+    if pa.degree_in(var) < pb.degree_in(var):
+        pa, pb = pb, pa
+    while not pb.is_zero:
+        r = symexpr._prem(pa, pb, var)
+        if r.is_zero:
+            pa = pb
+            break
+        pa, pb = pb, prim(divexact(r, _prs_content_in(r, var)))
+    return prim(g_cont * pa)
+
+
+def _poly(text, *shifted):
+    """The numerator of `text`, each variable in `shifted` read as v - point(v).
+
+    point is the certificate's fixed point, so call this inside a test.
+    """
+    shift = {v: parse_expr(f"{v} - {symexpr._gcd_point(v)}", (v,)) for v in shifted}
+    return substitute(parse_expr(text, ("x", "y", "z", "h_x")), shift).normal().num
+
+
+def _random_poly(rng, names, fractions=False):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple((v, e) for v in sorted(names) if (e := rng.randint(0, 2)))
+        c = rng.randint(-4, 4) or 1
+        if fractions and rng.random() < 0.5:
+            c = Fraction(c, rng.randint(2, 9))
+        terms[mono] = terms.get(mono, 0) + c
+    return Poly(terms)
+
+
+def _gcd_pool(seed=2031):
+    import random
+
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "h_x")
+    for _ in range(25):
+        fr = rng.random() < 0.3
+        a, b = _random_poly(rng, names, fr), _random_poly(rng, names, fr)
+        yield a, b                                      # mostly coprime
+        g1 = _random_poly(rng, (rng.choice(names),))    # a factor in one variable
+        yield a * g1, b * g1
+        g2 = _random_poly(rng, rng.sample(names, 2), fr)
+        yield a * g2 * g1, b * g2                       # in several, jets too
+        yield a, a.scale(Fraction(-3, 7))               # scalar multiples
+        yield a * b, b                                  # one divides the other
+        yield a * b + Poly({(): 1}), g2                 # coprime, most often
+
+
+def _assert_same_gcd(a, b):
+    got, want = symexpr.poly_gcd(a, b), prs_gcd(a, b)
+    assert got == want and str(got) == str(want), (str(a), str(b))
+    return got
+
+
+def test_poly_gcd_matches_the_plain_sequence_on_a_seeded_pool():
+    proved = nontrivial = 0
+    for a, b in _gcd_pool():
+        shared = a.variables() & b.variables()
+        if shared and not (a.is_const or b.is_const) and symexpr._coprime(a, b, shared):
+            proved += 1
+        if not _assert_same_gcd(a, b).is_const:
+            nontrivial += 1
+    assert proved > 20 and nontrivial > 40
+
+
+def test_certificate_proves_simple_coprime_pairs():
+    assert symexpr._coprime(_poly("x + 1"), _poly("x + 2"), {"x"})
+    assert symexpr._coprime(_poly("x*y + h_x"), _poly("x - y^2"), {"x", "y"})
+    assert not symexpr._coprime(_poly("x^2 - 1"), _poly("x + 1"), {"x"})
+
+
+def test_certificate_points_are_fixed_by_name():
+    # not hash(), which varies with PYTHONHASHSEED, nor the check stream
+    assert symexpr._gcd_point("x") == pow(3, 121, P)
+    assert symexpr._gcd_point("h_xy") == pow(
+        3, 1 + (((104 * 131 + 95) * 131 + 120) * 131 + 121) % (P - 1), P)
+
+
+def test_poly_gcd_leaves_the_check_stream_alone():
+    set_check_seed(4)
+    try:
+        before = symexpr._check_rng.getstate()
+        for a, b in _gcd_pool(7):
+            symexpr.poly_gcd(a, b)
+        assert symexpr._check_rng.getstate() == before
+    finally:
+        set_check_seed(symexpr._DEFAULT_CHECK_SEED)
+
+
+# Each side is a Poly, or the arguments of _poly
+@pytest.mark.parametrize("a, b, why", [
+    # g = x*y + 1 after the shift: its leading coefficient in x vanishes at
+    # y's point and in y at x's point, so every image of g is 1
+    (("(x*y + 1)*x", "x", "y"), ("(x*y + 1)*(x + 1)", "x", "y"),
+     "both leading coefficients vanish"),
+    (("(x*y + 1)*x^2", "x", "y"), ("(x*y + 1)*(x + 1)", "x", "y"),
+     "both leading coefficients vanish"),
+    # a's image in x is 0; the surviving image then is its own gcd
+    (("y*(x^2 + x)", "y"), ("x + 3",), "a zero image"),
+    (("y*(x^2 + x)", "y"), ("x*y + 3",), "a zero image"),
+    (Poly({(("x", 1),): Fraction(1, P), (): 1}), ("x + 1",),
+     "a denominator 0 mod p"),
+    (Poly({(("x", 1),): Fraction(1, P), (): Fraction(1, P)}), ("x + 1",),
+     "a denominator 0 mod p"),
+    # coprime in x, but (y + 1) is common: one variable is not every variable
+    (("(y + 1)*x",), ("(y + 1)*(x + 2)",), "a positive image gcd"),
+    (("(z + 1)*(x + y)",), ("(z + 1)*(x - y)",), "a positive image gcd"),
+])
+def test_inconclusive_certificates_fall_back_and_agree(a, b, why):
+    a, b = (p if isinstance(p, Poly) else _poly(*p) for p in (a, b))
+    shared = a.variables() & b.variables()
+    assert not symexpr._coprime(a, b, shared), why
+    _assert_same_gcd(a, b)
+    _assert_same_gcd(b, a)
+
+
+def test_hidden_common_factor_is_found():
+    a = _poly("(x*y + 1)*x", "x", "y")
+    b = _poly("(x*y + 1)*(x + 1)", "x", "y")
+    assert str(symexpr.poly_gcd(a, b)) == str(_poly("x*y + 1", "x", "y"))
+
+
+def test_compact_keeps_one_tree_per_form():
+    e = (X + Y) * (X - Y) / (X + 1)
+    nf = e.normal()
+    first = compact(e)
+    assert compact(e) is first and compact(first) is first
+    assert symexpr._cached_tree(nf) is first
+    # as_expr itself stays uncached, so renormalizing it tests canonicity
+    fresh = nf.as_expr()
+    assert fresh is not first and fresh is not nf.as_expr()
+    assert fresh._nf is None
+    assert str(fresh) == str(first)
