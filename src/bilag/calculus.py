@@ -31,6 +31,7 @@ from .symexpr import (
     dot,
     equal_zero,
     is_zero,
+    resolve_name,
     substitute,
 )
 
@@ -82,7 +83,8 @@ class SingularFrame(CalculusError):
 
 
 class Chart:
-    """An ordered tuple of coordinate names plus the opaque symbols in scope."""
+    """An ordered tuple of coordinate names plus the opaque symbols in scope;
+    no coordinate may hide a symbol or one of its jets by taking its name."""
 
     __slots__ = ("names", "symbols")
 
@@ -94,9 +96,15 @@ class Chart:
         for sym in self.symbols:
             for dep in sym.deps:
                 if dep not in self.names:
-                    raise ValueError(
-                        f"symbol {sym.name!r} depends on {dep!r} which is not a coordinate"
-                    )
+                    raise ValueError(f"symbol {sym.name!r} depends on {dep!r}, "
+                                     "which is not a chart coordinate")
+        for name in self.names:
+            try:
+                jet = resolve_name(name, (), self.symbols)
+            except KeyError:
+                continue
+            kind = "symbol" if jet.name == jet.symbol.name else "a jet of symbol"
+            raise ValueError(f"coordinate {name!r} is also the name of {kind} {jet.symbol.name!r}")
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,7 @@ from .scene import (
     Task,
     _ARG_TYPES,
     _TASK_KEYS,
+    _plot_binding,
     _typed_arg,
     load_scene,
     run_task,
@@ -165,6 +166,8 @@ def main(argv=None) -> int:
                         f"--bind names undeclared symbols: {', '.join(unknown)}; "
                         f"declared: {', '.join(declared) or 'none'}"
                     )
+                for key, _, raw in (b.partition("=") for b in args.bind):
+                    _plot_binding(task.name, key, raw, scene.chart)
             report = SceneReport(scene, [run_task(scene, task, **options)])
     except SceneError as exc:
         print(f"bilag: {exc}", file=sys.stderr)

@@ -86,6 +86,11 @@ def default_fiber_names(taken, count: int):
     return tuple(names)
 
 
+def _taken(*charts) -> set:
+    """The names no fiber coordinate may take: the charts' coordinates and symbols."""
+    return {name for c in charts for name in c.names + tuple(sym.name for sym in c.symbols)}
+
+
 def _transpose(m):
     return [list(row) for row in zip(*m)]
 
@@ -143,7 +148,7 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> LiftedStructure:
     n2 = s.chart.dim
     n = s.n
     if fiber_names is None:
-        fiber_names = default_fiber_names(s.chart.names, n2)
+        fiber_names = default_fiber_names(_taken(s.chart), n2)
     bundle = TrivialBundleChart(s.chart, fiber_names)
     omega_lift = trivial_bundle_symplectic(s.omega, bundle)
 
@@ -252,8 +257,7 @@ def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
     `preserves_form`; the lift itself is built for any diffeomorphism.
     """
     if fiber_names is None:
-        taken = set(psi.source.names) | set(psi.target.names)
-        fiber_names = default_fiber_names(taken, psi.source.dim)
+        fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
     source_bundle = TrivialBundleChart(psi.source, fiber_names)
     target_bundle = TrivialBundleChart(psi.target, fiber_names)
     fiber_coords = [Var(name) for name in fiber_names]
@@ -342,8 +346,7 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure,
     agreement of the two lifted symplectic forms.
     """
     if fiber_names is None:
-        taken = set(psi.source.names) | set(psi.target.names)
-        fiber_names = default_fiber_names(taken, psi.source.dim)
+        fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
     hat = lift_structure(push_structure(psi, s), fiber_names)
     lm = lift_map(psi, s.omega, fiber_names)
     tilde = push_structure(lm.map, lift_structure(s, fiber_names))

@@ -29,6 +29,7 @@ documented exception).
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import time
@@ -247,11 +248,15 @@ def _parse_symbol_decl(payload: str, chart_names, line: int) -> OpaqueSymbol:
     deps = [d for d in re.split(r"[,\s]+", deps_raw.strip()) if d]
     if not deps:
         raise SceneError(f"symbol {name!r} needs at least one dependency", line)
-    for d in deps:
-        if d not in chart_names:
-            raise SceneError(f"symbol {name!r} depends on {d!r}, "
-                             "which is not a chart coordinate", line)
-    return OpaqueSymbol(name, deps)
+    if "_" in name:
+        raise SceneError(f"symbol name {name!r} contains '_', which would split "
+                         "its jets' printed names", line)
+    try:
+        sym = OpaqueSymbol(name, deps)
+        Chart(chart_names, (sym,))
+    except ValueError as exc:
+        raise SceneError(str(exc), line) from None
+    return sym
 
 
 def _split_head(stripped: str, line: int):
@@ -414,6 +419,8 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                         f"task {label!r}: {op} argument {key!r} given twice", lineno)
                 if key in _ARG_TYPES:
                     _typed_arg(label, key, value, lineno)
+                elif key not in _TASK_KEYS[op]:
+                    _plot_binding(label, key, value, chart, lineno)
                 args[key] = value
             tasks.append(Task(label, op, args, lineno))
         else:
@@ -529,6 +536,10 @@ def _matrix_payload(mat):
     return [[_fmt(e) for e in row] for row in mat]
 
 
+def _curvature_payload(pairs):
+    return {f"R^{l + 1}_{i + 1}{j + 1}{k + 1}": _fmt(e) for (i, j, k, l), e in pairs}
+
+
 def _structure_payload(s):
     return {
         "chart": list(s.chart.names),
@@ -554,6 +565,13 @@ def _parse_frame(raw: str) -> str:
     return raw
 
 
+def _parse_names(raw: str) -> tuple:
+    names = tuple(raw.split(","))
+    if not all(_NAME_RE.match(n) for n in names):
+        raise ValueError(raw)
+    return names
+
+
 def _parse_window(raw: str) -> tuple:
     parts = raw.split(",")
     if len(parts) != 4:
@@ -567,6 +585,7 @@ def _parse_window(raw: str) -> tuple:
 _ARG_TYPES = {
     "frame": ("foliation or coordinate", _parse_frame),
     "expect": ("true or false", _parse_bool),
+    "fibers": ("comma-separated coordinate names", _parse_names),
     "k": ("an integer", int),
     "leaves": ("an integer", int),
     "steps": ("an integer", int),
@@ -582,6 +601,14 @@ def _typed_arg(task_name: str, key: str, raw: str, line: int = None):
     except ValueError:
         raise SceneError(
             f"task {task_name!r}: {key} must be {kind}, got {raw!r}", line) from None
+
+
+def _plot_binding(task_name: str, key: str, raw: str, chart: Chart, line: int = None):
+    """A plot binding's value over the chart coordinates, without symbols."""
+    try:
+        return parse_expr(raw, chart.names, ())
+    except ExprError as exc:
+        raise SceneError(f"task {task_name!r}: binding {key}={raw!r}: {exc}", line) from None
 
 
 def _checks_payload(report):
@@ -635,17 +662,11 @@ def _run_christoffels(scene, task, options):
         labels = scene.frame_labels()
     else:
         labels = list(scene.chart.names)
-    n = len(conn.frame)
-    table = {}
-    messages = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                value = conn.gamma[i][j][k]
-                key = f"Gamma^{k + 1}_{i + 1}{j + 1}"
-                table[key] = _fmt(value)
-                if table[key] != "0":
-                    messages.append(f"{key} = {table[key]}")
+    table = {
+        f"Gamma^{k + 1}_{i + 1}{j + 1}": _fmt(conn.coefficient(i, j, k))
+        for i, j, k in itertools.product(range(len(conn.frame)), repeat=3)
+    }
+    messages = [f"{key} = {value}" for key, value in table.items() if value != "0"]
     if not messages:
         messages.append("all coefficients vanish")
     payload = {
@@ -659,12 +680,8 @@ def _run_christoffels(scene, task, options):
 def _run_curvature(scene, task, options):
     s = scene.structure()
     curv = curvature(christoffels(s))
-    entries = {}
-    messages = []
-    for (i, j, k, l), value in curv.nonzero_entries():
-        key = f"R^{l + 1}_{i + 1}{j + 1}{k + 1}"
-        entries[key] = _fmt(value)
-        messages.append(f"{key} = {entries[key]}")
+    entries = _curvature_payload(curv.nonzero_entries())
+    messages = [f"{key} = {value}" for key, value in entries.items()]
     if not entries:
         messages.append("curvature vanishes")
     payload = {"nonzero": entries, "zero": not entries}
@@ -674,13 +691,7 @@ def _run_curvature(scene, task, options):
 def _run_flat(scene, task, options):
     s = scene.structure()
     result = is_flat(s)
-    payload = {
-        "flat": result.flat,
-        "witnesses": {
-            f"R^{l + 1}_{i + 1}{j + 1}{k + 1}": _fmt(e)
-            for (i, j, k, l), e in result.witnesses
-        },
-    }
+    payload = {"flat": result.flat, "witnesses": _curvature_payload(result.witnesses)}
     messages = [f"flat: {result.flat}"]
     messages += [f"{k} = {v}" for k, v in sorted(payload["witnesses"].items())]
     if "expect" in task.args:
@@ -715,13 +726,12 @@ def _run_push(scene, task, options):
 
 def _run_lift(scene, task, options):
     k = _typed_arg(task.name, "k", task.args.get("k", "1"))
-    fibers = task.args.get("fibers")
     s = scene.structure()
     max_dim = options.get("max_dim", DEFAULT_MAX_DIM)
-    if fibers is not None:
+    if "fibers" in task.args:
         if k != 1:
             raise SceneError(f"task {task.name!r}: explicit fibers only apply to k=1")
-        lifted = lift_structure(s, tuple(fibers.split(",")))
+        lifted = lift_structure(s, _typed_arg(task.name, "fibers", task.args["fibers"]))
     else:
         lifted = iterate_lift(s, k, max_dim)
     payload = {"k": k, "lifted": _structure_payload(lifted)}
@@ -759,7 +769,7 @@ def _run_plot(scene, task, options):
     if s.chart.dim != 2:
         raise PlotError(f"leaf plots need a 2-dimensional chart, got {s.chart.dim}")
     bindings = {
-        key: parse_expr(raw, scene.chart.names, ())
+        key: _plot_binding(task.name, key, raw, scene.chart)
         for key, raw in task.args.items() if key not in _TASK_KEYS["plot"]
     }
     window = Window()

@@ -316,49 +316,60 @@ def _dense(n, rank, entry, idx=()):
     return tuple(_dense(n, rank, entry, idx + (i,)) for i in range(n))
 
 
-def _nonzero_entries(table, rank):
-    """(index tuple, entry) for each entry of a `rank`-deep table with a
-    nonzero normal form, in lexicographic index order."""
-    rows = [((), table)]
-    for _ in range(rank - 1):
-        rows = [(idx + (i,), sub) for idx, t in rows for i, sub in enumerate(t)]
-    return [(idx + (l,), e) for idx, row in rows for l, e in enumerate(row) if not is_zero(e)]
-
-
-class Connection:
-    """Christoffel data Gamma[i][j][k] on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k.
-
-    `frame_fields` is the frame, or a FrameBasis over it whose cached
-    inverse and structure functions the connection then shares.
+class _FrameTable:
+    """A sparse table of frame coefficients: `entries` maps each index tuple
+    whose entry has a nonzero normal form to that entry, in lexicographic
+    order.  It is built from (index tuple, entry) pairs in any order.
     """
 
-    __slots__ = ("basis", "gamma", "_nonzero")
+    __slots__ = ("frame", "entries")
+    rank = 0
 
-    def __init__(self, frame_fields, gamma):
-        if isinstance(frame_fields, FrameBasis):
-            self.basis = frame_fields
+    def __init__(self, frame, entries):
+        self.frame = tuple(frame)
+        nonzero = [(idx, e) for idx, e in entries if not is_zero(e)]
+        self.entries = {idx: as_expr(e) for idx, e in sorted(nonzero, key=lambda p: p[0])}
+
+    def coefficient(self, *idx) -> Expr:
+        """The entry at the given frame indices (0-based)."""
+        return self.entries.get(idx, ZERO)
+
+    def nonzero_entries(self):
+        """(index tuple, entry) for each nonzero entry, in lexicographic order."""
+        return list(self.entries.items())
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    @property
+    def table(self):
+        """A dense view: all n**rank slots rebuilt on each read (O(n^rank))."""
+        return _dense(len(self.frame), self.rank, self.coefficient)
+
+
+class Connection(_FrameTable):
+    """Christoffel data on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k.
+
+    `frame_or_basis` is the frame, or a FrameBasis over it whose cached
+    inverse and structure functions the connection then shares; `entries`
+    are ((i, j, k), Gamma^k_{ij}) pairs.
+    """
+
+    __slots__ = ("basis",)
+    rank = 3
+
+    def __init__(self, frame_or_basis, entries):
+        if isinstance(frame_or_basis, FrameBasis):
+            self.basis = frame_or_basis
         else:
-            self.basis = FrameBasis(frame_fields)
-        self.gamma = _dense(len(gamma), 3, lambda i, j, k: as_expr(gamma[i][j][k]))
-        self._nonzero = None
+            self.basis = FrameBasis(frame_or_basis)
+        super().__init__(self.basis.fields, entries)
 
     @property
     def chart(self) -> Chart:
         return self.basis.chart
 
-    @property
-    def frame(self) -> tuple:
-        return self.basis.fields
-
-    def coefficient(self, i: int, j: int, k: int) -> Expr:
-        """Gamma^k_{ij} (0-based indices)."""
-        return self.gamma[i][j][k]
-
-    def _entries(self):
-        """The nonzero ((i, j, k), Gamma^k_{ij}), in lexicographic order."""
-        if self._nonzero is None:
-            self._nonzero = _nonzero_entries(self.gamma, 3)
-        return self._nonzero
+    gamma = _FrameTable.table  # Gamma[i][j][k], all n^3 slots per read
 
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary fields, by expanding in the frame.
@@ -376,7 +387,7 @@ class Connection:
         against the frame's component rows.
         """
         coeffs = [x.apply(c) for c in cy]
-        for (i, j, k), g in self._entries():
+        for (i, j, k), g in self.entries.items():
             if not (is_zero(cx[i]) or is_zero(cy[j])):
                 coeffs[k] = coeffs[k] + cx[i] * cy[j] * g
         return VectorField(self.chart, [dot(row, coeffs) for row in self.basis.matrix])
@@ -384,7 +395,7 @@ class Connection:
     def __repr__(self):
         entries = [
             f"Gamma^{k + 1}_{i + 1}{j + 1} = {g.normal()}"
-            for (i, j, k), g in self._entries()
+            for (i, j, k), g in self.entries.items()
         ]
         return "Connection(" + ("; ".join(entries) or "flat coefficients") + ")"
 
@@ -410,53 +421,24 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
     if frame == "coordinate":
         fields = coordinate_frame(s.chart)
         basis = FrameBasis(fields)
-        gamma = tuple(
-            tuple(basis.decompose(hess_nabla(s, x, y)) for y in fields)
-            for x in fields
-        )
-        return Connection(basis, gamma)
+        return Connection(basis, [
+            ((i, j, k), g)
+            for i, x in enumerate(fields) for j, y in enumerate(fields)
+            for k, g in enumerate(basis.decompose(hess_nabla(s, x, y)))
+        ])
     n = s.n
     fields = s.frame
     basis = s.basis
-    gamma = []
+    entries = []
     for i, x in enumerate(fields):
-        block = []
         for j, y in enumerate(fields):
             if i // n == j // n:
-                block.append(basis.decompose(d_map(s, x, y)))
+                entries += (((i, j, k), g)
+                            for k, g in enumerate(basis.decompose(d_map(s, x, y))))
             else:
-                leaf = range(j // n * n, j // n * n + n)
-                block.append(tuple(
-                    compact(basis.structure_coeff(i, j, k)) if k in leaf else ZERO
-                    for k in range(2 * n)
-                ))
-        gamma.append(tuple(block))
-    return Connection(basis, tuple(gamma))
-
-
-class _FrameTable:
-    """A dense table of frame coefficients, nested `rank` tuples deep."""
-
-    __slots__ = ("frame", "table")
-    rank = 0
-
-    def __init__(self, frame, table):
-        self.frame = tuple(frame)
-        self.table = table
-
-    def coefficient(self, *idx) -> Expr:
-        """The entry at the given frame indices (0-based)."""
-        entry = self.table
-        for i in idx:
-            entry = entry[i]
-        return entry
-
-    def nonzero_entries(self):
-        """(index tuple, entry) for each nonzero entry, in lexicographic order."""
-        return _nonzero_entries(self.table, self.rank)
-
-    def is_zero(self) -> bool:
-        return not self.nonzero_entries()
+                entries += (((i, j, k), compact(basis.structure_coeff(i, j, k)))
+                            for k in range(j // n * n, j // n * n + n))
+    return Connection(basis, entries)
 
 
 class TorsionTensor(_FrameTable):
@@ -474,9 +456,12 @@ def torsion(conn) -> TorsionTensor:
     """
     if isinstance(conn, BiLagStructure):
         conn = christoffels(conn)
-    g, c = conn.gamma, conn.basis.structure_coeff
-    table = _dense(len(g), 3, lambda i, j, k: compact(g[i][j][k] - g[j][i][k] - c(i, j, k)))
-    return TorsionTensor(conn.frame, table)
+    g, c = conn.coefficient, conn.basis.structure_coeff
+    n = len(conn.frame)
+    return TorsionTensor(conn.frame, [
+        ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
+        for i in range(n) for j in range(n) if i != j for k in range(n)
+    ])
 
 
 class CurvatureTensor(_FrameTable):
@@ -513,7 +498,7 @@ def curvature(conn) -> CurvatureTensor:
     Only the products of nonzero Gamma entries and nonzero structure
     functions c are formed, and only for i < j: R is antisymmetric in i
     and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  The
-    table is dense, with ZERO in every slot no product reaches.
+    table stores only the entries with a nonzero normal form.
 
     Accepts a Connection, or a BiLagStructure whose canonical connection
     is computed first.
@@ -523,9 +508,9 @@ def curvature(conn) -> CurvatureTensor:
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
     gam = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j, k), g in conn._entries():
+    for (i, j, k), g in conn.entries.items():
         gam[i][j].append((k, g))
-    table = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    entries = []
     for i in range(n):
         for j in range(i + 1, n):
             struct = [
@@ -538,12 +523,8 @@ def curvature(conn) -> CurvatureTensor:
                     acc[l] = acc.get(l, ZERO) + term
                 for l, val in acc.items():
                     entry = compact(val)
-                    table[i][j][k][l] = entry
-                    table[j][i][k][l] = compact(-entry)
-    return CurvatureTensor(
-        conn.frame,
-        tuple(tuple(tuple(tuple(row) for row in plane) for plane in block) for block in table),
-    )
+                    entries += (((i, j, k, l), entry), ((j, i, k, l), compact(-entry)))
+    return CurvatureTensor(conn.frame, entries)
 
 
 class FlatnessResult:
@@ -574,11 +555,9 @@ class FlatnessResult:
 def is_flat(s: BiLagStructure) -> FlatnessResult:
     """Does the canonical connection have vanishing curvature?
 
-    Every curvature entry with a nonzero normal form is put through the
+    Every curvature entry the sparse table stores is put through the
     dual-route zero test, in lexicographic order; the entries it confirms
-    nonzero are returned as the certificate.  Every other entry is the
-    shared literal ZERO (compact returns it for a zero form), whose test
-    would draw no point, so it is skipped.
+    nonzero are returned as the certificate.
     """
     conn = christoffels(s, "foliation")
     curv = curvature(conn)
@@ -660,7 +639,7 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     Ginv = sym_inverse([list(row) for row in G])
     names = chart.names
     half = Rat(1) / 2
-    second = {}
+    entries = []
     for i in range(m):
         for j in range(i, m):
             first = [
@@ -668,9 +647,10 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
                                 - diff(G[i][j], names[l])))
                 for l in range(m)
             ]
-            second[i, j] = [dot(row, first) for row in Ginv]
-    return Connection(coordinate_frame(chart),
-                      _dense(m, 3, lambda i, j, k: second[min(i, j), max(i, j)][k]))
+            for k, row in enumerate(Ginv):
+                g = dot(row, first)
+                entries += (((i, j, k), g), ((j, i, k), g))
+    return Connection(coordinate_frame(chart), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +673,8 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:
     """The image connection: pushed frame with composed coefficients."""
     new_frame = tuple(pushforward_field(psi, e) for e in conn.frame)
-    g = conn.gamma
-    return Connection(new_frame, _dense(len(g), 3, lambda i, j, k: psi.push_scalar(g[i][j][k])))
+    return Connection(new_frame,
+                      [(idx, psi.push_scalar(g)) for idx, g in conn.entries.items()])
 
 
 def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:

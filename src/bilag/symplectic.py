@@ -176,12 +176,7 @@ class TrivialBundleChart:
         self.base = base
         self.fiber_names = tuple(fiber_names)
         if len(self.fiber_names) != base.dim:
-            raise ValueError(
-                f"need {base.dim} fiber names, got {len(self.fiber_names)}"
-            )
-        clash = set(self.fiber_names) & set(base.names)
-        if clash:
-            raise ValueError(f"fiber names collide with base coordinates: {sorted(clash)}")
+            raise ValueError(f"need {base.dim} fiber names, got {len(self.fiber_names)}")
         self.chart = Chart(base.names + self.fiber_names, base.symbols)
 
     @property

@@ -1,0 +1,89 @@
+"""The sparse frame tables: Gamma, T and R store only their nonzero entries."""
+
+import itertools
+
+import pytest
+
+from bilag.structures import (
+    Connection,
+    christoffels,
+    curvature,
+    is_flat,
+    levi_civita_oracle,
+    para_structure,
+    torsion,
+)
+from bilag.symexpr import ZERO, is_zero
+from test_structures import STRUCTURES, lifted, parabola_structure
+
+# every pool structure at its own dimension and lifted to dims 4 and 8
+NATIVE_DIM = {name: make().chart.dim for name, make in STRUCTURES.items()}
+CASES = [(name, dim) for name in sorted(STRUCTURES) for dim in (2, 4, 8)
+         if dim >= NATIVE_DIM[name]]
+
+
+def build(name, dim):
+    return lifted(STRUCTURES[name](), dim)
+
+
+def tables(s):
+    conn = christoffels(s)
+    return {
+        "gamma": conn,
+        "gamma-coordinate": christoffels(s, "coordinate"),
+        "torsion": torsion(conn),
+        "curvature": curvature(conn),
+        "oracle": levi_civita_oracle(para_structure(s)),
+    }
+
+
+def dense_cells(view, rank):
+    """(index tuple, entry) for every slot of a nested-tuple view."""
+    cells = [((), view)]
+    for _ in range(rank):
+        cells = [(idx + (i,), sub) for idx, t in cells for i, sub in enumerate(t)]
+    return cells
+
+
+@pytest.mark.parametrize("name, dim", CASES)
+def test_tables_store_only_nonzero_entries_in_order(name, dim):
+    for label, table in tables(build(name, dim)).items():
+        keys = list(table.entries)
+        assert keys == sorted(keys), label
+        assert not any(is_zero(e) for e in table.entries.values()), label
+        assert table.nonzero_entries() == list(table.entries.items()), label
+        assert table.is_zero() == (not keys), label
+
+
+@pytest.mark.parametrize("name, dim", CASES)
+def test_coefficient_and_dense_views_agree(name, dim):
+    for label, table in tables(build(name, dim)).items():
+        n = len(table.frame)
+        views = [table.table] + ([table.gamma] if isinstance(table, Connection) else [])
+        for idx in itertools.product(range(n), repeat=table.rank):
+            entry = table.coefficient(*idx)
+            if idx not in table.entries:
+                assert entry is ZERO, (label, idx)
+            else:
+                assert entry is table.entries[idx], (label, idx)
+        for view in views:
+            cells = dense_cells(view, table.rank)
+            assert len(cells) == n ** table.rank, label
+            for idx, entry in cells:
+                assert entry is table.coefficient(*idx), (label, idx)
+
+
+def test_table_constructor_sorts_and_drops_zero_forms():
+    conn = christoffels(STRUCTURES["parabola"]())
+    x = conn.chart.coords()[0]
+    pairs = [((1, 1, 1), x), ((0, 0, 0), x - x), ((0, 1, 0), 2 * x)]
+    rebuilt = type(conn)(conn.basis, pairs)
+    assert list(rebuilt.entries) == [(0, 1, 0), (1, 1, 1)]
+    assert rebuilt.coefficient(0, 0, 0) is ZERO
+
+
+def test_dim16_parabola_flatness_stores_four_curvature_entries():
+    verdict = is_flat(lifted(parabola_structure(), 16))
+    assert not verdict.flat
+    assert len(verdict.curvature.entries) == 4
+    assert [idx for idx, _ in verdict.witnesses] == list(verdict.curvature.entries)

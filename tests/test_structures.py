@@ -180,7 +180,7 @@ def per_pair_apply(conn, x, y):
     out = zero_field(conn.chart)
     for e, c in zip(conn.frame, cy):
         out = out + e.scale(x.apply(c))
-    for (i, j, k), g in conn._entries():
+    for (i, j, k), g in conn.nonzero_entries():
         if not (is_zero(cx[i]) or is_zero(cy[j])):
             out = out + conn.frame[k].scale(cx[i] * cy[j] * g)
     return VectorField(conn.chart, tuple(c.normal().as_expr() for c in out.components))
