@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from .symexpr import (
     Expr,
+    Rat,
     Var,
     ZERO,
     ONE,
     as_expr,
     compact,
+    coordinates,
     diff,
     directional,
     dot,
@@ -60,6 +62,7 @@ __all__ = [
     "span_membership",
     "FrameBasis",
     "frame_rank_full",
+    "component_matrix",
     "sym_det",
     "sym_solve",
     "sym_inverse",
@@ -138,73 +141,115 @@ def _require_same_chart(*objs):
         raise ChartMismatch(f"objects live on different charts: {sorted(charts)}")
 
 
-class VectorField:
-    """A vector field written in the coordinate frame of its chart."""
+def _literal_zero(c) -> bool:
+    return c.__class__ is Rat and c.value == 0
 
-    __slots__ = ("chart", "components")
+
+class VectorField:
+    """A vector field written in the coordinate frame of its chart.
+
+    Only the components that are not the literal rational 0 are stored:
+    `entries` maps each such index to its component, in ascending index
+    order, and a missing index reads as ZERO.  A component that is zero only
+    after normalization, such as x - x, is kept.  The constructor takes all
+    chart.dim components, and `components` is that dense tuple again;
+    `from_entries` builds a field from its nonzero components alone.
+    Operations walk the stored components in ascending index order, so each
+    builds the tree the dense loop over every index builds.
+    """
+
+    __slots__ = ("chart", "entries")
 
     def __init__(self, chart: Chart, components):
+        # one pass with the zero test inline: dim-2 fields are built by
+        # the thousand, and this keeps them as cheap as a dense tuple
+        entries = {}
+        n = 0
+        for c in components:
+            if not isinstance(c, Expr):
+                c = as_expr(c)
+            if c.__class__ is not Rat or c.value:
+                entries[n] = c
+            n += 1
+        if n != chart.dim:
+            raise ValueError(f"expected {chart.dim} components, got {n}")
         self.chart = chart
-        self.components = tuple(as_expr(c) for c in components)
-        if len(self.components) != chart.dim:
-            raise ValueError(
-                f"expected {chart.dim} components, got {len(self.components)}"
-            )
+        self.entries = entries
+
+    @classmethod
+    def from_entries(cls, chart: Chart, entries) -> "VectorField":
+        """The field with the given (index, component) pairs, which come in
+        ascending index order; literal zeros among them are dropped."""
+        field = object.__new__(cls)
+        field.chart = chart
+        field.entries = {i: c for i, c in entries if c.__class__ is not Rat or c.value}
+        return field
+
+    def component(self, i: int) -> Expr:
+        return self.entries.get(i, ZERO)
+
+    @property
+    def components(self) -> tuple:
+        """All chart.dim components, ZERO at each index not stored."""
+        return tuple(self.entries.get(i, ZERO) for i in range(self.chart.dim))
+
+    def _combine(self, other: "VectorField", op) -> "VectorField":
+        _require_same_chart(self, other)
+        a, b = self.entries, other.entries
+        return VectorField.from_entries(self.chart, (
+            (i, op(a.get(i, ZERO), b.get(i, ZERO))) for i in sorted(a.keys() | b.keys())
+        ))
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        _require_same_chart(self, other)
-        return VectorField(
-            self.chart,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
+        return self._combine(other, Expr.__add__)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        _require_same_chart(self, other)
-        return VectorField(
-            self.chart,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
+        return self._combine(other, Expr.__sub__)
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, tuple(-c for c in self.components))
+        return VectorField.from_entries(self.chart, ((i, -c) for i, c in self.entries.items()))
 
     def scale(self, f) -> "VectorField":
         f = as_expr(f)
-        return VectorField(self.chart, tuple(f * c for c in self.components))
+        return VectorField.from_entries(self.chart, ((i, f * c) for i, c in self.entries.items()))
 
     def __rmul__(self, f):
         return self.scale(f)
 
+    def _derivation(self):
+        """The stored components and their coordinate names, for directional."""
+        names = self.chart.names
+        return list(self.entries.values()), [names[i] for i in self.entries]
+
     def apply(self, f: Expr) -> Expr:
         """Directional derivative of a scalar."""
-        return directional(self.components, self.chart.names, f)
+        return directional(*self._derivation(), f)
 
     def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.components)
+        return all(is_zero(c) for c in self.entries.values())
 
     def __str__(self):
-        parts = []
-        for c, name in zip(self.components, self.chart.names):
-            if is_zero(c):
-                continue
-            parts.append(f"({c})*@{name}")
+        names = self.chart.names
+        parts = [f"({c})*@{names[i]}" for i, c in self.entries.items() if not is_zero(c)]
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
 
 def zero_field(chart: Chart) -> VectorField:
-    return VectorField(chart, (ZERO,) * chart.dim)
+    return VectorField.from_entries(chart, ())
 
 
 def coordinate_frame(chart: Chart):
     """The tuple of coordinate vector fields."""
-    fields = []
-    for i in range(chart.dim):
-        comps = [ZERO] * chart.dim
-        comps[i] = ONE
-        fields.append(VectorField(chart, comps))
-    return tuple(fields)
+    return tuple(VectorField.from_entries(chart, ((i, ONE),)) for i in range(chart.dim))
+
+
+def component_matrix(fields) -> list:
+    """The dense matrix, as fresh row lists, whose column j holds the
+    components of fields[j]."""
+    m = fields[0].chart.dim
+    return [[f.entries.get(i, ZERO) for f in fields] for i in range(m)]
 
 
 class KForm:
@@ -229,7 +274,7 @@ class KForm:
             if any(j < 0 or j >= chart.dim for j in idx):
                 raise ValueError(f"index {idx} out of chart range")
             c = as_expr(c)
-            if isinstance(c, type(ZERO)) and getattr(c, "value", None) == 0:
+            if _literal_zero(c):
                 continue
             clean[idx] = c
         self.coeffs = clean
@@ -279,10 +324,13 @@ class KForm:
         if self.degree == 0:
             return self.coeffs.get((), ZERO)
         _require_same_chart(self, *fields)
+        # a minor with a row no field holds has the literal determinant 0
+        held = set().union(*(f.entries for f in fields))
         total = ZERO
         for idx, c in self.coeffs.items():
-            minor = [[f.components[i] for f in fields] for i in idx]
-            total = total + c * _small_det(minor)
+            if held.issuperset(idx):
+                minor = [[f.entries.get(i, ZERO) for f in fields] for i in idx]
+                total = total + c * _small_det(minor)
         return total
 
     def is_zero(self) -> bool:
@@ -361,7 +409,7 @@ def _small_det(rows) -> Expr:
     total = ZERO
     for j in range(n):
         entry = rows[0][j]
-        if isinstance(entry, type(ZERO)) and getattr(entry, "value", None) == 0:
+        if _literal_zero(entry):
             continue
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
         term = entry * _small_det(minor)
@@ -374,13 +422,19 @@ def _small_det(rows) -> Expr:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^j = X(Y^j) - Y(X^j)."""
+    """[X, Y]^j = X(Y^j) - Y(X^j).
+
+    Only the indices j where X^j or Y^j is not a constant are formed, in
+    ascending order; at every other index both derivatives are 0.
+    """
     _require_same_chart(x, y)
-    comps = tuple(
-        x.apply(y.components[j]) - y.apply(x.components[j])
-        for j in range(x.chart.dim)
-    )
-    return VectorField(x.chart, comps)
+    xe, ye = x.entries, y.entries
+    support = sorted({j for e in (xe, ye) for j, c in e.items() if not isinstance(c, Rat)})
+    along_x, along_y = x._derivation(), y._derivation()
+    return VectorField.from_entries(x.chart, (
+        (j, directional(*along_x, ye.get(j, ZERO)) - directional(*along_y, xe.get(j, ZERO)))
+        for j in support
+    ))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -401,14 +455,19 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 
 def exterior_d(a: KForm) -> KForm:
-    """Exterior derivative."""
+    """Exterior derivative.
+
+    Each coefficient is differentiated only along the coordinates it
+    depends on, in ascending order; every other derivative is the literal 0.
+    """
     chart = a.chart
     coeffs: dict = {}
     for idx, c in a.coeffs.items():
-        for j in range(chart.dim):
-            if j in idx:
+        deps = coordinates(c)
+        for j, name in enumerate(chart.names):
+            if j in idx or name not in deps:
                 continue
-            dc = diff(c, chart.names[j])
+            dc = diff(c, name)
             if is_zero(dc):
                 continue
             pos = sum(1 for i in idx if i < j)
@@ -423,13 +482,18 @@ def interior_product(x: VectorField, a: KForm) -> KForm:
     _require_same_chart(x, a)
     if a.degree == 0:
         raise DegreeError("interior product with a 0-form")
+    held = x.entries
     coeffs: dict = {}
     for idx, c in a.coeffs.items():
         for r, i in enumerate(idx):
-            term = c * x.components[i]
+            key = idx[:r] + idx[r + 1:]
+            if i not in held:
+                # the product is 0: the key still takes its place in order
+                coeffs.setdefault(key, ZERO)
+                continue
+            term = c * held[i]
             if r % 2 == 1:
                 term = -term
-            key = idx[:r] + idx[r + 1:]
             coeffs[key] = coeffs.get(key, ZERO) + term
     return KForm(a.chart, a.degree - 1, coeffs)
 
@@ -540,8 +604,8 @@ def pushforward_field(psi: SmoothMap, x: VectorField) -> VectorField:
     pushed = []
     for i in range(psi.target.dim):
         total = ZERO
-        for j in range(psi.source.dim):
-            total = total + jac[i][j] * x.components[j]
+        for j, c in x.entries.items():
+            total = total + jac[i][j] * c
         pushed.append(psi.push_scalar(total))
     return VectorField(psi.target, pushed)
 
@@ -709,11 +773,7 @@ def frame_decompose(x: VectorField, frame) -> tuple:
     n = x.chart.dim
     if len(frame) != n:
         raise ValueError(f"need {n} frame fields, got {len(frame)}")
-    matrix = [[frame[j].components[i] for j in range(n)] for i in range(n)]
-    try:
-        return sym_solve(matrix, list(x.components))
-    except SingularFrame:
-        raise SingularFrame("frame fields are linearly dependent") from None
+    return FrameBasis(frame).decompose(x)
 
 
 def span_membership(xs, fields) -> tuple:
@@ -734,10 +794,8 @@ def span_membership(xs, fields) -> tuple:
         return ()
     fields = tuple(fields)
     _require_same_chart(*xs, *fields)
-    m = xs[0].chart.dim
     r = len(fields)
-    rows = [[f.components[i] for f in fields] + [x.components[i] for x in xs]
-            for i in range(m)]
+    rows = component_matrix(fields + xs)
     pivots, unused = _eliminate(rows, r)
     witnesses = [next((i for i in unused if not equal_zero(rows[i][r + k])), None)
                  for k in range(len(xs))]
@@ -749,11 +807,19 @@ def span_membership(xs, fields) -> tuple:
 
 
 class FrameBasis:
-    """A full frame with cached inverse matrix and structure functions."""
+    """A full frame with cached inverse matrix and structure functions.
 
-    __slots__ = ("chart", "fields", "_matrix", "_inverse", "_structure")
+    `matrix` and `inverse` keep their rows sparse, as the fields do: each
+    row is a dict from column index to each entry that is not the literal
+    0, in ascending column order.  A product of a row with a field sums
+    over the indices both hold, in ascending order.  `brackets`, if given,
+    maps pairs (i, j) with i < j to the known brackets [E_i, E_j], which
+    structure_functions takes instead of bracketing those pairs again.
+    """
 
-    def __init__(self, fields):
+    __slots__ = ("chart", "fields", "_matrix", "_inverse", "_structure", "_brackets")
+
+    def __init__(self, fields, brackets=None):
         self.fields = tuple(fields)
         if not self.fields:
             raise ValueError("empty frame")
@@ -766,29 +832,35 @@ class FrameBasis:
         self._matrix = None
         self._inverse = None
         self._structure = None
+        self._brackets = brackets or {}
 
     @property
     def matrix(self):
         """Columns are the frame fields' components."""
         if self._matrix is None:
-            n = self.chart.dim
-            self._matrix = tuple(
-                tuple(self.fields[j].components[i] for j in range(n))
-                for i in range(n)
-            )
+            rows = [{} for _ in self.fields]
+            for j, f in enumerate(self.fields):
+                for i, c in f.entries.items():
+                    rows[i][j] = c
+            self._matrix = tuple(rows)
         return self._matrix
 
     @property
     def inverse(self):
         if self._inverse is None:
             try:
-                self._inverse = sym_inverse(self.matrix)
+                dense = sym_inverse(component_matrix(self.fields))
             except SingularFrame:
                 raise SingularFrame("frame fields are linearly dependent") from None
+            self._inverse = tuple(
+                {j: e for j, e in enumerate(row) if not _literal_zero(e)} for row in dense
+            )
         return self._inverse
 
     def decompose(self, x: VectorField) -> tuple:
-        return tuple(dot(row, x.components) for row in self.inverse)
+        """The frame coefficients of x: one dot of each inverse row with
+        x's stored components."""
+        return tuple(dot(row, x.entries) for row in self.inverse)
 
     def structure_functions(self) -> dict:
         """c[i, j] with [E_i, E_j] = sum_k c[i, j][k] E_k, for i < j."""
@@ -797,9 +869,10 @@ class FrameBasis:
             n = len(self.fields)
             for i in range(n):
                 for j in range(i + 1, n):
-                    out[(i, j)] = self.decompose(
-                        lie_bracket(self.fields[i], self.fields[j])
-                    )
+                    bracket = self._brackets.get((i, j))
+                    if bracket is None:
+                        bracket = lie_bracket(self.fields[i], self.fields[j])
+                    out[(i, j)] = self.decompose(bracket)
             self._structure = out
         return self._structure
 
@@ -810,17 +883,13 @@ class FrameBasis:
             return self.structure_functions()[(i, j)][k]
         return -self.structure_functions()[(j, i)][k]
 
-
 def frame_rank_full(fields) -> bool:
     """Do the fields have full rank (as many independent directions as fields)?"""
     fields = tuple(fields)
     if not fields:
         return True
-    chart = fields[0].chart
-    m = chart.dim
     r = len(fields)
-    if r > m:
+    if r > fields[0].chart.dim:
         return False
-    rows = [[fields[j].components[i] for j in range(r)] for i in range(m)]
-    pivots, _ = _eliminate(rows, r)
+    pivots, _ = _eliminate(component_matrix(fields), r)
     return len(pivots) == r

@@ -120,6 +120,8 @@ def _adhoc_task(args) -> Task:
             key, sep, value = binding.partition("=")
             if not sep:
                 raise SceneError(f"--bind needs NAME=EXPR, got {binding!r}")
+            if key in task_args:
+                raise SceneError(f"--bind {key!r} given twice")
             task_args[key] = value
     name = f"cli-{op}"
     for key in _TASK_KEYS[op]:

@@ -103,16 +103,13 @@ def _linear_in_fibers(kmat, fiber_coords):
 def _lift_base_field(bundle: TrivialBundleChart, e: VectorField, jac, kxi) -> VectorField:
     """E~ = E + sum_i C_i d/dxi_i with C_i = sum_l E(J_li) (K xi)_l."""
     n2 = bundle.base.dim
-    comps = list(e.components) + [
-        dot([e.apply(jac[l][i]) for l in range(n2)], kxi) for i in range(n2)
-    ]
-    return VectorField(bundle.chart, comps)
+    fiber = [(n2 + i, dot([e.apply(jac[l][i]) for l in range(n2)], kxi)) for i in range(n2)]
+    return VectorField.from_entries(bundle.chart, list(e.entries.items()) + fiber)
 
 
 def _fiber_frame_field(bundle: TrivialBundleChart, jac, j: int) -> VectorField:
     n2 = bundle.base.dim
-    comps = [ZERO] * n2 + [jac[j][i] for i in range(n2)]
-    return VectorField(bundle.chart, comps)
+    return VectorField.from_entries(bundle.chart, ((n2 + i, jac[j][i]) for i in range(n2)))
 
 
 class LiftedStructure(BiLagStructure):
@@ -128,7 +125,7 @@ class LiftedStructure(BiLagStructure):
     def __init__(self, validated: BiLagStructure, base: BiLagStructure,
                  bundle: TrivialBundleChart):
         super().__init__(validated.omega, validated.f1, validated.f2,
-                         validated.adapted, validated.report)
+                         validated.adapted, validated.report, validated.basis)
         self.base = base
         self.bundle = bundle
 

@@ -64,8 +64,8 @@ def bind_field(field: VectorField, bindings: dict) -> VectorField:
     unknown = sorted(set(bindings) - set(by_name))
     if unknown:
         raise PlotError(f"bindings for undeclared symbols: {', '.join(unknown)}")
-    comps = []
-    for comp in field.components:
+    entries = []
+    for i, comp in field.entries.items():
         for name, value in sorted(bindings.items()):
             comp = bind_symbol(comp, by_name[name], as_expr(value))
         left = comp.jet_atoms()
@@ -74,8 +74,8 @@ def bind_field(field: VectorField, bindings: dict) -> VectorField:
             raise PlotError(
                 "cannot plot with unbound opaque symbols: " + ", ".join(missing)
             )
-        comps.append(comp)
-    return VectorField(chart, comps)
+        entries.append((i, comp))
+    return VectorField.from_entries(chart, entries)
 
 
 def _velocity(comps, names, x, y):
@@ -127,7 +127,7 @@ def _half_curve(comps, names, start, window, steps, h, direction):
 
 def integral_curve(field: VectorField, start, window: Window, steps: int = 240):
     """The leaf through `start`: unit-speed RK4 in both directions."""
-    comps = field.components
+    comps = (field.component(0), field.component(1))
     names = field.chart.names
     h = (window.width + window.height) / (2.0 * steps) * 4.0
     backward = _half_curve(comps, names, start, window, steps, h, -1.0)
@@ -170,7 +170,7 @@ def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
         f2 = bind_field(f2, bindings)
     else:
         for f in (f1, f2):
-            jets = [j for c in f.components for j in c.jet_atoms()]
+            jets = [j for c in f.entries.values() for j in c.jet_atoms()]
             if jets:
                 missing = sorted({j.symbol.name for j in jets})
                 raise PlotError(

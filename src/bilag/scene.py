@@ -73,6 +73,7 @@ from .symexpr import (
     check_seed,
     check_stream,
     parse_expr,
+    uniquely_decodable,
 )
 from .symplectic import SymplecticError, validate_symplectic
 
@@ -256,6 +257,10 @@ def _parse_symbol_decl(payload: str, chart_names, line: int) -> OpaqueSymbol:
         Chart(chart_names, (sym,))
     except ValueError as exc:
         raise SceneError(str(exc), line) from None
+    if not uniquely_decodable(deps):
+        raise SceneError(f"symbol {name!r}: its dependency names {' '.join(deps)} "
+                         "concatenate ambiguously, so its jets' printed names "
+                         "would not re-parse", line)
     return sym
 
 
@@ -529,7 +534,7 @@ def _fmt(e) -> str:
 
 
 def _field_payload(field: VectorField):
-    return [_fmt(c) for c in field.components]
+    return [_fmt(field.component(i)) for i in range(field.chart.dim)]
 
 
 def _matrix_payload(mat):

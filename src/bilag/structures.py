@@ -36,6 +36,7 @@ from .calculus import (
     KForm,
     SmoothMap,
     VectorField,
+    component_matrix,
     coordinate_frame,
     frame_rank_full,
     interior_product,
@@ -142,7 +143,9 @@ class FoliationFrame:
     def independent(self) -> bool:
         return frame_rank_full(self.fields)
 
-    def involutivity_report(self, report: ValidationReport, label: str):
+    def involutivity_report(self, report: ValidationReport, label: str) -> dict:
+        """Add one involutivity check per pair i < j of fields, and return
+        the brackets [E_i, E_j] keyed by (i, j)."""
         pairs = [(i, j) for i in range(self.rank) for j in range(i + 1, self.rank)]
         brackets = [lie_bracket(self.fields[i], self.fields[j]) for i, j in pairs]
         verdicts = span_membership(brackets, self.fields)
@@ -154,6 +157,7 @@ class FoliationFrame:
                 detail = (f"bracket {bracket} escapes the span "
                           f"(unmatched component {self.chart.names[cert]})")
             report.add(f"{label} involutive [{i},{j}]", ok, detail)
+        return dict(zip(pairs, brackets))
 
 
 class BiLagStructure:
@@ -162,7 +166,7 @@ class BiLagStructure:
     __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "_basis")
 
     def __init__(self, omega: SymplecticForm, f1: FoliationFrame, f2: FoliationFrame,
-                 adapted, report: ValidationReport):
+                 adapted, report: ValidationReport, basis: FrameBasis = None):
         self.omega = omega
         self.f1 = f1
         self.f2 = f2
@@ -170,11 +174,14 @@ class BiLagStructure:
         self.n = f1.rank
         self.adapted = tuple(adapted)
         self.report = report
-        self._basis = None
+        self._basis = basis
 
     @property
     def basis(self) -> FrameBasis:
-        """The combined frame (foliation-1 fields, then foliation-2 fields)."""
+        """The combined frame (foliation-1 fields, then foliation-2 fields).
+
+        validate_bilagrangian hands over a basis that already holds the
+        same-leaf brackets its involutivity checks formed."""
         if self._basis is None:
             self._basis = FrameBasis(self.f1.fields + self.f2.fields)
         return self._basis
@@ -227,7 +234,7 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
         raise BiLagError("foliation frames are degenerate", report)
 
     combined = f1.fields + f2.fields
-    det = sym_det([[combined[j].components[i] for j in range(n2)] for i in range(n2)])
+    det = sym_det(component_matrix(combined))
     if is_zero(det):
         report.add("transversal", False, "combined frame determinant is identically zero")
         raise BiLagError("foliations are not transversal", report)
@@ -245,8 +252,10 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
                         f"omega(E_{i}, E_{j}) = {value.normal()}",
                     )
 
-    f1.involutivity_report(report, "F1")
-    f2.involutivity_report(report, "F2")
+    # the same-leaf brackets, keyed by their indices in the combined frame
+    brackets = f1.involutivity_report(report, "F1")
+    brackets.update(((n + i, n + j), b)
+                    for (i, j), b in f2.involutivity_report(report, "F2").items())
 
     if adapted is None:
         adapted = _default_adapted(chart)
@@ -269,7 +278,7 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
 
     if not report.ok:
         raise BiLagError("bi-Lagrangian validation failed", report)
-    return BiLagStructure(omega, f1, f2, adapted, report)
+    return BiLagStructure(omega, f1, f2, adapted, report, FrameBasis(combined, brackets))
 
 
 def split(s: BiLagStructure, x: VectorField) -> tuple:
@@ -293,8 +302,9 @@ def d_map(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
     """The derivative map D(X, Y): the unique field with i_D omega = L_X i_Y omega."""
     beta = lie_derivative_form(x, interior_product(y, s.omega.form))
     # i_D omega = -(Omega D) as a coefficient vector, hence the sign
-    bvec = [-beta.coeffs.get((j,), ZERO) for j in range(s.chart.dim)]
-    return VectorField(s.chart, [dot(row, bvec) for row in s.omega.inverse_matrix])
+    bvec = {j: -c for (j,), c in sorted(beta.coeffs.items())}
+    return VectorField.from_entries(
+        s.chart, ((i, dot(row, bvec)) for i, row in enumerate(s.omega.inverse_matrix)))
 
 
 def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
@@ -306,7 +316,7 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     term3 = d_map(s, x2, y2)
     term4 = _project(s, lie_bracket(x1, y2), 2)
     total = term1 + term2 + term3 + term4
-    return VectorField(s.chart, tuple(compact(c) for c in total.components))
+    return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
 
 
 def _dense(n, rank, entry, idx=()):
@@ -390,7 +400,8 @@ class Connection(_FrameTable):
         for (i, j, k), g in self.entries.items():
             if not (is_zero(cx[i]) or is_zero(cy[j])):
                 coeffs[k] = coeffs[k] + cx[i] * cy[j] * g
-        return VectorField(self.chart, [dot(row, coeffs) for row in self.basis.matrix])
+        return VectorField.from_entries(
+            self.chart, ((i, dot(row, coeffs)) for i, row in enumerate(self.basis.matrix)))
 
     def __repr__(self):
         entries = [
@@ -414,31 +425,35 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
                                 in leaf(j) and 0 otherwise.
 
     The coordinate frame has no leaf structure; there every entry goes
-    through hess_nabla.
+    through hess_nabla.  The entries are handed over as they are formed,
+    so only the nonzero ones are ever held at once.
     """
     if frame not in ("foliation", "coordinate"):
         raise ValueError(f"unknown frame kind {frame!r}")
     if frame == "coordinate":
         fields = coordinate_frame(s.chart)
         basis = FrameBasis(fields)
-        return Connection(basis, [
+        return Connection(basis, (
             ((i, j, k), g)
             for i, x in enumerate(fields) for j, y in enumerate(fields)
             for k, g in enumerate(basis.decompose(hess_nabla(s, x, y)))
-        ])
+        ))
+    return Connection(s.basis, _foliation_christoffels(s))
+
+
+def _foliation_christoffels(s: BiLagStructure):
+    """((i, j, k), Gamma^k_{ij}) in the foliation frame, leaf by leaf."""
     n = s.n
     fields = s.frame
     basis = s.basis
-    entries = []
     for i, x in enumerate(fields):
         for j, y in enumerate(fields):
             if i // n == j // n:
-                entries += (((i, j, k), g)
-                            for k, g in enumerate(basis.decompose(d_map(s, x, y))))
+                for k, g in enumerate(basis.decompose(d_map(s, x, y))):
+                    yield (i, j, k), g
             else:
-                entries += (((i, j, k), compact(basis.structure_coeff(i, j, k)))
-                            for k in range(j // n * n, j // n * n + n))
-    return Connection(basis, entries)
+                for k in range(j // n * n, j // n * n + n):
+                    yield (i, j, k), compact(basis.structure_coeff(i, j, k))
 
 
 class TorsionTensor(_FrameTable):
@@ -458,10 +473,10 @@ def torsion(conn) -> TorsionTensor:
         conn = christoffels(conn)
     g, c = conn.coefficient, conn.basis.structure_coeff
     n = len(conn.frame)
-    return TorsionTensor(conn.frame, [
+    return TorsionTensor(conn.frame, (
         ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
         for i in range(n) for j in range(n) if i != j for k in range(n)
-    ])
+    ))
 
 
 class CurvatureTensor(_FrameTable):
@@ -576,10 +591,10 @@ class ParaKahler:
         self.G = tuple(tuple(as_expr(e) for e in row) for row in G)
 
     def apply_F(self, x: VectorField) -> VectorField:
-        return VectorField(self.chart, [dot(row, x.components) for row in self.F])
+        return VectorField(self.chart, [dot(row, x.entries) for row in self.F])
 
     def g(self, x: VectorField, y: VectorField) -> Expr:
-        return dot(x.components, [dot(row, y.components) for row in self.G])
+        return dot(x.entries, {i: dot(self.G[i], y.entries) for i in x.entries})
 
     def __repr__(self):
         return f"ParaKahler(F={self.F}, G={self.G})"
@@ -595,12 +610,13 @@ def para_structure(s: BiLagStructure) -> ParaKahler:
     chart = s.chart
     m = chart.dim
     coords = coordinate_frame(chart)
+    # column b of F, sparse: the compacted stored components of F(d_b)
     columns = []
     for b in range(m):
         x1, x2 = split(s, coords[b])
         fx = x1 - x2
-        columns.append(tuple(compact(c) for c in fx.components))
-    F = tuple(tuple(columns[b][a] for b in range(m)) for a in range(m))
+        columns.append({a: compact(c) for a, c in fx.entries.items()})
+    F = tuple(tuple(columns[b].get(a, ZERO) for b in range(m)) for a in range(m))
     # G[a][b] = sum_c F[c][a] omega[c][b]: column a of F against column b of omega
     omega_cols = tuple(zip(*s.omega.matrix))
     G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
@@ -690,7 +706,7 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
         pulled = pushforward_field(inv, target_coords[b])
         mapped = para.apply_F(pulled)
         pushed = pushforward_field(psi, mapped)
-        columns.append(tuple(compact(c) for c in pushed.components))
+        columns.append(tuple(compact(pushed.component(a)) for a in range(psi.target.dim)))
     m = psi.target.dim
     return tuple(tuple(columns[b][a] for b in range(m)) for a in range(m))
 
@@ -705,7 +721,7 @@ def connection_coordinate_table(conn: Connection):
     coords = coordinate_frame(conn.chart)
     m = conn.chart.dim
     inverse = conn.basis.inverse
-    columns = [tuple(compact(inverse[k][a]) for k in range(m)) for a in range(m)]
+    columns = [tuple(compact(inverse[k].get(a, ZERO)) for k in range(m)) for a in range(m)]
     return tuple(
         tuple(conn._along(coords[a], columns[a], columns[b]) for b in range(m))
         for a in range(m)
@@ -718,7 +734,7 @@ def connections_equal(c1: Connection, c2: Connection) -> bool:
         return False
     t1 = connection_coordinate_table(c1)
     t2 = connection_coordinate_table(c2)
-    return all(
-        equal_zero(c)
-        for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2) for c in (f1 - f2).components
-    )
+    # every component of every difference is zero-tested, stored or not
+    m = c1.chart.dim
+    diffs = (f1 - f2 for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2))
+    return all(equal_zero(d.component(k)) for d in diffs for k in range(m))

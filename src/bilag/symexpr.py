@@ -64,8 +64,10 @@ __all__ = [
     "as_expr",
     "parse_expr",
     "tokenize",
+    "uniquely_decodable",
     "diff",
     "directional",
+    "coordinates",
     "normalize",
     "compact",
     "dot",
@@ -1231,6 +1233,35 @@ def _split_jet_suffix(suffix: str, deps) -> tuple | None:
     return solutions[0]
 
 
+def uniquely_decodable(words) -> bool:
+    """Does every concatenation of the words split back into them one way only?
+
+    The Sardinas-Patterson test: follow the dangling suffixes, what is left
+    of one word after another word or dangling suffix is cut off its front;
+    the words are ambiguous exactly when some dangling suffix is a word, or
+    when a word is listed twice.  A symbol's dependency names must pass it,
+    or its jets' suffixes would split more than one way.
+    """
+    words = list(words)
+    code = set(words)
+    if len(code) < len(words):
+        return False
+
+    def dangling(heads, tails):
+        return {t[len(h):] for h in heads for t in tails if len(t) > len(h) and t.startswith(h)}
+
+    pending = dangling(code, code)
+    seen = set()
+    while pending:
+        w = pending.pop()
+        if w in code:
+            return False
+        if w not in seen:
+            seen.add(w)
+            pending |= dangling({w}, code) | dangling(code, {w})
+    return True
+
+
 def resolve_name(name: str, chart_names, symbols) -> Expr:
     """Map an identifier to a coordinate Var or a JetVar of a declared symbol."""
     if name in chart_names:
@@ -1451,9 +1482,12 @@ def diff(e: Expr, var: str) -> Expr:
 def directional(components, chart_names, f: Expr) -> Expr:
     """Derivative of f along a vector with the given components.
 
-    A component that is the literal 0 contributes nothing, so f is not
-    differentiated along its coordinate.
+    Components pair with chart_names in order.  A component that is the
+    literal 0 contributes nothing, so f is not differentiated along its
+    coordinate, and a constant f gives ZERO without being differentiated.
     """
+    if isinstance(f, Rat):
+        return ZERO
     return _make_add(*(
         _make_mul(c, diff(f, name))
         for c, name in zip(components, chart_names)
@@ -1491,10 +1525,26 @@ def compact(e: Expr) -> Expr:
 def dot(xs, ys) -> Expr:
     """compact(sum of x*y over paired entries), summed on normal forms.
 
-    A pair whose x is zero is skipped before its y is normalized.
+    Each operand is a dense sequence or a sparse vector: a dict from index
+    to each entry that is not the literal 0, in ascending index order, where
+    a missing index reads as 0.  Entries pair by index and only the indices
+    both operands hold are walked; the products are summed in ascending
+    index order, so a sparse operand gives the sum its dense copy gives.  A
+    pair whose x is zero is skipped before its y is normalized.
     """
+    if isinstance(xs, dict):
+        if not isinstance(ys, dict):
+            pairs = ((x, ys[k]) for k, x in xs.items())
+        elif len(xs) <= len(ys):
+            pairs = ((x, ys[k]) for k, x in xs.items() if k in ys)
+        else:
+            pairs = ((xs[k], y) for k, y in ys.items() if k in xs)
+    elif isinstance(ys, dict):
+        pairs = ((xs[k], y) for k, y in ys.items())
+    else:
+        pairs = zip(xs, ys)
     total = None
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         a = as_expr(x).normal()
         if a.is_zero:
             continue
@@ -1504,6 +1554,18 @@ def dot(xs, ys) -> Expr:
         term = a.mul(b)
         total = term if total is None else total.add(term)
     return ZERO if total is None else _cached_tree(total)
+
+
+def coordinates(e: Expr) -> set:
+    """The coordinate names e depends on: each Var's name and each jet's
+    dependencies.  diff(e, v) is the literal 0 for every other name v."""
+    out = set()
+    for leaf in _leaves(as_expr(e)):
+        if isinstance(leaf, JetVar):
+            out.update(leaf.symbol.deps)
+        else:
+            out.add(leaf.name)
+    return out
 
 
 _DEFAULT_CHECK_SEED = 97131

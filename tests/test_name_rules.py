@@ -6,10 +6,10 @@ import json
 import pytest
 
 from bilag.calculus import Chart
-from bilag.cli import main
+from bilag.cli import find_scene, main
 from bilag.lift import lift_map, lift_structure, lifted_action_check
-from bilag.scene import SceneError, loads, run_task
-from bilag.symexpr import OpaqueSymbol, parse_expr
+from bilag.scene import SceneError, load_scene, loads, run_task
+from bilag.symexpr import OpaqueSymbol, parse_expr, uniquely_decodable
 
 BODY = """
 omega: {omega}
@@ -110,6 +110,9 @@ class TestNamesThatWouldNotReparse:
          "line 3: symbol name 'h_1' contains '_', which would split its jets' printed names"),
         ("x y h_x", "h(x y)", "line 3: coordinate 'h_x' is also the name of a jet of symbol 'h'"),
         ("x y", "x(y)", "line 3: coordinate 'x' is also the name of symbol 'x'"),
+        ("a aa", "h(a aa)",
+         "line 3: symbol 'h': its dependency names a aa concatenate ambiguously, "
+         "so its jets' printed names would not re-parse"),
     ])
     def test_clash_is_a_malformed_scene(self, capsys, tmp_path, chart, symbol, message):
         text = f"\nchart: {chart}\nsymbol: {symbol}\n" + BODY.format(
@@ -129,6 +132,33 @@ class TestNamesThatWouldNotReparse:
         scene = loads("\nchart: x y h_z z\nsymbol: h(x y)\n" + BODY.format(
             omega="dy^dx + dz^dh_z", u="@x; @h_z", v="@y; @z"))
         assert scene.chart.names == ("x", "y", "h_z", "z")
+
+    @pytest.mark.parametrize("deps, decodable", [
+        (["a", "aa"], False),
+        (["a", "ab", "ba"], False),  # aba = a.ba = ab.a
+        (["x", "x1"], True),
+        (["0", "01", "11"], True),  # no prefix code, yet decodable
+        (["x", "y"], True),
+        (["x", "x"], False),
+    ])
+    def test_sardinas_patterson(self, deps, decodable):
+        assert uniquely_decodable(deps) is decodable
+
+    def test_decodable_dependencies_load_and_their_jets_reparse(self, capsys, tmp_path):
+        text = "\nchart: x x1\nsymbol: h(x x1)\n" + BODY.format(
+            omega="h * dx1^dx", u="@x", v="@x1") + "task g: christoffels\n"
+        path = tmp_path / "suffix.scene"
+        path.write_text(text)
+        assert main(["report", "--scene", str(path), "--format", "machine"]) == 0
+        table = json.loads(capsys.readouterr().out)["tasks"][0]["payload"]["table"]
+        assert (table["Gamma^1_11"], table["Gamma^2_22"]) == ("h_x/h", "h_x1/h")
+        chart = loads(text).chart
+        for value in table.values():
+            parse_expr(value, chart.names, chart.symbols)
+
+    def test_every_bundled_scene_loads(self):
+        for name in ("standard", "parabola", "lifted-standard", "affine-action"):
+            load_scene(find_scene(name))
 
 
 class TestPlotBindingsJudgedAtLoad:

@@ -145,11 +145,13 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_expr(text, ("a", "aa"), (symbol,))
         assert str(err.value) == f"{message} (at position 0: {text!r})"
+        # a scene refuses the symbol h(a aa) at its own line, before any
+        # name that uses it is read
         line = f"{name} * daa^da"
         with pytest.raises(SceneError) as err:
             loads(f"chart: a aa\nsymbol: h(a aa)\nomega: {line}\n")
-        assert err.value.line == 3
-        assert str(err.value) == f"line 3: {message} (at position 0: {line[:12]!r})"
+        assert err.value.line == 2
+        assert "concatenate ambiguously" in str(err.value)
 
     def test_coordinate_named_like_a_form_wins(self):
         chart = Chart(("x", "dx"))
@@ -504,6 +506,14 @@ class TestCli:
         code = main(["report", "--scene", str(scene), "--format", "machine"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["tasks"][-1]["status"] == "error"
+
+    def test_repeated_bind_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--scene", "parabola", "--bind", "h=1", "--bind", "h=2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "bilag: --bind 'h' given twice\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("scene, binds, named, declared", [
         ("parabola", ["z=1"], "z", "h"),
