@@ -814,7 +814,8 @@ class FrameBasis:
     0, in ascending column order.  A product of a row with a field sums
     over the indices both hold, in ascending order.  `brackets`, if given,
     maps pairs (i, j) with i < j to the known brackets [E_i, E_j], which
-    structure_functions takes instead of bracketing those pairs again.
+    structure_functions takes instead of bracketing those pairs again, and
+    then lets go of.
     """
 
     __slots__ = ("chart", "fields", "_matrix", "_inverse", "_structure", "_brackets")
@@ -874,6 +875,7 @@ class FrameBasis:
                         bracket = lie_bracket(self.fields[i], self.fields[j])
                     out[(i, j)] = self.decompose(bracket)
             self._structure = out
+            self._brackets = None
         return self._structure
 
     def structure_coeff(self, i: int, j: int, k: int) -> Expr:

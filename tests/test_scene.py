@@ -145,13 +145,15 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_expr(text, ("a", "aa"), (symbol,))
         assert str(err.value) == f"{message} (at position 0: {text!r})"
-        # a scene refuses the symbol h(a aa) at its own line, before any
-        # name that uses it is read
-        line = f"{name} * daa^da"
+
+    def test_unknown_identifier_in_scene_line(self):
+        # a scene refuses h(a aa) itself (tests/test_name_rules.py), so the
+        # scene half pins an unknown name under a symbol that loads
+        line = "foo * daa^da"
         with pytest.raises(SceneError) as err:
-            loads(f"chart: a aa\nsymbol: h(a aa)\nomega: {line}\n")
-        assert err.value.line == 2
-        assert "concatenate ambiguously" in str(err.value)
+            loads(f"chart: a aa\nsymbol: h(a)\nomega: {line}\n")
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: unknown identifier 'foo' (at position 0: {line!r})"
 
     def test_coordinate_named_like_a_form_wins(self):
         chart = Chart(("x", "dx"))
