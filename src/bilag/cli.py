@@ -11,13 +11,17 @@ One subcommand per scene operation plus ``report``:
     bilag plot         --scene parabola.scene --bind h=1 --out leaves.svg
     bilag report       --scene parabola.scene [--task gammas ...]
 
+An operation's flags are its task arguments, generated from
+``scene._TASK_ARGS`` with the names, defaults and parsers of a task line;
+``plot`` takes ``out`` as ``--out`` and each symbol binding as ``--bind``.
+
 Common flags: ``--scene`` (a path, or the name of a bundled scene),
 ``--format text|machine``, ``--out`` (report destination; for ``plot``,
 the SVG destination), ``--max-dim`` (chart-dimension cap for iterated
 lifts), ``--seed`` (seed of the randomized zero-test cross-check).
 
 Exit status: 0 when every verdict passes, 1 when any task fails or
-errors, 2 for unusable input (bad scene file, bad flags).
+errors, 2 for unusable input (bad scene file, bad flags or flag values).
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from .scene import (
     SceneError,
     SceneReport,
     Task,
-    _ARG_TYPES,
-    _TASK_KEYS,
-    _plot_binding,
-    _typed_arg,
+    _Arg,
+    _TASK_ARGS,
+    _check_references,
+    _one_of,
+    _read_arg,
     load_scene,
     run_task,
     run_tasks,
@@ -60,17 +65,21 @@ def find_scene(spec: str) -> str:
     raise SceneError(f"no such scene file or bundled scene: {spec!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--scene", required=True,
-                   help="scene file path or bundled scene name")
-    p.add_argument("--format", choices=("text", "machine"), default="text",
-                   help="report format (default text)")
-    p.add_argument("--out", default=None,
-                   help="write the report here (for plot: the SVG)")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                   help=f"chart-dimension cap for lifts (default {DEFAULT_MAX_DIM})")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the randomized zero-test cross-check")
+# The value flags every subcommand takes; they read like task arguments.
+_COMMON_ARGS = {
+    "format": _Arg("text or machine", _one_of("text", "machine"), "text",
+                   help="report format: text or machine"),
+    "max-dim": _Arg("an integer", int, str(DEFAULT_MAX_DIM),
+                    help="chart-dimension cap for lifts"),
+    "seed": _Arg("an integer", int, help="seed for the randomized zero-test cross-check"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: dict):
+    for key, arg in flags.items():
+        default = "" if arg.default is None else f" (default {arg.default})"
+        p.add_argument(f"--{key}", default=arg.default, required=arg.required,
+                       help=(arg.help or arg.kind) + default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,36 +88,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify bi-Lagrangian structures on coordinate charts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for op in OPERATIONS:
-        p = sub.add_parser(op, help=f"run the {op} operation on a scene")
-        _add_common(p)
-        if op == "christoffels":
-            p.add_argument("--frame", choices=("foliation", "coordinate"),
-                           default="foliation")
-        if op == "flat":
-            p.add_argument("--expect", choices=("true", "false"), default=None,
-                           help="turn the computation into a pass/fail assertion")
-        if op in ("push", "act-check"):
-            p.add_argument("--map", required=True, help="name of a declared map")
-        if op == "act-check":
-            p.add_argument("--expect", choices=("true", "false"), default=None)
-        if op == "lift":
-            p.add_argument("--k", type=int, default=1, help="number of lifts")
-            p.add_argument("--fibers", default=None,
-                           help="comma-separated fiber coordinate names (k=1 only)")
+    for op in (*OPERATIONS, "report"):
+        p = sub.add_parser(op, help=f"run the {op} operation on a scene" if op in _TASK_ARGS
+                           else "run tasks declared in the scene file")
+        p.add_argument("--scene", required=True, help="scene file path or bundled scene name")
+        p.add_argument("--out", help="write the report here (for plot: the SVG)")
+        _add_flags(p, _COMMON_ARGS)
+        # each task argument is a flag of the same name; plot's out is --out
+        _add_flags(p, {k: a for k, a in _TASK_ARGS.get(op, {}).items() if k != "out"})
         if op == "plot":
-            p.add_argument("--bind", action="append", default=[],
-                           metavar="NAME=EXPR",
+            p.add_argument("--bind", action="append", default=[], metavar="NAME=EXPR",
                            help="bind an opaque symbol for plotting (repeatable)")
-            p.add_argument("--window", default=None, help="x0,x1,y0,y1")
-            p.add_argument("--leaves", type=int, default=None)
-            p.add_argument("--steps", type=int, default=None)
-
-    p = sub.add_parser("report", help="run tasks declared in the scene file")
-    _add_common(p)
-    p.add_argument("--task", action="append", default=None,
-                   help="run only this declared task (repeatable)")
+        if op == "report":
+            p.add_argument("--task", action="append",
+                           help="run only this declared task (repeatable)")
     return parser
 
 
@@ -123,22 +116,16 @@ def _adhoc_task(args) -> Task:
             if key in task_args:
                 raise SceneError(f"--bind {key!r} given twice")
             task_args[key] = value
-    name = f"cli-{op}"
-    for key in _TASK_KEYS[op]:
+    for key in _TASK_ARGS[op]:
         if getattr(args, key) is not None:
-            task_args[key] = str(getattr(args, key))
-            if key in _ARG_TYPES:
-                _typed_arg(name, key, task_args[key])
-    return Task(name, op, task_args)
+            task_args[key] = getattr(args, key)
+    return Task(f"cli-{op}", op, task_args)
 
 
-def _emit(report: SceneReport, args) -> None:
-    text = report.to_json() if args.format == "machine" else report.to_text()
-    out = args.out
-    if args.command == "plot":
-        out = None  # --out was the SVG destination
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(report: SceneReport, args, fmt: str) -> None:
+    text = report.to_json() if fmt == "machine" else report.to_text()
+    if args.out and args.command != "plot":  # plot's --out is the SVG
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -146,20 +133,17 @@ def _emit(report: SceneReport, args) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        set_check_seed(args.seed)
-    options = {"max_dim": args.max_dim}
     try:
+        flags = {key: arg.read(f"--{key}", raw) for key, arg in _COMMON_ARGS.items()
+                 if (raw := getattr(args, key.replace("-", "_"))) is not None}
+        if "seed" in flags:
+            set_check_seed(flags["seed"])
+        options = {"max_dim": flags["max-dim"]}
         scene = load_scene(find_scene(args.scene))
         if args.command == "report":
             report = run_tasks(scene, args.task, **options)
         else:
             task = _adhoc_task(args)
-            if task.operation in ("push", "act-check") and task.args["map"] not in scene.maps:
-                raise SceneError(
-                    f"scene declares no map named {task.args['map']!r}; "
-                    f"available: {', '.join(sorted(scene.maps)) or 'none'}"
-                )
             if task.operation == "plot":
                 declared = [sym.name for sym in scene.chart.symbols]
                 unknown = sorted({b.partition("=")[0] for b in args.bind} - set(declared))
@@ -168,16 +152,15 @@ def main(argv=None) -> int:
                         f"--bind names undeclared symbols: {', '.join(unknown)}; "
                         f"declared: {', '.join(declared) or 'none'}"
                     )
-                for key, _, raw in (b.partition("=") for b in args.bind):
-                    _plot_binding(task.name, key, raw, scene.chart)
+            # the flags' values pass the checks of a scene's task line
+            for key, raw in task.args.items():
+                _read_arg(task.name, task.operation, key, raw, scene.chart)
+            _check_references(task, scene.maps)
             report = SceneReport(scene, [run_task(scene, task, **options)])
-    except SceneError as exc:
+    except (SceneError, OSError) as exc:
         print(f"bilag: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"bilag: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, args)
+    _emit(report, args, flags["format"])
     return 0 if report.ok else 1
 
 

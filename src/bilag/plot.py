@@ -65,16 +65,14 @@ def bind_field(field: VectorField, bindings: dict) -> VectorField:
     if unknown:
         raise PlotError(f"bindings for undeclared symbols: {', '.join(unknown)}")
     entries = []
+    missing = set()
     for i, comp in field.entries.items():
         for name, value in sorted(bindings.items()):
             comp = bind_symbol(comp, by_name[name], as_expr(value))
-        left = comp.jet_atoms()
-        if left:
-            missing = sorted({j.symbol.name for j in left})
-            raise PlotError(
-                "cannot plot with unbound opaque symbols: " + ", ".join(missing)
-            )
+        missing.update(j.symbol.name for j in comp.jet_atoms())
         entries.append((i, comp))
+    if missing:
+        raise PlotError("cannot plot with unbound opaque symbols: " + ", ".join(sorted(missing)))
     return VectorField.from_entries(chart, entries)
 
 
@@ -165,17 +163,8 @@ def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
     if leaves < 1 or steps < 1:
         raise PlotError(f"leaves and steps must be at least 1, got {leaves} and {steps}")
     window = window or Window()
-    if bindings:
-        f1 = bind_field(f1, bindings)
-        f2 = bind_field(f2, bindings)
-    else:
-        for f in (f1, f2):
-            jets = [j for c in f.entries.values() for j in c.jet_atoms()]
-            if jets:
-                missing = sorted({j.symbol.name for j in jets})
-                raise PlotError(
-                    "cannot plot with unbound opaque symbols: " + ", ".join(missing)
-                )
+    f1 = bind_field(f1, bindings or {})
+    f2 = bind_field(f2, bindings or {})
 
     pad = 12.0
     scale = (size - 2 * pad) / max(window.width, window.height)

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import time
+from typing import Callable, NamedTuple
 
 from .calculus import (
     CalculusError,
@@ -407,7 +409,7 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                 raise SceneError(
                     f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
                     lineno)
-            allowed = _TASK_KEYS[op]
+            allowed = tuple(_TASK_ARGS[op])
             if op == "plot":
                 allowed += tuple(s.name for s in symbols)
             args = {}
@@ -422,10 +424,7 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                 if key in args:
                     raise SceneError(
                         f"task {label!r}: {op} argument {key!r} given twice", lineno)
-                if key in _ARG_TYPES:
-                    _typed_arg(label, key, value, lineno)
-                elif key not in _TASK_KEYS[op]:
-                    _plot_binding(label, key, value, chart, lineno)
+                _read_arg(label, op, key, value, chart, lineno)
                 args[key] = value
             tasks.append(Task(label, op, args, lineno))
         else:
@@ -439,13 +438,7 @@ def loads(text: str, name: str = "<scene>") -> Scene:
         if fol not in foliations:
             raise SceneError(f"structure references undeclared foliation {fol!r}")
     for t in tasks:
-        if t.operation in ("push", "act-check"):
-            target = t.args.get("map")
-            if not target:
-                raise SceneError(f"task {t.name!r} needs a map=NAME argument", t.line)
-            if target not in maps:
-                raise SceneError(
-                    f"task {t.name!r} references undeclared map {target!r}", t.line)
+        _check_references(t, maps)
     return Scene(name, chart, omega_form, foliations, f1_name, f2_name,
                  adapted, maps, tasks)
 
@@ -453,8 +446,6 @@ def loads(text: str, name: str = "<scene>") -> Scene:
 def load_scene(path) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     return loads(text, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
@@ -485,14 +476,7 @@ class TaskOutcome:
         return self.status in ("pass", "computed")
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "operation": self.operation,
-            "status": self.status,
-            "payload": self.payload,
-            "messages": self.messages,
-            "timing_ms": self.timing_ms,
-        }
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 class SceneReport:
@@ -564,10 +548,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _parse_frame(raw: str) -> str:
-    if raw not in ("foliation", "coordinate"):
-        raise ValueError(raw)
-    return raw
+def _one_of(*words):
+    def parse(raw: str) -> str:
+        if raw not in words:
+            raise ValueError(raw)
+        return raw
+    return parse
 
 
 def _parse_names(raw: str) -> tuple:
@@ -584,36 +570,81 @@ def _parse_window(raw: str) -> tuple:
     return tuple(float(p) for p in parts)
 
 
-# The typed task arguments: what each must be, and how it reads.  A value
-# that does not read makes the scene malformed; a value that reads but lies
-# outside the operation's range is the task's error when it runs.
-_ARG_TYPES = {
-    "frame": ("foliation or coordinate", _parse_frame),
-    "expect": ("true or false", _parse_bool),
-    "fibers": ("comma-separated coordinate names", _parse_names),
-    "k": ("an integer", int),
-    "leaves": ("an integer", int),
-    "steps": ("an integer", int),
-    "window": ("x0,x1,y0,y1", _parse_window),
+class _Arg(NamedTuple):
+    """A task argument: what a value must be, how a raw value parses
+    (ValueError when it does not), its raw default, and whether a task must
+    give it.  ``help`` replaces ``kind`` in ``--help`` when set."""
+
+    kind: str
+    parse: Callable
+    default: str = None
+    required: bool = False
+    help: str = None
+
+    def read(self, what: str, raw: str, line: int = None):
+        try:
+            return self.parse(raw)
+        except ValueError:
+            raise SceneError(f"{what} must be {self.kind}, got {raw!r}", line) from None
+
+
+_MAP = _Arg("the name of a declared map", str, required=True)
+
+# Each operation's task arguments, in the order that messages and --help
+# list them; a plot task also takes one binding per declared symbol.  Scene
+# task lines and CLI subcommands both read this table.  A value that does
+# not parse makes the input malformed; one that parses but lies outside the
+# operation's range is the task's error when it runs.
+_TASK_ARGS = {
+    "validate": {},
+    "hess": {},
+    "christoffels": {"frame": _Arg("foliation or coordinate",
+                                   _one_of("foliation", "coordinate"), "foliation")},
+    "curvature": {},
+    "flat": {"expect": _Arg("true or false", _parse_bool)},
+    "para": {},
+    "push": {"map": _MAP},
+    "lift": {"k": _Arg("an integer", int, "1"),
+             "fibers": _Arg("comma-separated coordinate names", _parse_names)},
+    "act-check": {"map": _MAP, "expect": _Arg("true or false", _parse_bool, "true")},
+    "plot": {"out": _Arg("a path", str),
+             "window": _Arg("x0,x1,y0,y1", _parse_window, "-2,2,-2,2"),
+             "leaves": _Arg("an integer", int, "9"), "steps": _Arg("an integer", int, "240")},
 }
 
-
-def _typed_arg(task_name: str, key: str, raw: str, line: int = None):
-    """The value of a typed task argument; SceneError when it does not read."""
-    kind, parse = _ARG_TYPES[key]
-    try:
-        return parse(raw)
-    except ValueError:
-        raise SceneError(
-            f"task {task_name!r}: {key} must be {kind}, got {raw!r}", line) from None
+OPERATIONS = tuple(_TASK_ARGS)
 
 
-def _plot_binding(task_name: str, key: str, raw: str, chart: Chart, line: int = None):
-    """A plot binding's value over the chart coordinates, without symbols."""
+def _read_arg(task_name: str, op: str, key: str, raw: str, chart: Chart, line: int = None):
+    """A task argument's value: typed arguments parse by the table, and a
+    plot binding is an expression over the chart coordinates, without
+    symbols.  SceneError when the value does not read."""
+    arg = _TASK_ARGS[op].get(key)
+    if arg is not None:
+        return arg.read(f"task {task_name!r}: {key}", raw, line)
     try:
         return parse_expr(raw, chart.names, ())
     except ExprError as exc:
         raise SceneError(f"task {task_name!r}: binding {key}={raw!r}: {exc}", line) from None
+
+
+def _arg(task: Task, key: str):
+    """A task's typed argument, or its default; None when it has neither."""
+    arg = _TASK_ARGS[task.operation][key]
+    raw = task.args.get(key, arg.default)
+    return None if raw is None else arg.read(f"task {task.name!r}: {key}", raw)
+
+
+def _check_references(task: Task, maps) -> None:
+    """SceneError unless the task gives its required arguments and its map
+    is declared."""
+    for key, arg in _TASK_ARGS[task.operation].items():
+        if arg.required and not task.args.get(key):
+            raise SceneError(f"task {task.name!r} needs a {key}=NAME argument", task.line)
+    target = task.args.get("map")
+    if target is not None and target not in maps:
+        raise SceneError(f"task {task.name!r} references undeclared map {target!r}; "
+                         f"available: {', '.join(sorted(maps)) or 'none'}", task.line)
 
 
 def _checks_payload(report):
@@ -660,7 +691,7 @@ def _run_hess(scene, task, options):
 
 
 def _run_christoffels(scene, task, options):
-    frame_kind = _typed_arg(task.name, "frame", task.args.get("frame", "foliation"))
+    frame_kind = _arg(task, "frame")
     s = scene.structure()
     conn = christoffels(s, frame_kind)
     if frame_kind == "foliation":
@@ -699,8 +730,8 @@ def _run_flat(scene, task, options):
     payload = {"flat": result.flat, "witnesses": _curvature_payload(result.witnesses)}
     messages = [f"flat: {result.flat}"]
     messages += [f"{k} = {v}" for k, v in sorted(payload["witnesses"].items())]
-    if "expect" in task.args:
-        expect = _typed_arg(task.name, "expect", task.args["expect"])
+    expect = _arg(task, "expect")
+    if expect is not None:
         status = "pass" if result.flat == expect else "fail"
         messages.append(f"expected flat={expect}: {status}")
         return status, payload, messages
@@ -730,13 +761,14 @@ def _run_push(scene, task, options):
 
 
 def _run_lift(scene, task, options):
-    k = _typed_arg(task.name, "k", task.args.get("k", "1"))
+    k = _arg(task, "k")
+    fibers = _arg(task, "fibers")
     s = scene.structure()
     max_dim = options.get("max_dim", DEFAULT_MAX_DIM)
-    if "fibers" in task.args:
+    if fibers is not None:
         if k != 1:
             raise SceneError(f"task {task.name!r}: explicit fibers only apply to k=1")
-        lifted = lift_structure(s, _typed_arg(task.name, "fibers", task.args["fibers"]))
+        lifted = lift_structure(s, fibers)
     else:
         lifted = iterate_lift(s, k, max_dim)
     payload = {"k": k, "lifted": _structure_payload(lifted)}
@@ -764,7 +796,7 @@ def _run_act_check(scene, task, options):
         ],
     }
     messages = repr(result).splitlines()
-    expect = _typed_arg(task.name, "expect", task.args.get("expect", "true"))
+    expect = _arg(task, "expect")
     status = "pass" if result.equal == expect else "fail"
     return status, payload, messages
 
@@ -774,15 +806,13 @@ def _run_plot(scene, task, options):
     if s.chart.dim != 2:
         raise PlotError(f"leaf plots need a 2-dimensional chart, got {s.chart.dim}")
     bindings = {
-        key: _plot_binding(task.name, key, raw, scene.chart)
-        for key, raw in task.args.items() if key not in _TASK_KEYS["plot"]
+        key: _read_arg(task.name, "plot", key, raw, scene.chart)
+        for key, raw in task.args.items() if key not in _TASK_ARGS["plot"]
     }
-    window = Window()
-    if "window" in task.args:
-        window = Window(*_typed_arg(task.name, "window", task.args["window"]))
-    leaves = _typed_arg(task.name, "leaves", task.args.get("leaves", "9"))
-    steps = _typed_arg(task.name, "steps", task.args.get("steps", "240"))
-    out = options.get("out") or task.args.get("out")
+    window = Window(*_arg(task, "window"))
+    leaves = _arg(task, "leaves")
+    steps = _arg(task, "steps")
+    out = options.get("out") or _arg(task, "out")
     if not out:
         raise SceneError(f"task {task.name!r}: plot needs out=PATH or --out")
     svg = leaf_plot(s.f1.fields[0], s.f2.fields[0], window,
@@ -806,22 +836,6 @@ _RUNNERS = {
     "plot": _run_plot,
 }
 
-# The task arguments each operation reads; a plot task also takes one
-# binding per declared symbol.  loads rejects any other argument.
-_TASK_KEYS = {
-    "validate": (),
-    "hess": (),
-    "christoffels": ("frame",),
-    "curvature": (),
-    "flat": ("expect",),
-    "para": (),
-    "push": ("map",),
-    "lift": ("k", "fibers"),
-    "act-check": ("map", "expect"),
-    "plot": ("out", "window", "leaves", "steps"),
-}
-
-OPERATIONS = tuple(_TASK_KEYS)
 
 
 def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:

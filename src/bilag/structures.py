@@ -734,7 +734,7 @@ def connections_equal(c1: Connection, c2: Connection) -> bool:
         return False
     t1 = connection_coordinate_table(c1)
     t2 = connection_coordinate_table(c2)
-    # every component of every difference is zero-tested, stored or not
-    m = c1.chart.dim
+    # a difference stores every component but the literal zeros, and those
+    # pass the zero test without drawing a point
     diffs = (f1 - f2 for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2))
-    return all(equal_zero(d.component(k)) for d in diffs for k in range(m))
+    return all(equal_zero(c) for d in diffs for c in d.entries.values())

@@ -306,18 +306,6 @@ class Poly:
         m = max(terms, key=_lex_key(self.variables()))
         return m, terms[m]
 
-    def diff(self, var: str) -> "Poly":
-        terms: dict = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(var, 0)
-            if not e:
-                continue
-            d[var] = e - 1
-            mm = tuple(sorted((v, k) for v, k in d.items() if k))
-            terms[mm] = terms.get(mm, 0) + c * e
-        return Poly(terms)
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -645,9 +633,6 @@ class NormalForm:
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
         return NormalForm(n1 * n2, d1 * d2, atoms, reduced=True)
-
-    def neg(self) -> "NormalForm":
-        return NormalForm(-self.num, self.den, self.atoms, reduced=True)
 
     def inv(self) -> "NormalForm":
         if self.num.is_zero:

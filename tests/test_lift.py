@@ -18,9 +18,13 @@ from bilag.lift import (
     lift_structure,
     lifted_action_check,
 )
-from bilag.structures import validate_bilagrangian
+from bilag.cli import find_scene
+from bilag.scene import load_scene
+from bilag.structures import christoffels, curvature, push_structure, validate_bilagrangian
 from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, equal_zero
 from bilag.symplectic import validate_symplectic
+from test_structures import STRUCTURES, noncommuting_structure
+from test_structures import parabola_structure as concrete_parabola
 
 H = OpaqueSymbol("h", ("x", "y"))
 
@@ -258,3 +262,59 @@ class TestActionCheck:
         # every generator of each route lies in the span of the other route
         for verdict in res.verdicts:
             assert verdict.ok, verdict.label
+
+
+def _pushed_concrete_parabola():
+    """The parabola with h = 1 + x^2, pushed along affine-action's shear."""
+    scene = load_scene(find_scene("affine-action"))
+    x = scene.chart.coord(0)
+    return push_structure(scene.maps["shear"], concrete_parabola(h_value=1 + x * x))
+
+
+TWO_DIMENSIONAL = ("parabola", "rescaled", "standard")
+
+SELF_SIMILAR = {
+    **{name: STRUCTURES[name] for name in TWO_DIMENSIONAL},
+    **{f"scene-{name}": (lambda name=name: load_scene(find_scene(name)).structure())
+       for name in ("standard", "parabola", "lifted-standard", "affine-action")},
+    "pushed-parabola": _pushed_concrete_parabola,
+}
+
+
+def _tables(s):
+    """The Gamma and R entries, each as {index tuple: normal form}."""
+    conn = christoffels(s)
+    return [{idx: e.normal() for idx, e in table.entries.items()}
+            for table in (conn, curvature(conn))]
+
+
+class TestLiftSelfSimilarity:
+    """From depth 1 on, lifting a structure on a 2-dimensional chart doubles
+    every index of its Gamma and R tables: the entry at (i, j, l) at depth k
+    reappears at (2i, 2j, 2l) at depth k + 1 with an equal normal form, and
+    no other entry appears.  Checked at k = 1 and 2 (dims 4 -> 8 -> 16); an
+    observation on these structures, not a theorem."""
+
+    def test_pool_holds_every_two_dimensional_structure(self):
+        two = {name for name, build in STRUCTURES.items() if build().chart.dim == 2}
+        assert two == set(TWO_DIMENSIONAL)
+
+    @pytest.mark.parametrize("name", sorted(SELF_SIMILAR))
+    def test_every_index_doubled(self, name):
+        s = lift_structure(SELF_SIMILAR[name]())
+        previous = _tables(s)
+        for _ in (1, 2):
+            s = lift_structure(s)
+            current = _tables(s)
+            for before, after in zip(previous, current):
+                assert {tuple(2 * i for i in idx): e for idx, e in before.items()} == after
+            previous = current
+
+    def test_doubling_fails_on_a_four_dimensional_base(self):
+        # on noncommuting-dim4 the dim-8 entry (0, 1, 1) stays put at dim 16
+        s8 = lift_structure(noncommuting_structure())
+        g8 = christoffels(s8).entries
+        g16 = christoffels(lift_structure(s8)).entries
+        assert str(g8[(0, 1, 1)]) == "2*x1/(x1^2 + 1)"
+        assert str(g16[(0, 1, 1)]) == "2*x1/(x1^2 + 1)"
+        assert (0, 2, 2) not in g16

@@ -115,6 +115,16 @@ class TestLeafPlot:
         with pytest.raises(PlotError):
             leaf_plot(f1, f2, leaves=3, steps=40)
 
+    @pytest.mark.parametrize("bindings, missing", [(None, "g, h"), ({"g": ONE}, "h")])
+    def test_unbound_symbols_listed_for_the_whole_field(self, bindings, missing):
+        g, h = OpaqueSymbol("g", ("x", "y")), OpaqueSymbol("h", ("x", "y"))
+        ch = Chart(("x", "y"), symbols=(g, h))
+        f1 = VectorField(ch, (h.jet((0, 0)), g.jet((0, 0))))
+        f2 = VectorField(ch, (ZERO, ONE))
+        with pytest.raises(PlotError) as err:
+            leaf_plot(f1, f2, leaves=3, steps=40, bindings=bindings)
+        assert str(err.value) == f"cannot plot with unbound opaque symbols: {missing}"
+
     def test_non_planar_chart_rejected(self):
         ch4 = Chart(("a", "b", "c", "d"))
         f1 = VectorField(ch4, (ONE, ZERO, ZERO, ZERO))

@@ -1,6 +1,7 @@
 """Scene files, task execution, machine reports, and the command line."""
 
 import json
+import re
 
 import pytest
 
@@ -587,6 +588,51 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "overall: pass" in out
+
+
+@pytest.mark.parametrize("op, key, raw, kind", [
+    ("flat", "expect", "yes", None),
+    ("flat", "expect", "no", None),
+    ("flat", "expect", "0", None),
+    ("flat", "expect", "maybe", "true or false"),
+    ("act-check", "expect", "False", None),
+    ("act-check", "expect", "2", "true or false"),
+    ("christoffels", "frame", "coordinate", None),
+    ("christoffels", "frame", "weird", "foliation or coordinate"),
+    ("lift", "k", "1", None),
+    ("lift", "k", "-1", None),
+    ("lift", "k", "1.5", "an integer"),
+    ("lift", "k", "", "an integer"),
+    ("lift", "fibers", "a,b", None),
+    ("lift", "fibers", "1a,b", "comma-separated coordinate names"),
+    ("plot", "window", "-1,1,-1,1", None),
+    ("plot", "window", "0,1,0", "x0,x1,y0,y1"),
+    ("plot", "leaves", "3", None),
+    ("plot", "leaves", "abc", "an integer"),
+    ("plot", "steps", "0", None),
+    ("plot", "steps", "1e3", "an integer"),
+])
+def test_task_line_and_flag_read_a_value_alike(capsys, tmp_path, op, key, raw, kind):
+    # a typed argument's value reads the same on a scene's task line and as
+    # its subcommand's flag: the same exit code and the same message
+    base = find_scene("affine-action")
+    extra = {"act-check": {"map": "psiAB"}, "plot": {"out": str(tmp_path / "p.svg")}}
+    task_args = {**extra.get(op, {}), key: raw}
+    scene = tmp_path / "typed.scene"
+    with open(base, encoding="utf-8") as fh:
+        words = " ".join(f"{k}={v}" for k, v in task_args.items())
+        scene.write_text(fh.read() + f"task t: {op} {words}\n")
+    runs = []
+    for argv in (["report", "--scene", str(scene), "--task", "t"],
+                 [op, "--scene", base, *(f"--{k}={v}" for k, v in task_args.items())]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        runs.append((code, re.sub(r"^bilag: (line \d+: )?task '[^']*': ", "", err)))
+    assert runs[0] == runs[1]
+    if kind is None:
+        assert runs[0][0] in (0, 1) and runs[0][1] == ""
+    else:
+        assert runs[0] == (2, f"{key} must be {kind}, got {raw!r}\n")
 
 
 def test_find_scene_variants(tmp_path):

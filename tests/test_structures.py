@@ -202,6 +202,16 @@ def per_pair_connections_equal(c1, c2):
     )
 
 
+def dense_connections_equal(c1, c2):
+    """Reference: connections_equal zero-testing every component of each
+    coordinate-table difference, the literal zeros included."""
+    t1 = connection_coordinate_table(c1)
+    t2 = connection_coordinate_table(c2)
+    m = c1.chart.dim
+    diffs = (f1 - f2 for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2))
+    return all(equal_zero(d.component(k)) for d in diffs for k in range(m))
+
+
 def dense_oracle(para):
     """Reference: every Levi-Civita Gamma^k_{ij}, differentiating G m times each."""
     m = para.chart.dim
@@ -515,6 +525,22 @@ class TestOnePassCrossCheck:
                 runs.append((same(hess, oracle), symexpr._check_rng.getstate()))
         assert runs[0] == runs[1]
         assert runs[1][0] is True
+
+    @pytest.mark.parametrize("name", [*sorted(STRUCTURES), "pushed"])
+    def test_sparse_walk_matches_dense_components(self, name):
+        # connections_equal skips the literal zeros of each difference; the
+        # dense walk zero-tests them too, and they draw no point
+        if name == "pushed":
+            c1, c2 = transport_pair()
+        else:
+            s = STRUCTURES[name]()
+            c1, c2 = christoffels(s), levi_civita_oracle(para_structure(s))
+        runs = []
+        for same in (dense_connections_equal, connections_equal):
+            with check_stream("sparse-walk"):
+                runs.append((same(c1, c2), symexpr._check_rng.getstate()))
+        assert runs[0] == runs[1]
+        assert runs[1][0] is (name != "pushed")
 
     def test_differing_connections_same_false_verdict_and_draws(self):
         pushed, wrong = transport_pair()
