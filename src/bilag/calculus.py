@@ -10,23 +10,26 @@ Conventions fixed throughout the package:
   determinant).
 
 Linear algebra is exact: one forward-elimination kernel over the
-rational-function field, with unit pivots and zero tests through normal
-forms, plus back substitution, serves determinants, solves, inverses, rank
-and span tests.  A frame that is singular only on a measure-zero set is
-usable away from it, with its determinant showing up in denominators.
+rational-function field, which updates the rows on normal forms with one
+multiplier per eliminated row and never scales a pivot row, plus back
+substitution, serves determinants, solves, inverses, rank and span tests.
+A frame that is singular only on a measure-zero set is usable away from
+it, with its determinant showing up in denominators.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 
 from .symexpr import (
     Expr,
+    NormalForm,
     Rat,
     Var,
     ZERO,
     ONE,
+    _cached_tree,
     as_expr,
-    compact,
     coordinates,
     diff,
     directional,
@@ -640,6 +643,71 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
 # symbolic linear algebra
 
 
+# the forms of 0, 1 and -1, shared as the trees ZERO and ONE are
+_CONST_FORMS = {0: ZERO.normal(), 1: ONE.normal(), -1: Rat(-1).normal()}
+_ZERO_FORM = _CONST_FORMS[0]
+
+
+def _entry_form(e) -> NormalForm:
+    """The normal form of a matrix entry: a tree's own, or the form itself."""
+    return e if e.__class__ is NormalForm else e.normal()
+
+
+def _entry_tree(e) -> Expr:
+    """The tree of a matrix entry: the input tree while elimination has not
+    touched it, else the canonical tree of its form."""
+    return e if e.__class__ is not NormalForm else _cached_tree(e)
+
+
+def _value(f: NormalForm):
+    """f's value, an int or a Fraction, when f is a constant, else None.
+    A constant form's denominator is monic, so it is 1."""
+    return f.num.terms.get((), 0) if f.num.is_const and f.den.is_const else None
+
+
+def _const_form(v) -> NormalForm:
+    """The form of the rational v; those of 0, 1 and -1 are shared."""
+    return (v.__class__ is int and _CONST_FORMS.get(v)) or Rat(v).normal()
+
+
+def _neg(f: NormalForm) -> NormalForm:
+    """-f on normal forms, in plain rationals when f is a constant."""
+    v = _value(f)
+    return f.neg() if v is None else _const_form(-v)
+
+
+def _reciprocal(f: NormalForm) -> NormalForm:
+    """1/f on normal forms, in plain rationals when f is a constant."""
+    v = _value(f)
+    if v is None:
+        return f.inv()
+    return _const_form(v if v == 1 or v == -1 else Fraction(1) / v)
+
+
+def _times(a: NormalForm, b: NormalForm) -> NormalForm:
+    """a*b on normal forms, in plain rationals when both are constants."""
+    if a.is_zero or b.is_zero:
+        return _ZERO_FORM
+    va, vb = _value(a), _value(b)
+    if va is not None:
+        if vb is not None:
+            return _const_form(va * vb)
+        if va == 1:
+            return b
+    elif vb == 1:
+        return a
+    return a.mul(b)
+
+
+def _axpy(a: NormalForm, m: NormalForm, p: NormalForm) -> NormalForm:
+    """a + m*p on normal forms, in plain rationals when all three are constants."""
+    va, vm, vp = _value(a), _value(m), _value(p)
+    if va is not None and vm is not None and vp is not None:
+        return _const_form(va + vm * vp)
+    mp = _times(m, p)
+    return mp if a.is_zero else a.add(mp)
+
+
 def _eliminate(rows, ncols, swap=False):
     """Forward elimination in place over the first `ncols` columns.
 
@@ -647,12 +715,17 @@ def _eliminate(rows, ncols, swap=False):
     yet used as pivots are kept in a scan order that starts as the original
     row order.  A column's pivot is the first nonzero rational constant in
     scan order, otherwise the first nonzero entry; a column without one is
-    skipped.  The pivot row is scaled once to a unit pivot, and the unused
-    rows are eliminated against it.  Every updated entry goes through
-    symexpr.compact, which keeps it small and caches its normal form, and
-    entries are zero-tested through that form.  Where the pivot row's entry
-    is zero, the update is compact(entry) itself: the same value and the
-    same canonical tree as compact(entry - factor * 0), without the sum.
+    skipped.  An entry is a rational constant when its tree is a `Rat`:
+    `(x + 1) - x` is not one while it is untouched.  Each row that is nonzero
+    in the pivot column is eliminated with one multiplier, row[col] / pivot,
+    formed once: its pivot-column entry becomes 0, every later entry becomes
+    its normal form, and where the pivot row's entry p is nonzero, the form
+    of entry - multiplier * p.  The pivot row itself is never scaled.
+
+    Every update is normal-form arithmetic, each entry's form is taken at
+    most once, and the rows hold each touched entry as its form.
+    `_entry_form` and `_entry_tree` read any entry; the tree of a touched
+    entry is the canonical tree of its form.
 
     With `swap`, a pivot is brought into place by a row swap, as in
     textbook square elimination: the first row in scan order takes the
@@ -662,7 +735,7 @@ def _eliminate(rows, ncols, swap=False):
     on which rows pivot, so the square routines swap and the rectangular
     ones do not.
 
-    Returns the pivots as (column, row, raw pivot) in column order, and the
+    Returns the pivots as (column, row, pivot form) in column order, and the
     unused rows in scan order.
     """
     width = len(rows[0]) if rows else 0
@@ -672,9 +745,9 @@ def _eliminate(rows, ncols, swap=False):
         found = None
         for q, i in enumerate(unused):
             entry = rows[i][col]
-            if is_zero(entry):
+            if _entry_form(entry).is_zero:
                 continue
-            if entry.is_rational_const():
+            if entry.is_const() if entry.__class__ is NormalForm else entry.is_rational_const():
                 found = q
                 break
             if found is None:
@@ -687,40 +760,47 @@ def _eliminate(rows, ncols, swap=False):
             found = 0
         del unused[found]
         prow = rows[pivot_row]
-        raw = prow[col]
-        inv_pivot = ONE / raw
-        prow[col:] = [compact(e * inv_pivot) for e in prow[col:]]
-        pivots.append((col, pivot_row, raw))
-        tail = [(c, prow[c], is_zero(prow[c])) for c in range(col, width)]
+        pivot = _entry_form(prow[col])
+        pivots.append((col, pivot_row, pivot))
+        tail = [(c, p) for c in range(col + 1, width)
+                if not (p := _entry_form(prow[c])).is_zero]
+        neg_inv = _neg(_reciprocal(pivot))
         for i in unused:
             row = rows[i]
-            factor = row[col]
-            if is_zero(factor):
+            factor = _entry_form(row[col])
+            if factor.is_zero:
                 continue
-            for c, p, p_zero in tail:
-                row[c] = compact(row[c] if p_zero else row[c] - factor * p)
+            m = _times(factor, neg_inv)  # minus the multiplier
+            row[col:] = [_ZERO_FORM] + [_entry_form(e) for e in row[col + 1:]]
+            for c, p in tail:
+                row[c] = _axpy(row[c], m, p)
     return pivots, unused
 
 
 def _back_substitute(rows, pivots, ncols):
     """Solve an eliminated system for every augmented column.
 
-    Returns one list per unknown, indexed by column, holding its value for
-    each augmented column; unknowns without a pivot are 0.
+    Each unknown is (augmented entry - the later unknowns times their row
+    entries) / pivot, on normal forms.  Returns one list per unknown,
+    indexed by column, holding the canonical tree of its value for each
+    augmented column; unknowns without a pivot are 0.
     """
     naug = len(rows[0]) - ncols if rows else 0
-    solution = [[ZERO] * naug for _ in range(ncols)]
+    solution = [[_ZERO_FORM] * naug for _ in range(ncols)]
     for p in range(len(pivots) - 1, -1, -1):
-        col, i, _ = pivots[p]
+        col, i, pivot = pivots[p]
         row = rows[i]
-        later = [c for c, _, _ in pivots[p + 1:] if not is_zero(row[c])]
+        later = [(c, _neg(f)) for c, _, _ in pivots[p + 1:]
+                 if not (f := _entry_form(row[c])).is_zero]
+        inv = _reciprocal(pivot)
         for k in range(naug):
-            terms = [row[c] * solution[c][k] for c in later if not is_zero(solution[c][k])]
-            total = row[ncols + k]
-            for term in terms:
-                total = total - term
-            solution[col][k] = compact(total) if terms else total
-    return solution
+            total = _entry_form(row[ncols + k])
+            for c, f in later:
+                s = solution[c][k]
+                if not s.is_zero:
+                    total = _axpy(total, f, s)
+            solution[col][k] = _times(total, inv)
+    return [[_cached_tree(s) for s in values] for values in solution]
 
 
 def sym_det(matrix) -> Expr:
@@ -733,10 +813,10 @@ def sym_det(matrix) -> Expr:
     pivots, _ = _eliminate(rows, n, swap=True)
     if len(pivots) < n:
         return ZERO
-    det = ONE
-    for _, _, raw in pivots:
-        det = det * raw
-    det = compact(det)
+    det = _CONST_FORMS[1]
+    for _, _, pivot in pivots:
+        det = _times(det, pivot)
+    det = _cached_tree(det)
     return det if _perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
 
 
@@ -797,7 +877,7 @@ def span_membership(xs, fields) -> tuple:
     r = len(fields)
     rows = component_matrix(fields + xs)
     pivots, unused = _eliminate(rows, r)
-    witnesses = [next((i for i in unused if not equal_zero(rows[i][r + k])), None)
+    witnesses = [next((i for i in unused if not equal_zero(_entry_tree(rows[i][r + k]))), None)
                  for k in range(len(xs))]
     solution = _back_substitute(rows, pivots, r)
     return tuple(

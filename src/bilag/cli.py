@@ -105,6 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with each value-taking flag joined to a next token that starts
+    with '-' (``--window -1,1,-1,1`` becomes ``--window=-1,1,-1,1``),
+    unless that token is one of the subcommand's own flags.  argparse alone
+    reads such a token as a flag and reports the value missing."""
+    commands = parser._subparsers._group_actions[0].choices
+    flags = next((commands[t]._option_string_actions for t in argv if t in commands), {})
+    out = []
+    for tok in argv:
+        flag = flags.get(out[-1]) if out else None
+        if (flag is not None and flag.nargs is None and tok.startswith("-")
+                and tok.partition("=")[0] not in flags):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _adhoc_task(args) -> Task:
     op = args.command
     task_args = {}
@@ -132,7 +150,8 @@ def _emit(report: SceneReport, args, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
     try:
         flags = {key: arg.read(f"--{key}", raw) for key, arg in _COMMON_ARGS.items()
                  if (raw := getattr(args, key.replace("-", "_"))) is not None}

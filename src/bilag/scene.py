@@ -53,7 +53,7 @@ from .lift import (
     lifted_action_check,
     DEFAULT_MAX_DIM,
 )
-from .plot import PlotError, Window, leaf_plot
+from .plot import Window, leaf_plot
 from .structures import (
     BiLagError,
     christoffels,
@@ -803,8 +803,6 @@ def _run_act_check(scene, task, options):
 
 def _run_plot(scene, task, options):
     s = scene.structure()
-    if s.chart.dim != 2:
-        raise PlotError(f"leaf plots need a 2-dimensional chart, got {s.chart.dim}")
     bindings = {
         key: _read_arg(task.name, "plot", key, raw, scene.chart)
         for key, raw in task.args.items() if key not in _TASK_ARGS["plot"]

@@ -634,6 +634,9 @@ class NormalForm:
         n2, d1 = _cancel(other.num, self.den)
         return NormalForm(n1 * n2, d1 * d2, atoms, reduced=True)
 
+    def neg(self) -> "NormalForm":
+        return NormalForm(-self.num, self.den, self.atoms, reduced=True)
+
     def inv(self) -> "NormalForm":
         if self.num.is_zero:
             raise ZeroDenominator("division by an expression that normalizes to zero")

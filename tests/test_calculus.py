@@ -365,7 +365,7 @@ def _one_vector_membership(x, fields):
     rows = [[f.components[i] for f in fields] + [x.components[i]] for i in range(x.chart.dim)]
     pivots, unused = calculus._eliminate(rows, r)
     for i in unused:
-        if not equal_zero(rows[i][r]):
+        if not equal_zero(calculus._entry_tree(rows[i][r])):
             return False, i
     return True, tuple(c[0] for c in calculus._back_substitute(rows, pivots, r))
 
@@ -471,15 +471,17 @@ class TestEliminationKernel:
 
     def test_zero_pivot_row_entry_still_compacts_the_entry(self):
         # the pivot row's middle entry is 0, so row 1's middle entry is not
-        # updated; it is still replaced by its canonical tree
+        # updated; it still reads as its canonical tree, whose form is the
+        # entry's own
         raw = X * X + X * Y - X * X
         rows = [[ONE, ZERO, ONE], [X, raw, Y]]
         assert str(raw) == "x*x + x*y + (-1)*x*x" and raw._nf is None
         pivots, unused = calculus._eliminate(rows, 1)
         assert [(c, i) for c, i, _ in pivots] == [(0, 0)] and unused == [1]
-        assert [str(e) for e in rows[1]] == ["0", "x*y", "(-1)*x + y"]
-        assert rows[1][0] is ZERO
-        assert rows[1][1].normal() is raw.normal()
+        trees = [calculus._entry_tree(e) for e in rows[1]]
+        assert [str(e) for e in trees] == ["0", "x*y", "(-1)*x + y"]
+        assert trees[0] is ZERO
+        assert trees[1].normal() is raw.normal()
 
 
 class TestFrameBasis:

@@ -1,0 +1,327 @@
+"""The elimination kernel on normal forms against a reference copy of the
+tree route it replaces.
+
+The reference eliminates on expression trees: it scales each pivot row to a
+unit pivot and writes compact(entry - factor * p) back into the rows.  The
+kernel must pick the same pivots, and every tree a caller returns or reads
+(determinants, inverses, solutions, certificates, the residuals that span
+tests zero-test) must print the same and be a `Rat` exactly when the
+reference's is, with the same zero-test draws.
+"""
+
+import functools
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from bilag import calculus, symexpr
+from bilag.calculus import (
+    Chart,
+    SingularFrame,
+    VectorField,
+    component_matrix,
+    frame_rank_full,
+    span_membership,
+    sym_det,
+    sym_inverse,
+    sym_solve,
+)
+from bilag.lift import lifted_action_check
+from bilag.structures import push_structure
+from bilag.symexpr import ONE, ZERO, Expr, Rat, compact, equal_zero, is_zero
+from test_structures import STRUCTURES, lifted
+
+# ---------------------------------------------------------------------------
+# reference: the tree route, unit pivots written back into the rows
+
+
+def ref_eliminate(rows, ncols, swap=False):
+    width = len(rows[0]) if rows else 0
+    unused = list(range(len(rows)))
+    pivots = []
+    for col in range(ncols):
+        found = None
+        for q, i in enumerate(unused):
+            entry = rows[i][col]
+            if is_zero(entry):
+                continue
+            if entry.is_rational_const():
+                found = q
+                break
+            if found is None:
+                found = q
+        if found is None:
+            continue
+        pivot_row = unused[found]
+        if swap:
+            unused[found] = unused[0]
+            found = 0
+        del unused[found]
+        prow = rows[pivot_row]
+        raw = prow[col]
+        inv_pivot = ONE / raw
+        prow[col:] = [compact(e * inv_pivot) for e in prow[col:]]
+        pivots.append((col, pivot_row, raw))
+        tail = [(c, prow[c], is_zero(prow[c])) for c in range(col, width)]
+        for i in unused:
+            row = rows[i]
+            factor = row[col]
+            if is_zero(factor):
+                continue
+            for c, p, p_zero in tail:
+                row[c] = compact(row[c] if p_zero else row[c] - factor * p)
+    return pivots, unused
+
+
+def ref_back_substitute(rows, pivots, ncols):
+    naug = len(rows[0]) - ncols if rows else 0
+    solution = [[ZERO] * naug for _ in range(ncols)]
+    for p in range(len(pivots) - 1, -1, -1):
+        col, i, _ = pivots[p]
+        row = rows[i]
+        later = [c for c, _, _ in pivots[p + 1:] if not is_zero(row[c])]
+        for k in range(naug):
+            terms = [row[c] * solution[c][k] for c in later if not is_zero(solution[c][k])]
+            total = row[ncols + k]
+            for term in terms:
+                total = total - term
+            solution[col][k] = compact(total) if terms else total
+    return solution
+
+
+def ref_sym_det(matrix):
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    pivots, _ = ref_eliminate(rows, n, swap=True)
+    if len(pivots) < n:
+        return ZERO
+    det = ONE
+    for _, _, raw in pivots:
+        det = det * raw
+    det = compact(det)
+    return det if calculus._perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
+
+
+def ref_solve_square(rows, n):
+    pivots, _ = ref_eliminate(rows, n, swap=True)
+    if len(pivots) < n:
+        raise SingularFrame("matrix determinant is identically zero")
+    return ref_back_substitute(rows, pivots, n)
+
+
+def ref_sym_solve(matrix, rhs):
+    rows = [list(r) + [rhs[i]] for i, r in enumerate(matrix)]
+    return tuple(x[0] for x in ref_solve_square(rows, len(matrix)))
+
+
+def ref_sym_inverse(matrix):
+    n = len(matrix)
+    rows = [list(r) + [ONE if j == i else ZERO for j in range(n)]
+            for i, r in enumerate(matrix)]
+    return tuple(tuple(x) for x in ref_solve_square(rows, n))
+
+
+def ref_span_membership(xs, fields):
+    xs, fields = tuple(xs), tuple(fields)
+    if not xs:
+        return ()
+    r = len(fields)
+    rows = component_matrix(fields + xs)
+    pivots, unused = ref_eliminate(rows, r)
+    witnesses = [next((i for i in unused if not equal_zero(rows[i][r + k])), None)
+                 for k in range(len(xs))]
+    solution = ref_back_substitute(rows, pivots, r)
+    return tuple(
+        (True, tuple(c[k] for c in solution)) if w is None else (False, w)
+        for k, w in enumerate(witnesses)
+    )
+
+
+def ref_frame_rank_full(fields):
+    fields = tuple(fields)
+    if not fields:
+        return True
+    r = len(fields)
+    if r > fields[0].chart.dim:
+        return False
+    pivots, _ = ref_eliminate(component_matrix(fields), r)
+    return len(pivots) == r
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def text(value):
+    """Each tree as (str, is a Rat), through tuples, lists and verdicts."""
+    if isinstance(value, Expr):
+        return str(value), isinstance(value, Rat)
+    if isinstance(value, (tuple, list)):
+        return tuple(text(v) for v in value)
+    return value
+
+
+def outcome(run):
+    """run()'s result as text, or its SingularFrame, and the RNG state after."""
+    symexpr.set_check_seed(5)
+    try:
+        result = text(run())
+    except SingularFrame as exc:
+        result = ("SingularFrame", str(exc))
+    return result, symexpr._check_rng.getstate()
+
+
+def same(run, ref_run):
+    got, want = outcome(run), outcome(ref_run)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    return got[0]
+
+
+def same_kernel(matrix, ncols, swap):
+    """The kernel's pivots, unused rows and the trees of the unused rows
+    (the residuals span tests read) against the reference's."""
+    rows = [list(r) for r in matrix]
+    ref_rows = [list(r) for r in matrix]
+    pivots, unused = calculus._eliminate(rows, ncols, swap)
+    ref_pivots, ref_unused = ref_eliminate(ref_rows, ncols, swap)
+    assert [(c, i) for c, i, _ in pivots] == [(c, i) for c, i, _ in ref_pivots]
+    assert unused == ref_unused
+    for (_, _, pivot), (_, _, raw) in zip(pivots, ref_pivots):
+        assert pivot == raw.normal()
+    for i in unused:
+        assert text([calculus._entry_tree(e) for e in rows[i]]) == text(ref_rows[i])
+
+
+def same_square(matrix, rhs):
+    same_kernel(matrix, len(matrix), True)
+    same(lambda: sym_det(matrix), lambda: ref_sym_det(matrix))
+    same(lambda: sym_inverse(matrix), lambda: ref_sym_inverse(matrix))
+    same(lambda: sym_solve(matrix, rhs), lambda: ref_sym_solve(matrix, rhs))
+
+
+def same_span(xs, fields):
+    same_kernel(component_matrix(tuple(fields) + tuple(xs)), len(fields), False)
+    verdicts = same(lambda: span_membership(xs, fields),
+                    lambda: ref_span_membership(xs, fields))
+    same(lambda: frame_rank_full(fields), lambda: ref_frame_rank_full(fields))
+    return verdicts
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+CASES = [(name, dim) for name in sorted(STRUCTURES) for dim in (2, 4, 8)
+         if dim >= STRUCTURES[name]().chart.dim]
+
+
+@functools.lru_cache(maxsize=None)
+def build(name, dim):
+    return lifted(STRUCTURES[name](), dim)
+
+
+@pytest.mark.parametrize("name, dim", CASES)
+def test_structure_frames(name, dim):
+    s = build(name, dim)
+    matrix = component_matrix(s.frame)
+    rhs = [c * c + ONE for c in reversed(s.chart.coords())]
+    same_square(matrix, rhs)
+    probe = VectorField(s.chart, rhs)
+    for fields in (s.f1.fields, s.f2.fields, s.frame):
+        same_span(s.frame + (probe,), fields)
+
+
+def _workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=None)
+def transport_frames():
+    """The frames of the transport workload's pushes at seed 1: each pushed
+    structure, and the two lifts that its action check compares."""
+    wl = _workloads()
+    out = []
+    for kind, spec in wl.transport_specs(1):
+        s = wl.plane_structure(kind)
+        psi = wl.build_map(s.chart, spec)
+        action = lifted_action_check(psi, s)
+        out.append((push_structure(psi, s), action.hat, action.tilde))
+    return out
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_transport_frames(index):
+    pushed, hat, tilde = transport_frames()[index]
+    for s in (pushed, hat, tilde):
+        same_square(component_matrix(s.frame), list(reversed(s.chart.coords())))
+    for a, b in ((hat.f1, tilde.f1), (tilde.f1, hat.f1), (hat.f2, tilde.f2), (tilde.f2, hat.f2)):
+        assert all(ok for ok, _ in same_span(a.fields, b.fields))
+    verdicts = same_span(hat.frame, hat.f1.fields)
+    assert [ok for ok, _ in verdicts] == [True] * hat.n + [False] * hat.n
+
+
+# literal zeros, rational constants, a constant that is not a Rat tree and
+# a zero that is not the literal zero
+RANDOM_CH = Chart(("x", "y", "z"))
+X, Y, Z = RANDOM_CH.coords()
+NOT_A_RAT = (X + 1) - X
+NOT_LITERAL_ZERO = Y - Y
+
+
+def random_entry(rng):
+    kind = rng.random()
+    if kind < 0.45:
+        return ZERO
+    if kind < 0.65:
+        return Rat(rng.choice((1, -1, 2, -3, Fraction(1, 2))))
+    if kind < 0.72:
+        return NOT_A_RAT * rng.choice((1, 2))
+    if kind < 0.8:
+        return NOT_LITERAL_ZERO
+    return rng.choice((1, -1, 2)) * rng.choice((X, Y, Z)) + rng.randint(-2, 2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_sparse_matrices(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    matrix = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+    same_square(matrix, [random_entry(rng) for _ in range(n)])
+
+    r = rng.randint(1, n)
+    fields = [VectorField(RANDOM_CH, [random_entry(rng) for _ in range(3)]) for _ in range(r)]
+    xs = [VectorField(RANDOM_CH, [random_entry(rng) for _ in range(3)])
+          for _ in range(rng.randint(1, 4))]
+    same_span(xs, fields)
+
+
+def test_a_constant_that_is_not_a_rat_tree_is_not_a_rational_pivot():
+    # column 0 holds (x + 1) - x above a 2: the 2 is the first rational
+    # constant, so row 1 pivots, while the form of row 0's entry is constant
+    matrix = [[NOT_A_RAT, X], [Rat(2), Y]]
+    pivots, _ = calculus._eliminate([list(r) for r in matrix], 2, swap=True)
+    assert [(c, i) for c, i, _ in pivots] == [(0, 1), (1, 0)]
+    same_square(matrix, [ONE, X])
+    assert str(sym_det(matrix)) == "(-1)*(2*x + (-1)*y)"
+
+
+def test_an_untouched_residual_is_zero_tested_as_given():
+    # the field is zero on rows 1 and 2, which are never eliminated: their
+    # residuals are the vector's own components, and y - y draws points
+    # where its canonical tree, the literal 0, would draw none
+    field = VectorField(RANDOM_CH, (ONE, ZERO, ZERO))
+    x = VectorField(RANDOM_CH, (X, NOT_LITERAL_ZERO, NOT_A_RAT))
+    verdicts = same_span([x], [field])
+    assert verdicts == ((False, 2),)
+    symexpr.set_check_seed(5)
+    state = symexpr._check_rng.getstate()
+    span_membership([x], [field])
+    assert symexpr._check_rng.getstate() != state

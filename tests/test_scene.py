@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -461,6 +462,43 @@ class TestCli:
         assert task["status"] == "error"
         assert task["messages"] == [f"PlotError: {message}"]
         assert not svg.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        ("", "SceneError: task 'figure': plot needs out=PATH or --out"),
+        ("window=1,0,0,1", "PlotError: window must have positive extent on both axes"),
+        ("out=p.svg", "PlotError: leaf plots need a 2-dimensional chart, got 4"),
+    ])
+    def test_plot_on_a_4_dimensional_chart_reports_its_first_error(
+            self, capsys, tmp_path, monkeypatch, args, message):
+        # the chart check is leaf_plot's, so a missing out or a bad window
+        # is reported before it
+        monkeypatch.chdir(tmp_path)
+        bundled = Path(find_scene("lifted-standard")).read_text(encoding="utf-8")
+        scene = tmp_path / "dim4.scene"
+        scene.write_text("".join(line for line in bundled.splitlines(keepends=True)
+                                 if not line.startswith("task "))
+                         + f"task figure: plot {args}\n")
+        code = main(["report", "--scene", str(scene), "--format", "machine"])
+        assert code == 1
+        task = json.loads(capsys.readouterr().out)["tasks"][-1]
+        assert task["status"] == "error"
+        assert task["messages"] == [message]
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_flag_value_may_begin_with_a_dash(self, capsys, tmp_path):
+        spaced, joined = tmp_path / "spaced.svg", tmp_path / "joined.svg"
+        assert main(["plot", "--scene", "standard", "--window", "-1,1,-1,1",
+                     "--out", str(spaced)]) == 0
+        assert main(["plot", "--scene", "standard", "--window=-1,1,-1,1",
+                     "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_flag_followed_by_a_flag_is_still_missing_its_value(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--scene", "standard", "--window", "--out", str(tmp_path / "w.svg")])
+        assert exc.value.code == 2
+        assert "argument --window: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "w.svg").exists()
 
     def test_misspelled_task_argument_is_usage_error(self, capsys, tmp_path):
         scene = tmp_path / "typo.scene"
