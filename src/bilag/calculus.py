@@ -10,16 +10,15 @@ Conventions fixed throughout the package:
   determinant).
 
 Linear algebra is exact: one forward-elimination kernel over the
-rational-function field, which updates the rows on normal forms with one
-multiplier per eliminated row and never scales a pivot row, plus back
-substitution, serves determinants, solves, inverses, rank and span tests.
+rational-function field, which updates the rows with `NormalForm`
+arithmetic, one multiplier per eliminated row, and never scales a pivot
+row, plus back substitution, serves determinants, solves, inverses, rank
+and span tests.
 A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .symexpr import (
     Expr,
@@ -643,9 +642,7 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
 # symbolic linear algebra
 
 
-# the forms of 0, 1 and -1, shared as the trees ZERO and ONE are
-_CONST_FORMS = {0: ZERO.normal(), 1: ONE.normal(), -1: Rat(-1).normal()}
-_ZERO_FORM = _CONST_FORMS[0]
+_ZERO_FORM = ZERO.normal()
 
 
 def _entry_form(e) -> NormalForm:
@@ -657,55 +654,6 @@ def _entry_tree(e) -> Expr:
     """The tree of a matrix entry: the input tree while elimination has not
     touched it, else the canonical tree of its form."""
     return e if e.__class__ is not NormalForm else _cached_tree(e)
-
-
-def _value(f: NormalForm):
-    """f's value, an int or a Fraction, when f is a constant, else None.
-    A constant form's denominator is monic, so it is 1."""
-    return f.num.terms.get((), 0) if f.num.is_const and f.den.is_const else None
-
-
-def _const_form(v) -> NormalForm:
-    """The form of the rational v; those of 0, 1 and -1 are shared."""
-    return (v.__class__ is int and _CONST_FORMS.get(v)) or Rat(v).normal()
-
-
-def _neg(f: NormalForm) -> NormalForm:
-    """-f on normal forms, in plain rationals when f is a constant."""
-    v = _value(f)
-    return f.neg() if v is None else _const_form(-v)
-
-
-def _reciprocal(f: NormalForm) -> NormalForm:
-    """1/f on normal forms, in plain rationals when f is a constant."""
-    v = _value(f)
-    if v is None:
-        return f.inv()
-    return _const_form(v if v == 1 or v == -1 else Fraction(1) / v)
-
-
-def _times(a: NormalForm, b: NormalForm) -> NormalForm:
-    """a*b on normal forms, in plain rationals when both are constants."""
-    if a.is_zero or b.is_zero:
-        return _ZERO_FORM
-    va, vb = _value(a), _value(b)
-    if va is not None:
-        if vb is not None:
-            return _const_form(va * vb)
-        if va == 1:
-            return b
-    elif vb == 1:
-        return a
-    return a.mul(b)
-
-
-def _axpy(a: NormalForm, m: NormalForm, p: NormalForm) -> NormalForm:
-    """a + m*p on normal forms, in plain rationals when all three are constants."""
-    va, vm, vp = _value(a), _value(m), _value(p)
-    if va is not None and vm is not None and vp is not None:
-        return _const_form(va + vm * vp)
-    mp = _times(m, p)
-    return mp if a.is_zero else a.add(mp)
 
 
 def _eliminate(rows, ncols, swap=False):
@@ -722,8 +670,10 @@ def _eliminate(rows, ncols, swap=False):
     its normal form, and where the pivot row's entry p is nonzero, the form
     of entry - multiplier * p.  The pivot row itself is never scaled.
 
-    Every update is normal-form arithmetic, each entry's form is taken at
-    most once, and the rows hold each touched entry as its form.
+    Every update is `NormalForm` arithmetic, whose constant shortcuts keep
+    constants as plain rationals; the kernel keeps no arithmetic of its
+    own.  Each entry's form is taken at most once, and the rows hold each
+    touched entry as its form.
     `_entry_form` and `_entry_tree` read any entry; the tree of a touched
     entry is the canonical tree of its form.
 
@@ -764,16 +714,16 @@ def _eliminate(rows, ncols, swap=False):
         pivots.append((col, pivot_row, pivot))
         tail = [(c, p) for c in range(col + 1, width)
                 if not (p := _entry_form(prow[c])).is_zero]
-        neg_inv = _neg(_reciprocal(pivot))
+        neg_inv = pivot.inv().neg()
         for i in unused:
             row = rows[i]
             factor = _entry_form(row[col])
             if factor.is_zero:
                 continue
-            m = _times(factor, neg_inv)  # minus the multiplier
+            m = factor.mul(neg_inv)  # minus the multiplier
             row[col:] = [_ZERO_FORM] + [_entry_form(e) for e in row[col + 1:]]
             for c, p in tail:
-                row[c] = _axpy(row[c], m, p)
+                row[c] = row[c].add(m.mul(p))
     return pivots, unused
 
 
@@ -790,16 +740,16 @@ def _back_substitute(rows, pivots, ncols):
     for p in range(len(pivots) - 1, -1, -1):
         col, i, pivot = pivots[p]
         row = rows[i]
-        later = [(c, _neg(f)) for c, _, _ in pivots[p + 1:]
+        later = [(c, f.neg()) for c, _, _ in pivots[p + 1:]
                  if not (f := _entry_form(row[c])).is_zero]
-        inv = _reciprocal(pivot)
+        inv = pivot.inv()
         for k in range(naug):
             total = _entry_form(row[ncols + k])
             for c, f in later:
                 s = solution[c][k]
                 if not s.is_zero:
-                    total = _axpy(total, f, s)
-            solution[col][k] = _times(total, inv)
+                    total = total.add(f.mul(s))
+            solution[col][k] = total.mul(inv)
     return [[_cached_tree(s) for s in values] for values in solution]
 
 
@@ -813,9 +763,9 @@ def sym_det(matrix) -> Expr:
     pivots, _ = _eliminate(rows, n, swap=True)
     if len(pivots) < n:
         return ZERO
-    det = _CONST_FORMS[1]
+    det = ONE.normal()
     for _, _, pivot in pivots:
-        det = _times(det, pivot)
+        det = det.mul(pivot)
     det = _cached_tree(det)
     return det if _perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
 

@@ -108,15 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _attach_values(parser: argparse.ArgumentParser, argv: list) -> list:
     """argv with each value-taking flag joined to a next token that starts
     with '-' (``--window -1,1,-1,1`` becomes ``--window=-1,1,-1,1``),
-    unless that token is one of the subcommand's own flags.  argparse alone
-    reads such a token as a flag and reports the value missing."""
+    unless that token names one of the subcommand's own flags.  argparse
+    alone reads such a token as a flag and reports the value missing.  As
+    in argparse, a token names a flag exactly or as a prefix of long
+    flags; a flag is joined only when it names one flag, so an ambiguous
+    prefix is left for argparse to refuse."""
     commands = parser._subparsers._group_actions[0].choices
     flags = next((commands[t]._option_string_actions for t in argv if t in commands), {})
+
+    def named(tok):
+        if tok in flags:
+            return [tok]
+        return [f for f in flags if tok.startswith("--") and f.startswith(tok)]
+
     out = []
     for tok in argv:
-        flag = flags.get(out[-1]) if out else None
-        if (flag is not None and flag.nargs is None and tok.startswith("-")
-                and tok.partition("=")[0] not in flags):
+        prev = named(out[-1]) if out else []
+        if (len(prev) == 1 and flags[prev[0]].nargs is None and tok.startswith("-")
+                and not named(tok.partition("=")[0])):
             out[-1] += "=" + tok
         else:
             out.append(tok)

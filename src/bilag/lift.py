@@ -36,6 +36,7 @@ from .calculus import (
 )
 from .structures import (
     BiLagStructure,
+    CheckResult,
     push_structure,
     validate_bilagrangian,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "LiftedStructure",
     "LiftedMap",
     "ActionCheckResult",
-    "MembershipVerdict",
     "default_fiber_names",
     "lift_structure",
     "iterate_lift",
@@ -213,9 +213,6 @@ class LiftedMap:
         self.fiber_block = fiber_block
         self.preserves_form = preserves_form
 
-    def jacobian(self):
-        return self.map.jacobian()
-
     def __repr__(self):
         return (
             f"LiftedMap({self.source_bundle.chart.names} -> "
@@ -278,27 +275,13 @@ def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
     return LiftedMap(lifted, psi, source_bundle, target_bundle, block, preserves)
 
 
-class MembershipVerdict:
-    """Span membership of one lifted-frame generator in the other frame."""
-
-    __slots__ = ("label", "ok", "detail")
-
-    def __init__(self, label: str, ok: bool, detail: str):
-        self.label = label
-        self.ok = ok
-        self.detail = detail
-
-    def __repr__(self):
-        status = "ok" if self.ok else "FAIL"
-        return f"[{status}] {self.label}: {self.detail}"
-
-
 class ActionCheckResult:
     """Comparison of push-then-lift against lift-then-push.
 
     `hat` is the lift of the pushed structure, `tilde` the push of the
     lifted structure along the lifted map; `verdicts` holds one span
-    membership per frame generator in both directions and `equal` says
+    membership per frame generator in both directions, each a
+    `CheckResult` whose detail is never empty, and `equal` says
     whether the two lifted foliation pairs span the same distributions.
     """
 
@@ -310,7 +293,7 @@ class ActionCheckResult:
         self.lifted_map = lifted_map
         self.omega_match = omega_match
         self.verdicts = tuple(verdicts)
-        self.equal = omega_match and all(v.ok for v in self.verdicts)
+        self.equal = omega_match and all(v.passed for v in self.verdicts)
 
     def __bool__(self):
         return self.equal
@@ -328,7 +311,7 @@ def _membership_pass(label_a: str, fields_a, label_b: str, fields_b, chart, out)
             detail = "coefficients (" + ", ".join(str(c) for c in cert) + ")"
         else:
             detail = f"unmatched component {chart.names[cert]}"
-        out.append(MembershipVerdict(
+        out.append(CheckResult(
             f"{label_a} generator {idx + 1} in span {label_b}", ok, detail,
         ))
 

@@ -791,7 +791,7 @@ def _run_act_check(scene, task, options):
         "fiber_block": _matrix_payload(result.lifted_map.fiber_block),
         "preserves_form": result.lifted_map.preserves_form,
         "verdicts": [
-            {"label": v.label, "ok": v.ok, "detail": v.detail}
+            {"label": v.name, "ok": v.passed, "detail": v.detail}
             for v in result.verdicts
         ],
     }

@@ -197,10 +197,6 @@ class BiLagStructure:
         )
 
 
-def _default_adapted(chart: Chart) -> tuple:
-    return chart.coords()
-
-
 def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStructure:
     """Validate (omega, F1, F2) and return the certified structure.
 
@@ -258,7 +254,7 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
                     for (i, j), b in f2.involutivity_report(report, "F2").items())
 
     if adapted is None:
-        adapted = _default_adapted(chart)
+        adapted = chart.coords()
     else:
         adapted = tuple(as_expr(a) for a in adapted)
         if len(adapted) != n2:

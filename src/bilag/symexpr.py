@@ -12,7 +12,10 @@ normalizes by its name.
 Every expression has a canonical normal form: a reduced pair of multivariate
 polynomials with exact rational coefficients (an ``int`` where integral, a
 ``Fraction`` otherwise), the denominator made monic under lexicographic
-order.  ``equal_zero`` decides equality through the normal form and
+order.  ``NormalForm`` arithmetic is the one place where forms combine:
+it takes the zero, constant and unit shortcuts (constants combine as plain
+rationals) and holds the shared forms of 0, 1 and -1, which ``Rat`` constants
+normalize to.  ``equal_zero`` decides equality through the normal form and
 cross-checks the verdict by evaluating the original tree at random rational
 points: modulo the prime 2^61 - 1 first, and exactly wherever the residue
 contradicts the verdict or a denominator vanishes modulo the prime.  No
@@ -579,18 +582,24 @@ class NormalForm:
     Structural equality of normal forms is semantic equality of the
     expressions they came from.  The atom table remembers which polynomial
     variable names stand for jets of opaque symbols, so `as_expr` can
-    rebuild a tree that still differentiates correctly.
+    rebuild a tree that still differentiates correctly.  The pair handed to
+    the constructor must be reduced; only the denominator is made monic.
+
+    `add` and `mul` merge the operands' atom tables first, so a name that
+    denotes two different atoms raises whatever the operands are.  A
+    constant operand takes a shortcut: constants combine as plain
+    rationals, 0 + f and 1 * f give f with the merged table, and 0 * f
+    gives 0.  A constant a shortcut returns has no atom table, and it is
+    the shared form of 0, 1 or -1 where it has that value.
     """
 
     __slots__ = ("num", "den", "atoms", "_tree")
 
-    def __init__(self, num: Poly, den: Poly, atoms=None, reduced: bool = False):
+    def __init__(self, num: Poly, den: Poly, atoms=None):
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
         self.atoms = atoms or {}
         self._tree = None
-        if not reduced and not num.is_zero:
-            num, den = _cancel(num, den)
         if num.is_zero:
             self.num, self.den = num, _POLY_ONE
             return
@@ -618,54 +627,101 @@ class NormalForm:
 
     def add(self, other: "NormalForm") -> "NormalForm":
         atoms = _merge_atoms(self.atoms, other.atoms)
+        a, b = _constant(self), _constant(other)
+        if a is not None and b is not None:
+            return _const_form(a + b)
+        if a == 0:
+            return _with_atoms(other, atoms)
+        if b == 0:
+            return _with_atoms(self, atoms)
         if self.den.is_const and other.den.is_const:
             # both denominators are 1: the sum of the numerators is reduced
-            return NormalForm(self.num + other.num, _POLY_ONE, atoms, reduced=True)
+            return NormalForm(self.num + other.num, _POLY_ONE, atoms)
         g = poly_gcd(self.den, other.den)
         e1 = _poly_divexact(self.den, g)
         e2 = _poly_divexact(other.den, g)
         num, g = _cancel(self.num * e2 + other.num * e1, g)
-        return NormalForm(num, g * e1 * e2, atoms, reduced=True)
+        return NormalForm(num, g * e1 * e2, atoms)
 
     def mul(self, other: "NormalForm") -> "NormalForm":
         atoms = _merge_atoms(self.atoms, other.atoms)
+        a, b = _constant(self), _constant(other)
+        if a is not None and b is not None:
+            return _const_form(a * b)
+        if a == 0 or b == 0:
+            return _CONST_FORMS[0]
+        if a == 1:
+            return _with_atoms(other, atoms)
+        if b == 1:
+            return _with_atoms(self, atoms)
         # a constant denominator is 1 and cancels against nothing
         n1, d2 = _cancel(self.num, other.den)
         n2, d1 = _cancel(other.num, self.den)
-        return NormalForm(n1 * n2, d1 * d2, atoms, reduced=True)
+        return NormalForm(n1 * n2, d1 * d2, atoms)
 
     def neg(self) -> "NormalForm":
-        return NormalForm(-self.num, self.den, self.atoms, reduced=True)
+        v = _constant(self)
+        if v is not None:
+            return _const_form(-v)
+        return NormalForm(-self.num, self.den, self.atoms)
 
     def inv(self) -> "NormalForm":
         if self.num.is_zero:
             raise ZeroDenominator("division by an expression that normalizes to zero")
+        v = _constant(self)
+        if v is not None:
+            return _const_form(1 / Fraction(v))
         # the pair is already reduced; only the new denominator needs scaling
-        return NormalForm(self.den, self.num, self.atoms, reduced=True)
+        return NormalForm(self.den, self.num, self.atoms)
 
     def pow_int(self, n: int) -> "NormalForm":
         if n < 0:
             return self.inv().pow_int(-n)
-        return NormalForm(self.num.pow_int(n), self.den.pow_int(n), self.atoms, reduced=True)
+        return NormalForm(self.num.pow_int(n), self.den.pow_int(n), self.atoms)
 
     def as_expr(self) -> "Expr":
         num = _poly_to_expr(self.num, self.atoms)
-        if self.den.is_const and self.den.const_value() == 1:
+        if self.den.is_const:
             return num
         return num / _poly_to_expr(self.den, self.atoms)
 
     def __str__(self):
-        if self.den.is_const and self.den.const_value() == 1:
+        if self.den.is_const:
             return str(self.num)
         num = str(self.num)
         den = str(self.den)
         if len(self.num.terms) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1 or not self.den.is_const and _needs_parens_as_den(self.den):
+        if _needs_parens_as_den(self.den):
             den = f"({den})"
         return f"{num}/{den}"
 
     __repr__ = __str__
+
+
+# the forms of 0, 1 and -1, built once
+_CONST_FORMS = {v: NormalForm(Poly({(): v}), _POLY_ONE) for v in (0, 1, -1)}
+
+
+def _constant(f: NormalForm):
+    """f's value, an int or a Fraction, when f is a constant, else None.
+    A constant form's denominator is monic, so it is 1."""
+    num = f.num.terms
+    if not num:
+        return 0
+    den = f.den.terms
+    return num.get(()) if len(num) == 1 and len(den) == 1 and () in den else None
+
+
+def _const_form(v) -> NormalForm:
+    """The form of the rational v; those of 0, 1 and -1 are shared."""
+    return _CONST_FORMS.get(v) or NormalForm(Poly({(): v}), _POLY_ONE)
+
+
+def _with_atoms(f: NormalForm, atoms) -> NormalForm:
+    """f itself when the merged table atoms adds no name to f's, else f's
+    pair with atoms."""
+    return f if len(atoms) == len(f.atoms) else NormalForm(f.num, f.den, atoms)
 
 
 def _cancel(a: Poly, b: Poly):
@@ -843,7 +899,7 @@ class Rat(Expr):
         self.value = value if value.__class__ is int else _coef(Fraction(value))
 
     def _normal(self):
-        return NormalForm(Poly({(): self.value}), _POLY_ONE, reduced=True)
+        return _const_form(self.value)
 
     def _fmt(self, prec):
         s = _frac_str(self.value)
@@ -864,8 +920,7 @@ class _Leaf(Expr):
     __slots__ = ("name",)
 
     def _normal(self):
-        return NormalForm(Poly.variable(self.name), _POLY_ONE,
-                          {self.name: self}, reduced=True)
+        return NormalForm(Poly.variable(self.name), _POLY_ONE, {self.name: self})
 
     def _fmt(self, prec):
         return self.name
@@ -1536,10 +1591,7 @@ def dot(xs, ys) -> Expr:
         a = as_expr(x).normal()
         if a.is_zero:
             continue
-        b = as_expr(y).normal()
-        if b.is_zero:
-            continue
-        term = a.mul(b)
+        term = a.mul(as_expr(y).normal())
         total = term if total is None else total.add(term)
     return ZERO if total is None else _cached_tree(total)
 
@@ -1590,18 +1642,23 @@ def check_stream(label: str):
         _check_rng = outer
 
 
+# the random points at which equal_zero evaluates a tree
+_CHECK_POINTS = 20
+
+
 def _draw_point(names, rng, spread):
     """One random rational point as (numerator, denominator) per name."""
     return [(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in names]
 
 
-def equal_zero(e: Expr, points: int = 20) -> bool:
+def equal_zero(e: Expr) -> bool:
     """Decide whether the expression is identically zero.
 
     The verdict comes from the normal form; it is then cross-checked by
-    evaluating the original tree -- never the normal form -- at `points`
-    random rational points that avoid denominator zeros (a constant tree
-    is evaluated once, exactly).  This is a Schwartz-Zippel identity test.
+    evaluating the original tree -- never the normal form -- at
+    `_CHECK_POINTS` random rational points that avoid denominator zeros (a
+    constant tree is evaluated once, exactly).  This is a Schwartz-Zippel
+    identity test.
     At each point the tree is first evaluated modulo the prime 2^61 - 1;
     a residue that agrees with the verdict is accepted.  Exact ``Fraction``
     evaluation at the same point decides when the residue disagrees, or
@@ -1619,7 +1676,7 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
     saw_nonzero = False
     spread = 12
     attempts = 0
-    while checked < points and attempts < 40 * points:
+    while checked < _CHECK_POINTS and attempts < 40 * _CHECK_POINTS:
         attempts += 1
         draws = _draw_point(names, rng, spread)
         if names:
@@ -1642,8 +1699,8 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
             spread += 1
             continue
         # A tree without atoms draws no point, so its one value stands for
-        # all `points` evaluations.
-        checked += 1 if names else points
+        # all `_CHECK_POINTS` evaluations.
+        checked += 1 if names else _CHECK_POINTS
         if value != 0:
             saw_nonzero = True
             if verdict:
@@ -1653,7 +1710,7 @@ def equal_zero(e: Expr, points: int = 20) -> bool:
             break
     if checked == 0:
         raise RuntimeError(f"could not sample an evaluation point for {e}")
-    if not verdict and not saw_nonzero and checked >= points:
+    if not verdict and not saw_nonzero and checked >= _CHECK_POINTS:
         # Vanishing at many random rational points while the normal form is
         # nonzero would indicate a normalizer defect.
         raise CrossCheckError(

@@ -260,7 +260,7 @@ def test_criterion_08_action_commutes_with_lift():
         res = lifted_action_check(psi, s)
         assert res.omega_match, trial
         assert res.equal, trial
-        assert all(v.ok for v in res.verdicts), trial
+        assert all(v.passed for v in res.verdicts), trial
     report_line(8, "20 random action consistency checks")
 
 

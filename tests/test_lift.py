@@ -243,7 +243,7 @@ class TestActionCheck:
         res = lifted_action_check(psi, s)
         assert res.equal
         assert res.omega_match
-        assert all(v.ok for v in res.verdicts)
+        assert all(v.passed for v in res.verdicts)
 
     def test_shear_action_consistent(self):
         s = standard_structure()
@@ -261,7 +261,7 @@ class TestActionCheck:
         assert res.tilde.chart.dim == 4
         # every generator of each route lies in the span of the other route
         for verdict in res.verdicts:
-            assert verdict.ok, verdict.label
+            assert verdict.passed, verdict.name
 
 
 def _pushed_concrete_parabola():

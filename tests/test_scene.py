@@ -486,18 +486,30 @@ class TestCli:
         assert not (tmp_path / "p.svg").exists()
 
     def test_flag_value_may_begin_with_a_dash(self, capsys, tmp_path):
-        spaced, joined = tmp_path / "spaced.svg", tmp_path / "joined.svg"
-        assert main(["plot", "--scene", "standard", "--window", "-1,1,-1,1",
-                     "--out", str(spaced)]) == 0
-        assert main(["plot", "--scene", "standard", "--window=-1,1,-1,1",
-                     "--out", str(joined)]) == 0
-        assert spaced.read_bytes() == joined.read_bytes()
+        # argparse takes a unique prefix of a long flag, and so does the join
+        for flag in ("--window", "--wind"):
+            spaced, joined = tmp_path / "spaced.svg", tmp_path / "joined.svg"
+            assert main(["plot", "--scene", "standard", flag, "-1,1,-1,1",
+                         "--out", str(spaced)]) == 0
+            assert main(["plot", "--scene", "standard", f"{flag}=-1,1,-1,1",
+                         "--out", str(joined)]) == 0
+            assert spaced.read_bytes() == joined.read_bytes(), flag
 
     def test_flag_followed_by_a_flag_is_still_missing_its_value(self, capsys, tmp_path):
+        for out_flag in ("--out", "--ou"):
+            with pytest.raises(SystemExit) as exc:
+                main(["plot", "--scene", "standard", "--window", out_flag,
+                      str(tmp_path / "w.svg")])
+            assert exc.value.code == 2
+            assert "argument --window: expected one argument" in capsys.readouterr().err
+            assert not (tmp_path / "w.svg").exists()
+
+    def test_ambiguous_abbreviation_is_still_refused(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["plot", "--scene", "standard", "--window", "--out", str(tmp_path / "w.svg")])
+            main(["plot", "--s", "standard", "--window", "-1,1,-1,1",
+                  "--out", str(tmp_path / "w.svg")])
         assert exc.value.code == 2
-        assert "argument --window: expected one argument" in capsys.readouterr().err
+        assert "ambiguous option: --s could match" in capsys.readouterr().err
         assert not (tmp_path / "w.svg").exists()
 
     def test_misspelled_task_argument_is_usage_error(self, capsys, tmp_path):

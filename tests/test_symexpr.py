@@ -528,8 +528,8 @@ def test_int_and_fraction_coefficients_are_interchangeable():
     assert as_int == as_frac and hash(as_int) == hash(as_frac)
     assert str(as_int) == str(as_frac)
     one = Poly.const(1)
-    a = NormalForm(as_int, one, reduced=True)
-    b = NormalForm(as_frac, Poly.const(Fraction(2, 2)), reduced=True)
+    a = NormalForm(as_int, one)
+    b = NormalForm(as_frac, Poly.const(Fraction(2, 2)))
     assert a == b and hash(a) == hash(b) and str(a) == str(b)
     assert all(type(c) is int for c in Poly.const(Fraction(4, 2)).terms.values())
     for value in (3, Fraction(3), Fraction(1, 3)):
