@@ -134,6 +134,12 @@ class _ModZero(Exception):
     """A denominator vanishes modulo _P; exact evaluation must decide."""
 
 
+# Each node's _mod(env) evaluates its tree modulo _P at several points at
+# once.  env maps each name to its list of residues, one per point (a
+# "lane"), and _mod returns the list of the tree's residues, lane by lane.
+# It raises _ModZero when a denominator vanishes in any lane.
+
+
 def _residue(c) -> int:
     """The rational c modulo _P; _ModZero when its denominator is 0 mod _P."""
     if c.__class__ is int:
@@ -911,7 +917,7 @@ class Rat(Expr):
         return Fraction(self.value) if not numeric else float(self.value)
 
     def _mod(self, env):
-        return _residue(self.value)
+        return [_residue(self.value)] * len(next(iter(env.values())))
 
 
 class _Leaf(Expr):
@@ -1007,7 +1013,7 @@ class Add(Expr):
         return sum(t._eval(env, numeric) for t in self.terms)
 
     def _mod(self, env):
-        return sum(t._mod(env) for t in self.terms) % _P
+        return [sum(lane) % _P for lane in zip(*[t._mod(env) for t in self.terms])]
 
 
 class Mul(Expr):
@@ -1043,9 +1049,9 @@ class Mul(Expr):
         return out
 
     def _mod(self, env):
-        out = 1
-        for f in self.factors:
-            out = out * f._mod(env) % _P
+        out = self.factors[0]._mod(env)
+        for f in self.factors[1:]:
+            out = [a * b % _P for a, b in zip(out, f._mod(env))]
         return out
 
 
@@ -1074,10 +1080,11 @@ class Pow(Expr):
         return b ** self.exponent
 
     def _mod(self, env):
-        b = self.base._mod(env)
-        if self.exponent < 0 and not b:
+        lanes = self.base._mod(env)
+        n = self.exponent
+        if n < 0 and 0 in lanes:
             raise _ModZero
-        return pow(b, self.exponent, _P)
+        return [pow(b, n, _P) for b in lanes]
 
 
 ZERO = Rat(0)
@@ -1573,7 +1580,9 @@ def dot(xs, ys) -> Expr:
     a missing index reads as 0.  Entries pair by index and only the indices
     both operands hold are walked; the products are summed in ascending
     index order, so a sparse operand gives the sum its dense copy gives.  A
-    pair whose x is zero is skipped before its y is normalized.
+    pair whose x is zero is skipped before its y is normalized, and so is a
+    pair whose y is zero with no atom table.  A zero y that carries atoms is
+    still multiplied, so its atoms are checked against x's.
     """
     if isinstance(xs, dict):
         if not isinstance(ys, dict):
@@ -1591,7 +1600,10 @@ def dot(xs, ys) -> Expr:
         a = as_expr(x).normal()
         if a.is_zero:
             continue
-        term = a.mul(as_expr(y).normal())
+        b = as_expr(y).normal()
+        if b.is_zero and not b.atoms:
+            continue
+        term = a.mul(b)
         total = term if total is None else total.add(term)
     return ZERO if total is None else _cached_tree(total)
 
@@ -1646,9 +1658,37 @@ def check_stream(label: str):
 _CHECK_POINTS = 20
 
 
-def _draw_point(names, rng, spread):
-    """One random rational point as (numerator, denominator) per name."""
-    return [(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in names]
+def _draw_points(names, rng, spread, count):
+    """`count` random rational points, each as (numerator, denominator) per name.
+
+    The integers are those of ``rng.randint(-spread, spread),
+    rng.randint(1, 7)`` per name and point, and rng ends in the same state:
+    this is randint's own rejection loop on getrandbits, without its calls.
+    """
+    n = 2 * spread + 1
+    k = n.bit_length()
+    bits = rng.getrandbits
+    points = []
+    for _ in range(count):
+        point = []
+        for _ in names:
+            a = bits(k)
+            while a >= n:
+                a = bits(k)
+            d = bits(3)
+            while d >= 7:
+                d = bits(3)
+            point.append((a - spread, d + 1))
+        points.append(point)
+    return points
+
+
+def _lanes(names, points):
+    """The residues of the points' coordinates, as one list per name."""
+    return {
+        name: [a * _INVERSES[d] % _P for a, d in column]
+        for name, column in zip(names, zip(*points))
+    }
 
 
 def equal_zero(e: Expr) -> bool:
@@ -1667,23 +1707,37 @@ def equal_zero(e: Expr) -> bool:
     denominator and every message are those of exact evaluation alone.
     Disagreement raises CrossCheckError, since it would mean the normalizer
     itself is wrong.
+
+    A zero verdict on a tree with atoms first takes one walk: it draws all
+    `_CHECK_POINTS` points and evaluates the tree at all of them at once.
+    When every residue is 0 those are the points the loop below would have
+    drawn and accepted, so the verdict stands.  Otherwise the stream is
+    restored to its state before the draws and the loop decides, point by
+    point, as if the walk had not been made.
     """
     e = as_expr(e)
     verdict = e.normal().is_zero
     names = sorted(e.atoms())
     rng = _check_rng
+    spread = 12
+    if verdict and names:
+        state = rng.getstate()
+        points = _draw_points(names, rng, spread, _CHECK_POINTS)
+        try:
+            if not any(e._mod(_lanes(names, points))):
+                return True
+        except _ModZero:
+            pass
+        rng.setstate(state)
     checked = 0
     saw_nonzero = False
-    spread = 12
     attempts = 0
     while checked < _CHECK_POINTS and attempts < 40 * _CHECK_POINTS:
         attempts += 1
-        draws = _draw_point(names, rng, spread)
+        draws = _draw_points(names, rng, spread, 1)[0]
         if names:
             try:
-                residue = e._mod({
-                    name: a * _INVERSES[d] % _P for name, (a, d) in zip(names, draws)
-                })
+                residue, = e._mod(_lanes(names, [draws]))
             except _ModZero:
                 residue = None
             if residue is not None and (residue == 0) == verdict:

@@ -181,3 +181,12 @@ def test_atom_conflict_raises_through_a_zero_operand():
         with pytest.raises(ExprError, match=_CONFLICT):
             getattr(H_X.normal(), op)(zero)
 
+
+def test_dot_multiplies_a_zero_y_that_carries_atoms():
+    # a zero y with atoms is not skipped, so its atoms meet x's
+    with pytest.raises(ExprError, match=_CONFLICT):
+        symexpr.dot([H_X], [Var("h_x") - Var("h_x")])
+    # the shared zero form is skipped, and the sum is that of the other pairs
+    got = symexpr.dot([H_X, X], [ZERO, Y])
+    assert str(got) == "x*y" and got.normal() == (X * Y).normal()
+

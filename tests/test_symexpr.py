@@ -151,12 +151,26 @@ class TestEquality:
     def test_denominator_vanishing_mod_p_falls_back_to_exact(self):
         # p*x is 0 modulo p at every point; resampling would never find a
         # point, so only exact evaluation can decide these
+        import random
+
         inverse = ONE / (Rat(P) * X)
-        assert equal_zero(inverse) is False
-        assert equal_zero(inverse - inverse) is True
         small = Rat(Fraction(1, P)) * X
-        assert equal_zero(small) is False
-        assert equal_zero(small - X / P) is True
+        old = check_seed()
+        try:
+            set_check_seed(3)
+            reference = random.Random(3)
+            for tree, verdict in (
+                (inverse, False),
+                (inverse - inverse, True),
+                (small, False),
+                (small - X / P, True),
+            ):
+                assert equal_zero(tree) is verdict
+                # the points drawn are those of the exact loop alone
+                assert _rational_equal_zero(tree, reference) is verdict
+                assert symexpr._check_rng.getstate() == reference.getstate()
+        finally:
+            set_check_seed(old)
 
     def test_check_stream_is_derived_from_seed_and_label(self):
         old = check_seed()
@@ -415,18 +429,79 @@ def test_modular_evaluation_matches_exact_randomized():
     rng = random.Random(77)
     agreed = 0
     for e in _random_exprs(2026, ["+", "-", "*", "/"]):
-        for _ in range(5):
-            point = {n: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for n in "xyz"}
+        points = [
+            {n: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for n in "xyz"}
+            for _ in range(5)
+        ]
+        residues = []
+        for point in points:
             try:
                 exact = e._eval(point, numeric=False)
             except ZeroDenominator:
                 # a true zero denominator is zero modulo p too
                 with pytest.raises(symexpr._ModZero):
-                    e._mod({n: _residue(v) for n, v in point.items()})
+                    e._mod({n: [_residue(v)] for n, v in point.items()})
+                residues = None
                 continue
-            assert e._mod({n: _residue(v) for n, v in point.items()}) == _residue(exact)
+            assert e._mod({n: [_residue(v)] for n, v in point.items()}) == [_residue(exact)]
+            if residues is not None:
+                residues.append(_residue(exact))
             agreed += 1
+        # the five points as the lanes of one walk
+        lanes = {n: [_residue(point[n]) for point in points] for n in "xyz"}
+        if residues is None:
+            with pytest.raises(symexpr._ModZero):
+                e._mod(lanes)
+        else:
+            assert e._mod(lanes) == residues
     assert agreed > 300
+
+
+def _randint_points(names, rng, spread, count):
+    """The points the zero test drew with randint, one name after another."""
+    return [
+        [(rng.randint(-spread, spread), rng.randint(1, 7)) for _ in names]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("spread", [12, 13, 25, 100])
+def test_draw_points_match_randint(spread):
+    import random
+
+    for count in range(5):
+        names = "abcd"[:count]
+        for seed in range(3):
+            reference, rng = random.Random(seed), random.Random(seed)
+            expected = _randint_points(names, reference, spread, 20)
+            assert symexpr._draw_points(names, rng, spread, 20) == expected
+            assert rng.getstate() == reference.getstate()
+            assert symexpr._draw_points(names, rng, spread, 1) == _randint_points(
+                names, reference, spread, 1
+            )
+            assert rng.getstate() == reference.getstate()
+
+
+class _CountingVar(Var):
+    """A coordinate that counts its modular evaluations."""
+
+    __slots__ = ("walks",)
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.walks = 0
+
+    def _mod(self, env):
+        self.walks += 1
+        return super()._mod(env)
+
+
+def test_zero_verdict_walks_the_tree_once():
+    x, y = _CountingVar("x"), _CountingVar("y")
+    tree = (x + y) * (x - y) - (x * x - y * y)
+    assert equal_zero(tree) is True
+    # x and y each occur four times in the tree; 20 walks would give 80
+    assert (x.walks, y.walks) == (4, 4)
 
 
 def _rational_equal_zero(e, rng, points=20):
@@ -512,10 +587,13 @@ def test_disagreement_on_a_tree_with_atoms_raises(tree):
     old = check_seed()
     try:
         set_check_seed(11)
+        reference = random.Random(11)
         with pytest.raises(RuntimeError) as expected:
-            _rational_equal_zero(tree, random.Random(11))
+            _rational_equal_zero(tree, reference)
         with pytest.raises(CrossCheckError) as err:
             equal_zero(tree)
+        # a failed one-walk check leaves the stream as the loop alone would
+        assert symexpr._check_rng.getstate() == reference.getstate()
     finally:
         set_check_seed(old)
     assert str(err.value) == str(expected.value)
