@@ -212,13 +212,16 @@ class Scene:
     def structure(self):
         """The validated bi-Lagrangian structure (cached); may raise."""
         if self._structure is None:
-            omega = validate_symplectic(self.omega_form)
-            self._structure = validate_bilagrangian(
-                omega,
-                self.foliations[self.f1_name],
-                self.foliations[self.f2_name],
-                self.adapted,
-            )
+            # a stream of its own, so validation moves no task's stream; no
+            # task name contains ':'
+            with check_stream(":structure"):
+                omega = validate_symplectic(self.omega_form)
+                self._structure = validate_bilagrangian(
+                    omega,
+                    self.foliations[self.f1_name],
+                    self.foliations[self.f2_name],
+                    self.adapted,
+                )
         return self._structure
 
     def task(self, name: str) -> Task:
@@ -344,6 +347,8 @@ def loads(text: str, name: str = "<scene>") -> Scene:
     for lineno, kind, label, payload in records:
         if kind in ("chart", "symbol"):
             continue
+        if label is not None and kind in ("omega", "structure", "adapted"):
+            raise SceneError(f"{kind} takes no name", lineno)
         if kind == "omega":
             if omega_form is not None:
                 raise SceneError("omega declared twice", lineno)

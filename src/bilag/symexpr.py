@@ -164,29 +164,29 @@ def _mono_mul(m1, m2):
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-def _mono_divides(m1, m2):
-    """Does monomial m1 divide m2?"""
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= e for v, e in m1)
-
-
 def _mono_div(m1, m2):
-    """m1 / m2, assuming m2 divides m1."""
+    """m1 / m2, or None when m2 does not divide m1."""
     exps = dict(m1)
     for var, e in m2:
-        exps[var] = exps[var] - e
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
+        d = exps.get(var, 0) - e
+        if d < 0:
+            return None
+        exps[var] = d
+    return tuple((v, e) for v, e in exps.items() if e)
 
 
-def _lex_key(variables):
-    """Sort key of a monomial: its exponents over the sorted variables."""
-    varlist = sorted(variables)
+# U+10FFFF is not a letter, so no name the parser admits starts with it
+_LAST = ("\U0010ffff",)
 
-    def key(m):
-        d = dict(m)
-        return tuple(d.get(v, 0) for v in varlist)
 
-    return key
+def _lex(m):
+    """Monomial sort key; the smallest is the lex leader over sorted names.
+
+    At the first differing pair the larger exponent of a shared name wins,
+    else the smaller name (the other has exponent 0 there), else the longer
+    monomial, as _LAST sorts after every (name, exponent) pair.
+    """
+    return (*[(v, -e) for v, e in m], _LAST)
 
 
 def _coef(c):
@@ -201,7 +201,8 @@ class Poly:
     positive exponents -- to a nonzero coefficient: an ``int`` when it is
     integral, a ``Fraction`` otherwise.  An int and the equal Fraction
     compare and hash alike, so equality, hashing and printing do not depend
-    on which of the two a coefficient is.
+    on which of the two a coefficient is.  Monomials are ordered lex over
+    the sorted names; ``_lex`` is the key, and its smallest is the leader.
     """
 
     __slots__ = ("terms",)
@@ -305,14 +306,14 @@ class Poly:
 
     def _sorted_monos(self):
         """Monomials in descending lexicographic order over sorted variables."""
-        return sorted(self.terms, key=_lex_key(self.variables()), reverse=True)
+        return sorted(self.terms, key=_lex)
 
     def leading(self):
         """(monomial, coefficient) of the lex-leading term; poly must be nonzero."""
         terms = self.terms
         if len(terms) == 1:
             return next(iter(terms.items()))
-        m = max(terms, key=_lex_key(self.variables()))
+        m = min(terms, key=_lex)
         return m, terms[m]
 
     def __str__(self):
@@ -365,19 +366,16 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
     if b.is_const:
         bc = b.terms[()]
         return Poly({m: _qdiv(c, bc) for m, c in a.terms.items()})
-    key = _lex_key(a.variables() | b.variables())
-    bm = max(b.terms, key=key)
-    bc = b.terms[bm]
+    bm, bc = b.leading()
     quotient: dict = {}
     rem = a
     while not rem.is_zero:
-        rm = max(rem.terms, key=key)
-        rc = rem.terms[rm]
-        if not _mono_divides(bm, rm):
-            raise ValueError("inexact polynomial division")
+        rm, rc = rem.leading()
         qm = _mono_div(rm, bm)
-        qc = _qdiv(rc, bc)
-        quotient[qm] = quotient.get(qm, 0) + qc
+        if qm is None:
+            raise ValueError("inexact polynomial division")
+        # quotient monomials strictly decrease, so none repeats
+        qc = quotient[qm] = _qdiv(rc, bc)
         rem = rem - b * Poly({qm: qc})
     return Poly(quotient)
 
@@ -1260,27 +1258,23 @@ def _split_jet_suffix(suffix: str, deps) -> tuple | None:
     """Decompose a differentiation suffix into dependency coordinates.
 
     Returns the multi-index, or None if no decomposition exists.  Raises
-    ParseError-free ValueError on ambiguity (caller rephrases).
+    ParseError-free ValueError on ambiguity (caller rephrases).  Right to
+    left, splits[pos] holds up to two multi-indices that suffix[pos:] splits
+    into: two tell one decomposition from many, in time linear in the suffix.
     """
-    solutions = []
-
-    def walk(rest, counts):
-        if not rest:
-            solutions.append(tuple(counts))
-            return
+    n = len(suffix)
+    splits = [[] for _ in range(n)] + [[(0,) * len(deps)]]
+    for pos in range(n - 1, -1, -1):
+        found = splits[pos]
         for i, d in enumerate(deps):
-            if rest.startswith(d):
-                counts[i] += 1
-                walk(rest[len(d):], counts)
-                counts[i] -= 1
-
-    walk(suffix, [0] * len(deps))
-    if not solutions:
-        return None
-    distinct = set(solutions)
-    if len(distinct) > 1:
+            if suffix.startswith(d, pos):
+                for t in splits[pos + len(d)]:
+                    t = t[:i] + (t[i] + 1,) + t[i + 1:]
+                    if t not in found and len(found) < 2:
+                        found.append(t)
+    if len(splits[0]) > 1:
         raise ValueError(f"ambiguous jet suffix {suffix!r}")
-    return solutions[0]
+    return splits[0][0] if splits[0] else None
 
 
 def uniquely_decodable(words) -> bool:

@@ -2,9 +2,14 @@
 argument values are judged when the scene loads."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bilag
 from bilag.calculus import Chart
 from bilag.cli import find_scene, main
 from bilag.lift import lift_map, lift_structure, lifted_action_check
@@ -143,6 +148,23 @@ class TestNamesThatWouldNotReparse:
     ])
     def test_sardinas_patterson(self, deps, decodable):
         assert uniquely_decodable(deps) is decodable
+
+    def test_a_long_ambiguous_suffix_is_refused_in_linear_time(self):
+        # scene files refuse h(x xx), but code may build it; every split of
+        # a suffix into x and xx is a decomposition, and there are
+        # exponentially many, so it runs in a child that a timeout can end
+        script = (
+            "from bilag.symexpr import OpaqueSymbol, ParseError, parse_expr\n"
+            "h = OpaqueSymbol('h', ('x', 'xx'))\n"
+            "try:\n"
+            "    parse_expr('h_' + 'x' * 400, ('x', 'xx'), (h,))\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(bilag.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+        assert result.stdout.startswith(f"ambiguous jet suffix {'x' * 400!r} ")
 
     def test_decodable_dependencies_load_and_their_jets_reparse(self, capsys, tmp_path):
         text = "\nchart: x x1\nsymbol: h(x x1)\n" + BODY.format(

@@ -51,6 +51,22 @@ task gammas: christoffels
 """
 
 
+# the parabola lifted to dim 4; validation draws points, and only the
+# first task needs it in a full report
+LIFTED_PARABOLA_TEXT = """
+chart: x y s t
+symbol: h(x y)
+omega: h*dy^dx + ds^dx + dt^dy
+foliation F1: @x + 2*x*@y - 2*t*@s ; -2*x*@s + @t
+foliation F2: @y ; @s
+structure: F1 | F2
+adapted: x ; t | y - x^2 ; s + 2*t*x
+task gammas: christoffels
+task flatness: flat
+task check: validate
+"""
+
+
 class TestParsing:
     def test_minimal_scene(self):
         scene = loads(MINIMAL)
@@ -123,6 +139,22 @@ class TestParsing:
         with pytest.raises(SceneError) as err:
             loads(MINIMAL + "map ok: x, y inverse x, y\ntask t: push map=missing\n")
         assert "missing" in str(err.value)
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL.replace("omega:", "omega oops:"), "line 3: omega takes no name"),
+        (MINIMAL.replace("structure:", "structure whatever:"),
+         "line 6: structure takes no name"),
+        (MINIMAL + "adapted junk: x | y\n", "line 8: adapted takes no name"),
+    ], ids=["omega", "structure", "adapted"])
+    def test_a_name_on_a_nameless_directive_is_refused(self, capsys, tmp_path,
+                                                       text, message):
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        assert str(err.value) == message
+        path = tmp_path / "named.scene"
+        path.write_text(text)
+        assert main(["report", "--scene", str(path)]) == 2
+        assert capsys.readouterr().err == f"bilag: {message}\n"
 
     @pytest.mark.parametrize("text", ["@x/0", "dx/(x-x)"])
     def test_geometric_division_by_zero_has_position(self, text):
@@ -343,23 +375,33 @@ class TestRunTasks:
         ]
 
     def test_task_draws_the_same_points_alone_and_after_others(self, monkeypatch):
-        entry_states = {}
+        # each task's stream is in the same state when its runner starts and
+        # when it returns, alone or after others: structure validation, which
+        # the first task that needs it runs, draws from a stream of its own
+        states = {}
         for op, runner in list(scene_module._RUNNERS.items()):
             def recording(scene, task, options, runner=runner):
-                entry_states.setdefault(task.name, []).append(
-                    symexpr._check_rng.getstate())
-                return runner(scene, task, options)
+                entry = symexpr._check_rng.getstate()
+                try:
+                    return runner(scene, task, options)
+                finally:
+                    states.setdefault(task.name, []).append(
+                        (entry, symexpr._check_rng.getstate()))
 
             monkeypatch.setitem(scene_module._RUNNERS, op, recording)
-        names = [t.name for t in load_scene(find_scene("affine-action")).tasks]
-        assert len(names) > 2
-        run_tasks(load_scene(find_scene("affine-action")))
-        for name in names:
-            run_tasks(load_scene(find_scene("affine-action")), names=[name])
-        for name in names:
-            full, alone = entry_states[name]
-            assert full == alone
-        assert len({entry_states[n][0] for n in names}) == len(names)
+        for load in (lambda: load_scene(find_scene("affine-action")),
+                     lambda: loads(LIFTED_PARABOLA_TEXT)):
+            states.clear()
+            names = [t.name for t in load().tasks]
+            assert len(names) > 2
+            run_tasks(load())
+            for name in names:
+                run_tasks(load(), names=[name])
+            for name in names:
+                (full_entry, full_exit), (alone_entry, alone_exit) = states[name]
+                assert full_entry == alone_entry
+                assert full_exit == alone_exit
+            assert len({states[n][0][0] for n in names}) == len(names)
 
 
 class TestMachineReport:
