@@ -2,9 +2,11 @@
 
 This is the one numeric corner of the package: leaves are drawn as integral
 curves of the foliation frame fields, integrated with fixed-step RK4 on
-unit-speed velocities, and everything runs in floating point.  Opaque
-symbols must be bound to concrete symbol-free expressions before plotting;
-the symbolic modules never see any of this.
+unit-speed velocities, and everything runs in floating point.  Each field
+component is compiled once per curve (``symexpr.compile_float``) into a
+function of the point that performs the float operations of ``eval_float``.
+Opaque symbols must be bound to concrete symbol-free expressions before
+plotting; the symbolic modules never see any of this.
 
 Output is deterministic for fixed inputs: seeds lie on the window diagonal,
 the integrator is fixed-step, and coordinates are emitted with a fixed
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .calculus import VectorField
-from .symexpr import ZeroDenominator, as_expr, bind_symbol, eval_float
+from .symexpr import ZeroDenominator, as_expr, bind_symbol, compile_float
 
 __all__ = ["PlotError", "Window", "bind_field", "integral_curve", "leaf_plot"]
 
@@ -37,6 +39,8 @@ class Window:
             raise PlotError("window bounds must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise PlotError("window must have positive extent on both axes")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise PlotError("window extent must be finite on both axes")
 
     @property
     def width(self):
@@ -76,11 +80,11 @@ def bind_field(field: VectorField, bindings: dict) -> VectorField:
     return VectorField.from_entries(chart, entries)
 
 
-def _velocity(comps, names, x, y):
-    env = {names[0]: x, names[1]: y}
+def _velocity(fx, fy, x, y):
+    p = (x, y)
     try:
-        vx = eval_float(comps[0], env)
-        vy = eval_float(comps[1], env)
+        vx = fx(p)
+        vy = fy(p)
     except (ZeroDenominator, OverflowError, ValueError):
         return None
     norm = math.hypot(vx, vy)
@@ -89,26 +93,26 @@ def _velocity(comps, names, x, y):
     return vx / norm, vy / norm
 
 
-def _half_curve(comps, names, start, window, steps, h, direction):
+def _half_curve(fx, fy, start, window, steps, h, direction):
     pts = []
     x, y = start
     margin = 0.05 * max(window.width, window.height)
     for _ in range(steps):
-        v = _velocity(comps, names, x, y)
+        v = _velocity(fx, fy, x, y)
         if v is None:
             break
         k1x, k1y = v
-        v2 = _velocity(comps, names, x + 0.5 * h * direction * k1x,
+        v2 = _velocity(fx, fy, x + 0.5 * h * direction * k1x,
                        y + 0.5 * h * direction * k1y)
         if v2 is None:
             break
         k2x, k2y = v2
-        v3 = _velocity(comps, names, x + 0.5 * h * direction * k2x,
+        v3 = _velocity(fx, fy, x + 0.5 * h * direction * k2x,
                        y + 0.5 * h * direction * k2y)
         if v3 is None:
             break
         k3x, k3y = v3
-        v4 = _velocity(comps, names, x + h * direction * k3x,
+        v4 = _velocity(fx, fy, x + h * direction * k3x,
                        y + h * direction * k3y)
         if v4 is None:
             break
@@ -125,12 +129,13 @@ def _half_curve(comps, names, start, window, steps, h, direction):
 
 def integral_curve(field: VectorField, start, window: Window, steps: int = 240):
     """The leaf through `start`: unit-speed RK4 in both directions."""
-    comps = (field.component(0), field.component(1))
     names = field.chart.names
+    fx, fy = (compile_float(field.component(i), names) for i in (0, 1))
+    start = tuple(map(float, start))
     h = (window.width + window.height) / (2.0 * steps) * 4.0
-    backward = _half_curve(comps, names, start, window, steps, h, -1.0)
-    forward = _half_curve(comps, names, start, window, steps, h, +1.0)
-    return list(reversed(backward)) + [tuple(map(float, start))] + forward
+    backward = _half_curve(fx, fy, start, window, steps, h, -1.0)
+    forward = _half_curve(fx, fy, start, window, steps, h, +1.0)
+    return list(reversed(backward)) + [start] + forward
 
 
 def _seeds(window: Window, count: int):

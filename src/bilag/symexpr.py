@@ -45,6 +45,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 __all__ = [
     "ExprError",
@@ -78,6 +79,7 @@ __all__ = [
     "is_zero",
     "eval_num",
     "eval_float",
+    "compile_float",
     "substitute",
     "bind_symbol",
     "set_check_seed",
@@ -257,7 +259,10 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) - c
+        return Poly(terms)
 
     def __mul__(self, other: "Poly") -> "Poly":
         terms = {}
@@ -367,16 +372,24 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
         bc = b.terms[()]
         return Poly({m: _qdiv(c, bc) for m, c in a.terms.items()})
     bm, bc = b.leading()
+    tail = [(m, c) for m, c in b.terms.items() if m != bm]
     quotient: dict = {}
-    rem = a
-    while not rem.is_zero:
-        rm, rc = rem.leading()
+    rem = dict(a.terms)
+    while rem:
+        rm = min(rem, key=_lex)
         qm = _mono_div(rm, bm)
         if qm is None:
             raise ValueError("inexact polynomial division")
         # quotient monomials strictly decrease, so none repeats
-        qc = quotient[qm] = _qdiv(rc, bc)
-        rem = rem - b * Poly({qm: qc})
+        qc = quotient[qm] = _qdiv(rem.pop(rm), bc)
+        # rem -= b * qm * qc in place; b's leading term cancels rm exactly
+        for m, c in tail:
+            m = _mono_mul(m, qm)
+            c = rem.get(m, 0) - c * qc
+            if c:
+                rem[m] = c if c.__class__ is int else _coef(c)
+            else:
+                rem.pop(m, None)
     return Poly(quotient)
 
 
@@ -911,8 +924,17 @@ class Rat(Expr):
             return f"({s})"
         return s
 
-    def _eval(self, env, numeric):
-        return Fraction(self.value) if not numeric else float(self.value)
+    def _eval(self, env):
+        return Fraction(self.value)
+
+    def _float(self, names):
+        try:
+            c = float(self.value)
+        except OverflowError:
+            # raised by each call, so a plotted leaf ends there
+            value = self.value
+            return lambda p: float(value)
+        return lambda p: c
 
     def _mod(self, env):
         return [_residue(self.value)] * len(next(iter(env.values())))
@@ -929,12 +951,20 @@ class _Leaf(Expr):
     def _fmt(self, prec):
         return self.name
 
-    def _eval(self, env, numeric):
+    def _eval(self, env):
         try:
             v = env[self.name]
         except KeyError:
             raise EvalError(f"missing assignment for {self.name!r}") from None
-        return float(v) if numeric else Fraction(v)
+        return Fraction(v)
+
+    def _float(self, names):
+        if self.name in names:
+            return itemgetter(names.index(self.name))
+
+        def missing(p, name=self.name):
+            raise EvalError(f"missing assignment for {name!r}")
+        return missing
 
     def _mod(self, env):
         return env[self.name]
@@ -1007,8 +1037,13 @@ class Add(Expr):
         body = " ".join(parts)
         return f"({body})" if prec >= 1 else body
 
-    def _eval(self, env, numeric):
-        return sum(t._eval(env, numeric) for t in self.terms)
+    def _eval(self, env):
+        return sum(t._eval(env) for t in self.terms)
+
+    def _float(self, names):
+        # sum, not a chain of +: it compensates float sums on Python 3.12+
+        terms = [t._float(names) for t in self.terms]
+        return lambda p: sum([t(p) for t in terms])
 
     def _mod(self, env):
         return [sum(lane) % _P for lane in zip(*[t._mod(env) for t in self.terms])]
@@ -1040,17 +1075,33 @@ class Mul(Expr):
             body += f"/{d}"
         return f"({body})" if prec >= 2 else body
 
-    def _eval(self, env, numeric):
-        out = 1.0 if numeric else Fraction(1)
+    def _eval(self, env):
+        out = Fraction(1)
         for f in self.factors:
-            out *= f._eval(env, numeric)
+            out *= f._eval(env)
         return out
+
+    def _float(self, names):
+        factors = [f._float(names) for f in self.factors]
+
+        def mul(p):
+            out = 1.0
+            for f in factors:
+                out *= f(p)
+            return out
+        return mul
 
     def _mod(self, env):
         out = self.factors[0]._mod(env)
         for f in self.factors[1:]:
             out = [a * b % _P for a, b in zip(out, f._mod(env))]
         return out
+
+
+def _power(b, n):
+    if n < 0 and not b:
+        raise ZeroDenominator("division by zero at the evaluation point")
+    return b ** n
 
 
 class Pow(Expr):
@@ -1071,11 +1122,12 @@ class Pow(Expr):
         body = f"{self.base._fmt(3)}^{self.exponent}"
         return f"({body})" if prec >= 4 else body
 
-    def _eval(self, env, numeric):
-        b = self.base._eval(env, numeric)
-        if self.exponent < 0 and not b:
-            raise ZeroDenominator("division by zero at the evaluation point")
-        return b ** self.exponent
+    def _eval(self, env):
+        return _power(self.base._eval(env), self.exponent)
+
+    def _float(self, names):
+        base, n = self.base._float(names), self.exponent
+        return lambda p: _power(base(p), n)
 
     def _mod(self, env):
         lanes = self.base._mod(env)
@@ -1742,7 +1794,7 @@ def equal_zero(e: Expr) -> bool:
                 continue
         env = {name: Fraction(a, d) for name, (a, d) in zip(names, draws)}
         try:
-            value = e._eval(env, numeric=False)
+            value = e._eval(env)
         except ZeroDenominator:
             spread += 1
             continue
@@ -1779,12 +1831,23 @@ def eval_num(e: Expr, assignment: dict) -> Fraction:
     ``h_x``) to ints or Fractions.  Missing assignments raise EvalError;
     division by zero at the point raises ZeroDenominator.
     """
-    return as_expr(e)._eval(assignment, numeric=False)
+    return as_expr(e)._eval(assignment)
+
+
+def compile_float(e: Expr, names):
+    """The tree as a function of a tuple of floats, one per name in `names`.
+
+    A sum is Python's ``sum`` of its terms, a product starts at 1.0 and
+    multiplies left to right.  A pole (ZeroDenominator), a constant beyond
+    the float range (OverflowError) or a name outside `names` (EvalError)
+    raises when the function is called, not when it is built.
+    """
+    return as_expr(e)._float(tuple(names))
 
 
 def eval_float(e: Expr, assignment: dict) -> float:
-    """Floating-point evaluation; used only by the SVG plotter."""
-    return as_expr(e)._eval(assignment, numeric=True)
+    """Floating-point evaluation: ``compile_float`` at the values, as floats."""
+    return compile_float(e, assignment)(tuple(map(float, assignment.values())))
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:

@@ -32,6 +32,13 @@ class TestWindow:
         with pytest.raises(PlotError, match="window bounds must be finite"):
             Window(*bounds)
 
+    @pytest.mark.parametrize("bounds", [
+        (-1e308, 1e308, -1, 1), (0, 1, -1e308, 1e308),
+    ])
+    def test_non_finite_extent_rejected(self, bounds):
+        with pytest.raises(PlotError, match="window extent must be finite"):
+            Window(*bounds)
+
 
 class TestBindField:
     def test_binds_opaque_symbol(self):

@@ -54,9 +54,9 @@ class _Constant(Rat):
     def _normal(self):
         return Rat(self.claims).normal()
 
-    def _eval(self, env, numeric):
+    def _eval(self, env):
         self.evaluations += 1
-        return super()._eval(env, numeric)
+        return super()._eval(env)
 
 
 class TestParsing:
@@ -436,7 +436,7 @@ def test_modular_evaluation_matches_exact_randomized():
         residues = []
         for point in points:
             try:
-                exact = e._eval(point, numeric=False)
+                exact = e._eval(point)
             except ZeroDenominator:
                 # a true zero denominator is zero modulo p too
                 with pytest.raises(symexpr._ModZero):
@@ -519,7 +519,7 @@ def _rational_equal_zero(e, rng, points=20):
             for name in names
         }
         try:
-            value = e._eval(env, numeric=False)
+            value = e._eval(env)
         except ZeroDenominator:
             spread += 1
             continue
