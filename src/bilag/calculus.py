@@ -517,7 +517,7 @@ class SmoothMap:
     coordinate tuple, and the Jacobian determinant is not identically zero.
     """
 
-    __slots__ = ("source", "target", "components", "inverse_components", "_jac")
+    __slots__ = ("source", "target", "components", "inverse_components", "_jac", "_inv")
 
     def __init__(self, source: Chart, target: Chart, components, inverse_components,
                  _validate: bool = True):
@@ -525,7 +525,7 @@ class SmoothMap:
         self.target = target
         self.components = tuple(as_expr(c) for c in components)
         self.inverse_components = tuple(as_expr(c) for c in inverse_components)
-        self._jac = None
+        self._jac = self._inv = None
         if source.dim != target.dim:
             raise ValueError("a map with a declared inverse needs equal chart dimensions")
         if len(self.components) != target.dim:
@@ -568,10 +568,12 @@ class SmoothMap:
         return self._jac
 
     def inverse(self) -> "SmoothMap":
-        return SmoothMap(
-            self.target, self.source, self.inverse_components, self.components,
-            _validate=False,
-        )
+        """The inverse map, built once; its own inverse is this map."""
+        if self._inv is None:
+            self._inv = SmoothMap(self.target, self.source, self.inverse_components,
+                                  self.components, _validate=False)
+            self._inv._inv = self
+        return self._inv
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         """self after inner (= self . inner)."""
@@ -619,15 +621,9 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
     source = psi.source
     if a.degree == 0:
         return KForm(source, 0, {(): psi.pull_scalar(a.coeffs.get((), ZERO))})
-    # d(psi^j) as 1-forms on the source
-    d_comps = []
-    for comp in psi.components:
-        coeffs = {}
-        for i, n in enumerate(source.names):
-            dc = diff(comp, n)
-            if not is_zero(dc):
-                coeffs[(i,)] = dc
-        d_comps.append(KForm(source, 1, coeffs))
+    # d(psi^j) as 1-forms on the source: row j of the Jacobian
+    d_comps = [KForm(source, 1, {(i,): dc for i, dc in enumerate(row) if not is_zero(dc)})
+               for row in psi.jacobian()]
     result = KForm(source, a.degree, {})
     for idx, c in a.coeffs.items():
         term = KForm.scalar(source, psi.pull_scalar(c))
@@ -656,19 +652,20 @@ def _entry_tree(e) -> Expr:
     return e if e.__class__ is not NormalForm else _cached_tree(e)
 
 
-def _eliminate(rows, ncols, swap=False):
+def _eliminate(rows, ncols):
     """Forward elimination in place over the first `ncols` columns.
 
     Columns past `ncols` are augmented columns and ride along.  The rows not
-    yet used as pivots are kept in a scan order that starts as the original
-    row order.  A column's pivot is the first nonzero rational constant in
-    scan order, otherwise the first nonzero entry; a column without one is
-    skipped.  An entry is a rational constant when its tree is a `Rat`:
-    `(x + 1) - x` is not one while it is untouched.  Each row that is nonzero
-    in the pivot column is eliminated with one multiplier, row[col] / pivot,
-    formed once: its pivot-column entry becomes 0, every later entry becomes
-    its normal form, and where the pivot row's entry p is nonzero, the form
-    of entry - multiplier * p.  The pivot row itself is never scaled.
+    yet used as pivots are scanned in original row order: a pivot row leaves
+    the scan, and no row moves.  A column's pivot is the first nonzero
+    rational constant in scan order, otherwise the first nonzero entry; a
+    column without one is skipped.  An entry is a rational constant when its
+    tree is a `Rat`: `(x + 1) - x` is not one while it is untouched.  Each
+    row that is nonzero in the pivot column is eliminated with one
+    multiplier, row[col] / pivot, formed once: its pivot-column entry
+    becomes 0, every later entry becomes its normal form, and where the
+    pivot row's entry p is nonzero, the form of entry - multiplier * p.  The
+    pivot row itself is never scaled.
 
     Every update is `NormalForm` arithmetic, whose constant shortcuts keep
     constants as plain rationals; the kernel keeps no arithmetic of its
@@ -677,16 +674,12 @@ def _eliminate(rows, ncols, swap=False):
     `_entry_form` and `_entry_tree` read any entry; the tree of a touched
     entry is the canonical tree of its form.
 
-    With `swap`, a pivot is brought into place by a row swap, as in
-    textbook square elimination: the first row in scan order takes the
-    pivot row's place there.  Without it, the pivot row just leaves the
-    scan order, which stays the original row order.  The printed sign
-    layout of a determinant and the witness of a failed span test depend
-    on which rows pivot, so the square routines swap and the rectangular
-    ones do not.
+    The square routines return canonical trees of their values, so which
+    rows pivot shows only in a failed span test: its witness, and the
+    zero-test draws of its residuals.
 
     Returns the pivots as (column, row, pivot form) in column order, and the
-    unused rows in scan order.
+    unused rows in original order.
     """
     width = len(rows[0]) if rows else 0
     unused = list(range(len(rows)))
@@ -704,11 +697,7 @@ def _eliminate(rows, ncols, swap=False):
                 found = q
         if found is None:
             continue
-        pivot_row = unused[found]
-        if swap:
-            unused[found] = unused[0]
-            found = 0
-        del unused[found]
+        pivot_row = unused.pop(found)
         prow = rows[pivot_row]
         pivot = _entry_form(prow[col])
         pivots.append((col, pivot_row, pivot))
@@ -754,24 +743,26 @@ def _back_substitute(rows, pivots, ncols):
 
 
 def sym_det(matrix) -> Expr:
-    """Exact determinant: the elimination pivots' product, signed by their rows' permutation."""
+    """Exact determinant: the canonical tree of the elimination pivots'
+    product, negated when their rows form an odd permutation."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
-    pivots, _ = _eliminate(rows, n, swap=True)
+    pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
         return ZERO
     det = ONE.normal()
     for _, _, pivot in pivots:
         det = det.mul(pivot)
-    det = _cached_tree(det)
-    return det if _perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
+    if _perm_sign_to_sorted([i for _, i, _ in pivots]) == -1:
+        det = det.neg()
+    return _cached_tree(det)
 
 
 def _solve_square(rows, n):
-    pivots, _ = _eliminate(rows, n, swap=True)
+    pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise SingularFrame("matrix determinant is identically zero")
     return _back_substitute(rows, pivots, n)

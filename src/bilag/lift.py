@@ -222,16 +222,10 @@ class LiftedMap:
 
 def _fiber_components(psi: SmoothMap, fiber_coords):
     """xi'_j = sum_i xi_i (d inv_i/dy_j . psi) plus the block d xi'/d xi."""
-    block = []
-    comps = []
-    for j, tname in enumerate(psi.target.names):
-        row = [
-            compact(psi.pull_scalar(diff(inv_comp, tname)))
-            for inv_comp in psi.inverse_components
-        ]
-        block.append(tuple(row))
-        comps.append(dot(fiber_coords, row))
-    return tuple(comps), tuple(block)
+    inv_jac = psi.inverse().jacobian()
+    block = tuple(tuple(compact(psi.pull_scalar(row[j])) for row in inv_jac)
+                  for j in range(psi.target.dim))
+    return tuple(dot(fiber_coords, row) for row in block), block
 
 
 def _forms_agree(a: KForm, b: KForm) -> bool:

@@ -39,7 +39,8 @@ class Window:
             raise PlotError("window bounds must be finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise PlotError("window must have positive extent on both axes")
-        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+        # both extents are positive, so the sum overflows when either does
+        if not math.isfinite(self.width + self.height):
             raise PlotError("window extent must be finite on both axes")
 
     @property

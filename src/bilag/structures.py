@@ -161,12 +161,17 @@ class FoliationFrame:
 
 
 class BiLagStructure:
-    """A certified bi-Lagrangian structure; build via validate_bilagrangian."""
+    """A certified bi-Lagrangian structure; build via validate_bilagrangian.
 
-    __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "_basis")
+    `basis` is the combined frame (foliation-1 fields, then foliation-2
+    fields); validate_bilagrangian hands over one that already holds the
+    same-leaf brackets its involutivity checks formed.
+    """
+
+    __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis")
 
     def __init__(self, omega: SymplecticForm, f1: FoliationFrame, f2: FoliationFrame,
-                 adapted, report: ValidationReport, basis: FrameBasis = None):
+                 adapted, report: ValidationReport, basis: FrameBasis):
         self.omega = omega
         self.f1 = f1
         self.f2 = f2
@@ -174,17 +179,7 @@ class BiLagStructure:
         self.n = f1.rank
         self.adapted = tuple(adapted)
         self.report = report
-        self._basis = basis
-
-    @property
-    def basis(self) -> FrameBasis:
-        """The combined frame (foliation-1 fields, then foliation-2 fields).
-
-        validate_bilagrangian hands over a basis that already holds the
-        same-leaf brackets its involutivity checks formed."""
-        if self._basis is None:
-            self._basis = FrameBasis(self.f1.fields + self.f2.fields)
-        return self._basis
+        self.basis = basis
 
     @property
     def frame(self) -> tuple:

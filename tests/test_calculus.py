@@ -461,13 +461,13 @@ class TestEliminationKernel:
         assert span_membership([], (VectorField(CH, (ONE, X)),)) == ()
         assert symexpr._check_rng.getstate() == state
 
-    def test_det_text_on_odd_pivot_path(self):
-        # reports print determinants, so their text must not drift: the sign
-        # layout depends on which rows pivot, and a square matrix pivots by
-        # row swaps (after swapping rows 0 and 2, row 1 is scanned first)
-        assert str(sym_det([[ZERO, ONE], [X + 1, Y]])) == "(-1)*(x + 1)"
-        swapped = [[ZERO, ONE, X], [ZERO, ONE, Y], [ONE, ZERO, ZERO]]
-        assert str(sym_det(swapped)) == "(-1)*(x + (-1)*y)"
+    def test_det_text_is_canonical_on_odd_pivot_path(self):
+        # reports print determinants: a determinant whose pivot rows form an
+        # odd permutation prints as the canonical tree of its value, not as
+        # a negated pivot product
+        assert str(sym_det([[ZERO, ONE], [X + 1, Y]])) == "(-1)*x - 1"
+        odd = [[ZERO, ONE, X], [ZERO, ONE, Y], [ONE, ZERO, ZERO]]
+        assert str(sym_det(odd)) == "(-1)*x + y"
 
     def test_zero_pivot_row_entry_still_compacts_the_entry(self):
         # the pivot row's middle entry is 0, so row 1's middle entry is not

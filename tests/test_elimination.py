@@ -2,11 +2,14 @@
 tree route it replaces.
 
 The reference eliminates on expression trees: it scales each pivot row to a
-unit pivot and writes compact(entry - factor * p) back into the rows.  The
-kernel must pick the same pivots, and every tree a caller returns or reads
+unit pivot and writes compact(entry - factor * p) back into the rows.  Both
+scan the rows in original order, square matrices included.  The kernel must
+pick the same pivots, and every tree a caller returns or reads
 (determinants, inverses, solutions, certificates, the residuals that span
 tests zero-test) must print the same and be a `Rat` exactly when the
-reference's is, with the same zero-test draws.
+reference's is, with the same zero-test draws.  A determinant prints as the
+canonical tree of its value, so permuting a matrix's rows changes its text
+only as negation does.
 """
 
 import functools
@@ -38,7 +41,7 @@ from test_structures import STRUCTURES, lifted
 # reference: the tree route, unit pivots written back into the rows
 
 
-def ref_eliminate(rows, ncols, swap=False):
+def ref_eliminate(rows, ncols):
     width = len(rows[0]) if rows else 0
     unused = list(range(len(rows)))
     pivots = []
@@ -55,11 +58,7 @@ def ref_eliminate(rows, ncols, swap=False):
                 found = q
         if found is None:
             continue
-        pivot_row = unused[found]
-        if swap:
-            unused[found] = unused[0]
-            found = 0
-        del unused[found]
+        pivot_row = unused.pop(found)
         prow = rows[pivot_row]
         raw = prow[col]
         inv_pivot = ONE / raw
@@ -95,18 +94,19 @@ def ref_back_substitute(rows, pivots, ncols):
 def ref_sym_det(matrix):
     rows = [list(r) for r in matrix]
     n = len(rows)
-    pivots, _ = ref_eliminate(rows, n, swap=True)
+    pivots, _ = ref_eliminate(rows, n)
     if len(pivots) < n:
         return ZERO
     det = ONE
     for _, _, raw in pivots:
         det = det * raw
-    det = compact(det)
-    return det if calculus._perm_sign_to_sorted([i for _, i, _ in pivots]) == 1 else -det
+    if calculus._perm_sign_to_sorted([i for _, i, _ in pivots]) == -1:
+        det = -det
+    return compact(det)
 
 
 def ref_solve_square(rows, n):
-    pivots, _ = ref_eliminate(rows, n, swap=True)
+    pivots, _ = ref_eliminate(rows, n)
     if len(pivots) < n:
         raise SingularFrame("matrix determinant is identically zero")
     return ref_back_substitute(rows, pivots, n)
@@ -181,13 +181,13 @@ def same(run, ref_run):
     return got[0]
 
 
-def same_kernel(matrix, ncols, swap):
+def same_kernel(matrix, ncols):
     """The kernel's pivots, unused rows and the trees of the unused rows
     (the residuals span tests read) against the reference's."""
     rows = [list(r) for r in matrix]
     ref_rows = [list(r) for r in matrix]
-    pivots, unused = calculus._eliminate(rows, ncols, swap)
-    ref_pivots, ref_unused = ref_eliminate(ref_rows, ncols, swap)
+    pivots, unused = calculus._eliminate(rows, ncols)
+    ref_pivots, ref_unused = ref_eliminate(ref_rows, ncols)
     assert [(c, i) for c, i, _ in pivots] == [(c, i) for c, i, _ in ref_pivots]
     assert unused == ref_unused
     for (_, _, pivot), (_, _, raw) in zip(pivots, ref_pivots):
@@ -197,14 +197,19 @@ def same_kernel(matrix, ncols, swap):
 
 
 def same_square(matrix, rhs):
-    same_kernel(matrix, len(matrix), True)
+    """The square routines against the reference, and the determinant of the
+    reversed rows: an odd reversal negates the text, an even one keeps it."""
+    n = len(matrix)
+    same_kernel(matrix, n)
     same(lambda: sym_det(matrix), lambda: ref_sym_det(matrix))
+    det = sym_det(matrix)
+    assert str(sym_det(matrix[::-1])) == str(compact(-det) if n * (n - 1) // 2 % 2 else det)
     same(lambda: sym_inverse(matrix), lambda: ref_sym_inverse(matrix))
     same(lambda: sym_solve(matrix, rhs), lambda: ref_sym_solve(matrix, rhs))
 
 
 def same_span(xs, fields):
-    same_kernel(component_matrix(tuple(fields) + tuple(xs)), len(fields), False)
+    same_kernel(component_matrix(tuple(fields) + tuple(xs)), len(fields))
     verdicts = same(lambda: span_membership(xs, fields),
                     lambda: ref_span_membership(xs, fields))
     same(lambda: frame_rank_full(fields), lambda: ref_frame_rank_full(fields))
@@ -303,14 +308,24 @@ def test_random_sparse_matrices(seed):
     same_span(xs, fields)
 
 
+def test_dense_matrix_with_nonlinear_entries():
+    # no rational constant in column 0 below the 0, so the kernel pivots on
+    # a polynomial and its intermediate rational functions grow
+    matrix = [[ZERO, X - 2, X * Y, Y + 1],
+              [2 * X - 2, 1 - X * Y, -X, X * Y],
+              [X * Y, X, ONE, Rat(-1)],
+              [Y, Rat(2), X * Y + 1, 2 * X]]
+    same_square(matrix, [ONE, X, Y, X * Y])
+
+
 def test_a_constant_that_is_not_a_rat_tree_is_not_a_rational_pivot():
     # column 0 holds (x + 1) - x above a 2: the 2 is the first rational
     # constant, so row 1 pivots, while the form of row 0's entry is constant
     matrix = [[NOT_A_RAT, X], [Rat(2), Y]]
-    pivots, _ = calculus._eliminate([list(r) for r in matrix], 2, swap=True)
+    pivots, _ = calculus._eliminate([list(r) for r in matrix], 2)
     assert [(c, i) for c, i, _ in pivots] == [(0, 1), (1, 0)]
     same_square(matrix, [ONE, X])
-    assert str(sym_det(matrix)) == "(-1)*(2*x + (-1)*y)"
+    assert str(sym_det(matrix)) == "(-2)*x + y"
 
 
 def test_an_untouched_residual_is_zero_tested_as_given():

@@ -34,6 +34,7 @@ class TestWindow:
 
     @pytest.mark.parametrize("bounds", [
         (-1e308, 1e308, -1, 1), (0, 1, -1e308, 1e308),
+        (0, 1.7e308, 0, 1.7e308),
     ])
     def test_non_finite_extent_rejected(self, bounds):
         with pytest.raises(PlotError, match="window extent must be finite"):

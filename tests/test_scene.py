@@ -492,6 +492,7 @@ class TestCli:
     @pytest.mark.parametrize("args, message", [
         ("window=0,inf,0,1", "window bounds must be finite"),
         ("window=-1e308,1e308,-1,1", "window extent must be finite on both axes"),
+        ("window=0,1.7e308,0,1.7e308", "window extent must be finite on both axes"),
         ("leaves=0", "leaves and steps must be at least 1, got 0 and 240"),
         ("steps=-5", "leaves and steps must be at least 1, got 9 and -5"),
     ])
