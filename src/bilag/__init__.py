@@ -77,7 +77,6 @@ from .calculus import (
 from .symplectic import (
     SymplecticError,
     SymplecticForm,
-    TrivialBundleChart,
     hamiltonian_field,
     poisson_bracket,
     tautological_theta,
@@ -112,7 +111,6 @@ from .lift import (
     ActionCheckResult,
     LiftError,
     LiftedMap,
-    LiftedStructure,
     iterate_lift,
     lift_map,
     lift_structure,

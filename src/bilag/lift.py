@@ -1,8 +1,9 @@
 """Lifting bi-Lagrangian structures and symplectomorphisms to M x R^2n.
 
-The bundle chart doubles the base chart with fiber coordinates xi_1..xi_2n
-and carries the symplectic form  omega~ = pi^* omega + d theta  with the
-tautological 1-form  theta = sum_i xi_i dx_i.
+The bundle chart is the plain `Chart` `base.extend(fiber_names)`: the base
+coordinates x_1..x_2n, then fiber coordinates xi_1..xi_2n, with xi_i paired
+with x_i.  It carries the symplectic form  omega~ = pi^* omega + d theta  with
+the tautological 1-form  theta = sum_i xi_i dx_i.
 
 The lifted foliations are built from the structure's adapted functions
 a = (p_1..p_n, q_1..q_n) with Jacobian J = da/dx and K = (J^T)^{-1}:
@@ -19,14 +20,18 @@ so the lifted structure again carries adapted functions
 
 and the construction can be iterated.  When the adapted functions are the
 chart coordinates, J = K = id, the corrections vanish and the lift is the
-plain coordinate split.  The lifted structure is re-validated from scratch;
-a declared adapted ordering that does not straighten the foliations makes
-the Lagrangian check fail, and that failure is reported, not patched.
+plain coordinate split.  The lifted structure is re-validated from scratch
+and returned as the `BiLagStructure` that validation certifies; a declared
+adapted ordering that does not straighten the foliations makes the
+Lagrangian check fail, and that failure is reported, not patched.  A lifted
+map is a `SmoothMap` between bundle charts, returned in a `LiftedMap` with
+its fiber block and its verdict on omega~.
 """
 
 from __future__ import annotations
 
 from .calculus import (
+    Chart,
     KForm,
     SmoothMap,
     VectorField,
@@ -40,16 +45,11 @@ from .structures import (
     push_structure,
     validate_bilagrangian,
 )
-from .symexpr import Var, ZERO, compact, diff, dot, equal_zero
-from .symplectic import (
-    TrivialBundleChart,
-    trivial_bundle_symplectic,
-    validate_symplectic,
-)
+from .symexpr import ZERO, compact, diff, dot, equal_zero
+from .symplectic import trivial_bundle_symplectic, validate_symplectic
 
 __all__ = [
     "LiftError",
-    "LiftedStructure",
     "LiftedMap",
     "ActionCheckResult",
     "default_fiber_names",
@@ -91,52 +91,27 @@ def _taken(*charts) -> set:
     return {name for c in charts for name in c.names + tuple(sym.name for sym in c.symbols)}
 
 
-def _transpose(m):
-    return [list(row) for row in zip(*m)]
+def _bundle_chart(base: Chart, fiber_names) -> Chart:
+    """The chart of base x R^dim: base coordinates, then one fiber name each."""
+    fiber_names = tuple(fiber_names)
+    if len(fiber_names) != base.dim:
+        raise ValueError(f"need {base.dim} fiber names, got {len(fiber_names)}")
+    return base.extend(fiber_names)
 
 
-def _linear_in_fibers(kmat, fiber_coords):
-    """The functions (K xi)_l = sum_m K_lm xi_m."""
-    return [dot(row, fiber_coords) for row in kmat]
-
-
-def _lift_base_field(bundle: TrivialBundleChart, e: VectorField, jac, kxi) -> VectorField:
+def _lift_base_field(bundle: Chart, e: VectorField, jac, kxi) -> VectorField:
     """E~ = E + sum_i C_i d/dxi_i with C_i = sum_l E(J_li) (K xi)_l."""
-    n2 = bundle.base.dim
+    n2 = len(jac)
     fiber = [(n2 + i, dot([e.apply(jac[l][i]) for l in range(n2)], kxi)) for i in range(n2)]
-    return VectorField.from_entries(bundle.chart, list(e.entries.items()) + fiber)
+    return VectorField.from_entries(bundle, list(e.entries.items()) + fiber)
 
 
-def _fiber_frame_field(bundle: TrivialBundleChart, jac, j: int) -> VectorField:
-    n2 = bundle.base.dim
-    return VectorField.from_entries(bundle.chart, ((n2 + i, jac[j][i]) for i in range(n2)))
+def _fiber_frame_field(bundle: Chart, jac, j: int) -> VectorField:
+    n2 = len(jac)
+    return VectorField.from_entries(bundle, ((n2 + i, jac[j][i]) for i in range(n2)))
 
 
-class LiftedStructure(BiLagStructure):
-    """A validated lift, remembering where it came from.
-
-    `base` is the structure downstairs, `bundle` the chart extension; the
-    base adapted ordering used for the fiber split is `base.adapted` and
-    the fiber coordinate order is `bundle.fiber_names`.
-    """
-
-    __slots__ = ("base", "bundle")
-
-    def __init__(self, validated: BiLagStructure, base: BiLagStructure,
-                 bundle: TrivialBundleChart):
-        super().__init__(validated.omega, validated.f1, validated.f2,
-                         validated.adapted, validated.report, validated.basis)
-        self.base = base
-        self.bundle = bundle
-
-    def __repr__(self):
-        return (
-            f"LiftedStructure(base chart {self.base.chart.names} -> "
-            f"bundle chart {self.chart.names})"
-        )
-
-
-def lift_structure(s: BiLagStructure, fiber_names=None) -> LiftedStructure:
+def lift_structure(s: BiLagStructure, fiber_names=None) -> BiLagStructure:
     """Lift a structure to the trivial bundle over its chart.
 
     The result is validated like any other structure and the full report
@@ -146,14 +121,15 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> LiftedStructure:
     n = s.n
     if fiber_names is None:
         fiber_names = default_fiber_names(_taken(s.chart), n2)
-    bundle = TrivialBundleChart(s.chart, fiber_names)
+    bundle = _bundle_chart(s.chart, fiber_names)
     omega_lift = trivial_bundle_symplectic(s.omega, bundle)
 
     jac = [[compact(diff(a, name)) for name in s.chart.names]
            for a in s.adapted]
-    kmat = sym_inverse(_transpose(jac))
-    fiber_coords = [Var(name) for name in fiber_names]
-    kxi = _linear_in_fibers(kmat, fiber_coords)
+    kmat = sym_inverse([list(row) for row in zip(*jac)])
+    fiber_coords = bundle.coords()[n2:]
+    # the functions (K xi)_l = sum_m K_lm xi_m
+    kxi = [dot(row, fiber_coords) for row in kmat]
 
     f1 = [_lift_base_field(bundle, e, jac, kxi) for e in s.f1.fields]
     f1 += [_fiber_frame_field(bundle, jac, j) for j in range(n, n2)]
@@ -164,8 +140,7 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> LiftedStructure:
         tuple(s.adapted[:n]) + tuple(kxi[n:])
         + tuple(s.adapted[n:]) + tuple(kxi[:n])
     )
-    validated = validate_bilagrangian(omega_lift, f1, f2, adapted)
-    return LiftedStructure(validated, s, bundle)
+    return validate_bilagrangian(omega_lift, f1, f2, adapted)
 
 
 def iterate_lift(s: BiLagStructure, k: int, max_dim: int = DEFAULT_MAX_DIM) -> BiLagStructure:
@@ -200,24 +175,15 @@ class LiftedMap:
     to compare against).
     """
 
-    __slots__ = ("map", "base", "source_bundle", "target_bundle",
-                 "fiber_block", "preserves_form")
+    __slots__ = ("map", "fiber_block", "preserves_form")
 
-    def __init__(self, map: SmoothMap, base: SmoothMap,
-                 source_bundle: TrivialBundleChart, target_bundle: TrivialBundleChart,
-                 fiber_block, preserves_form):
+    def __init__(self, map: SmoothMap, fiber_block, preserves_form):
         self.map = map
-        self.base = base
-        self.source_bundle = source_bundle
-        self.target_bundle = target_bundle
         self.fiber_block = fiber_block
         self.preserves_form = preserves_form
 
     def __repr__(self):
-        return (
-            f"LiftedMap({self.source_bundle.chart.names} -> "
-            f"{self.target_bundle.chart.names})"
-        )
+        return f"LiftedMap({self.map.source.names} -> {self.map.target.names})"
 
 
 def _fiber_components(psi: SmoothMap, fiber_coords):
@@ -246,15 +212,15 @@ def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
     """
     if fiber_names is None:
         fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
-    source_bundle = TrivialBundleChart(psi.source, fiber_names)
-    target_bundle = TrivialBundleChart(psi.target, fiber_names)
-    fiber_coords = [Var(name) for name in fiber_names]
+    source = _bundle_chart(psi.source, fiber_names)
+    target = _bundle_chart(psi.target, fiber_names)
+    fiber_coords = source.coords()[psi.source.dim:]
 
     fwd_fiber, block = _fiber_components(psi, fiber_coords)
     rev_fiber, _ = _fiber_components(psi.inverse(), fiber_coords)
     lifted = SmoothMap(
-        source_bundle.chart,
-        target_bundle.chart,
+        source,
+        target,
         psi.components + fwd_fiber,
         psi.inverse_components + rev_fiber,
     )
@@ -263,10 +229,10 @@ def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
     if omega is not None and psi.source.names == psi.target.names:
         if isinstance(omega, KForm):
             omega = validate_symplectic(omega)
-        tilde = trivial_bundle_symplectic(omega, source_bundle)
+        tilde = trivial_bundle_symplectic(omega, source)
         pulled = pullback_form(lifted, tilde.form)
         preserves = _forms_agree(pulled, tilde.form)
-    return LiftedMap(lifted, psi, source_bundle, target_bundle, block, preserves)
+    return LiftedMap(lifted, block, preserves)
 
 
 class ActionCheckResult:

@@ -99,25 +99,17 @@ def _half_curve(fx, fy, start, window, steps, h, direction):
     x, y = start
     margin = 0.05 * max(window.width, window.height)
     for _ in range(steps):
-        v = _velocity(fx, fy, x, y)
-        if v is None:
+        # the RK4 stages; a stage weight of 1.0 leaves h exact
+        ks = [_velocity(fx, fy, x, y)]
+        for c in (0.5, 0.5, 1.0):
+            if ks[-1] is None:
+                break
+            kx, ky = ks[-1]
+            ks.append(_velocity(fx, fy, x + c * h * direction * kx,
+                                y + c * h * direction * ky))
+        if ks[-1] is None:
             break
-        k1x, k1y = v
-        v2 = _velocity(fx, fy, x + 0.5 * h * direction * k1x,
-                       y + 0.5 * h * direction * k1y)
-        if v2 is None:
-            break
-        k2x, k2y = v2
-        v3 = _velocity(fx, fy, x + 0.5 * h * direction * k2x,
-                       y + 0.5 * h * direction * k2y)
-        if v3 is None:
-            break
-        k3x, k3y = v3
-        v4 = _velocity(fx, fy, x + h * direction * k3x,
-                       y + h * direction * k3y)
-        if v4 is None:
-            break
-        k4x, k4y = v4
+        (k1x, k1y), (k2x, k2y), (k3x, k3y), (k4x, k4y) = ks
         x += direction * h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
         y += direction * h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
         if not (math.isfinite(x) and math.isfinite(y)):

@@ -285,12 +285,13 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         result = _POLY_ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def degree_in(self, var: str) -> int:
         deg = 0
@@ -1259,9 +1260,6 @@ def _rebuild(e: Expr, leaf) -> Expr:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-_TOKEN_SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", ";", "@", "|", "=", "->")
-
 
 def tokenize(text: str):
     """Split into (kind, value, position) tokens.

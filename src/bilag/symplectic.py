@@ -10,6 +10,10 @@ Nondegeneracy is certified by a symbolic witness: the Pfaffian of the
 coefficient matrix for dimension <= 8, the determinant above that.  A witness
 that is a nonconstant expression means the form degenerates on its zero set;
 that is reported as a warning, not a failure.
+
+The bundle M x R^2n has a plain `Chart`, `base.extend(fiber_names)`: the
+base coordinates first, then the fiber coordinates, and the tautological
+form pairs fiber coordinate i with base coordinate i.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .symexpr import Expr, ONE, ZERO, Var, as_expr, compact, diff, dot, equal_ze
 __all__ = [
     "SymplecticError",
     "SymplecticForm",
-    "TrivialBundleChart",
     "validate_symplectic",
     "hamiltonian_field",
     "poisson_bracket",
@@ -163,42 +166,23 @@ def poisson_bracket(omega: SymplecticForm, f: Expr, g: Expr) -> Expr:
     return compact(omega(xf, xg))
 
 
-class TrivialBundleChart:
-    """Chart of M x R^m: base coordinates followed by fiber coordinates.
+def tautological_theta(chart: Chart) -> KForm:
+    """theta = sum_i xi_i dx_i on a bundle chart.
 
-    Fiber coordinate i is paired with base coordinate i (same position) by
-    the tautological 1-form.
+    The chart lists the base coordinates x_1..x_n, then the fiber
+    coordinates xi_1..xi_n; fiber coordinate i is paired with base
+    coordinate i.
     """
-
-    __slots__ = ("base", "fiber_names", "chart")
-
-    def __init__(self, base: Chart, fiber_names):
-        self.base = base
-        self.fiber_names = tuple(fiber_names)
-        if len(self.fiber_names) != base.dim:
-            raise ValueError(f"need {base.dim} fiber names, got {len(self.fiber_names)}")
-        self.chart = Chart(base.names + self.fiber_names, base.symbols)
-
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
-    def __repr__(self):
-        return f"TrivialBundleChart(base={self.base.names}, fibers={self.fiber_names})"
+    if chart.dim % 2:
+        raise ValueError(f"a bundle chart has even dimension, got {chart.dim}")
+    n = chart.dim // 2
+    return KForm(chart, 1, {(i,): Var(chart.names[n + i]) for i in range(n)})
 
 
-def tautological_theta(bundle: TrivialBundleChart) -> KForm:
-    """theta = sum_i xi_i dx_i on the combined chart."""
-    coeffs = {}
-    for i in range(bundle.base.dim):
-        coeffs[(i,)] = Var(bundle.fiber_names[i])
-    return KForm(bundle.chart, 1, coeffs)
-
-
-def trivial_bundle_symplectic(omega: SymplecticForm, bundle: TrivialBundleChart) -> SymplecticForm:
-    """The lifted form pi^* omega + d theta, validated on the combined chart."""
-    if bundle.base.names != omega.chart.names:
+def trivial_bundle_symplectic(omega: SymplecticForm, chart: Chart) -> SymplecticForm:
+    """The lifted form pi^* omega + d theta, validated on the bundle chart."""
+    if chart.dim != 2 * omega.chart.dim or chart.names[:omega.chart.dim] != omega.chart.names:
         raise SymplecticError("bundle base chart does not match the form's chart")
-    pulled = KForm(bundle.chart, 2, dict(omega.form.coeffs))
-    lifted = pulled + exterior_d(tautological_theta(bundle))
+    pulled = KForm(chart, 2, dict(omega.form.coeffs))
+    lifted = pulled + exterior_d(tautological_theta(chart))
     return validate_symplectic(lifted)

@@ -135,12 +135,6 @@ class TestLiftStructure:
         with pytest.raises((LiftError, ValueError)):
             lift_structure(standard_structure(), fiber_names=("p",))
 
-    def test_bundle_records_base(self):
-        s = standard_structure()
-        lifted = lift_structure(s)
-        assert lifted.base is s
-        assert lifted.bundle.base.names == ("x", "y")
-
 
 class TestIterateLift:
     def test_two_steps_valid(self):

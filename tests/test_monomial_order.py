@@ -7,6 +7,8 @@ and tests divisibility apart from dividing.  `_lex` keys a monomial alone.
 Both must give the same leading terms, the same sorted monomials and
 printing, and the same quotients: equal terms in the same dict order, with
 equal coefficient types.  An inexact division raises the same ValueError.
+Powers by squaring keep the terms, dict order and coefficient types of
+repeated multiplication.
 """
 
 import importlib.util
@@ -168,6 +170,30 @@ def test_random_inexact_divisions(seed):
         a = b * q + r
         assert division(a, b) == ref_division(a, b) == (
             "ValueError", "inexact polynomial division")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_powers_are_repeated_products(seed):
+    p = random_poly(random.Random(seed))
+    product = Poly({(): 1})
+    for n in range(13):
+        assert typed(p.pow_int(n)) == typed(product), n
+        product = product * p
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 1), (2, 2), (5, 4), (64, 7)])
+def test_powers_build_no_square_past_the_last_bit(n, products, monkeypatch):
+    # one product per exponent bit, one square between consecutive bits
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    Poly({(("x", 1),): 1, (("y", 1),): 1, (): 1}).pow_int(n)
+    assert len(calls) == products
 
 
 # ---------------------------------------------------------------------------

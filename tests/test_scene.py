@@ -66,6 +66,15 @@ task flatness: flat
 task check: validate
 """
 
+# the structure of the bundled lifted-standard scene, with no adapted line
+LIFTED_STANDARD = """
+chart: x y s t
+omega: dy^dx + ds^dx + dt^dy
+foliation F1: @x ; @t
+foliation F2: @y ; @s
+structure: F1 | F2
+"""
+
 
 class TestParsing:
     def test_minimal_scene(self):
@@ -241,6 +250,59 @@ class TestParsing:
             loads(text)
         assert str(err.value) == f"line {line}: task 'bad': {key} must be {kind}, got {raw!r}"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("chart: x y\nomega dy^dx\n", 2, "missing ':' in directive 'omega dy^dx'"),
+        ("chart: x y\nfoliation A B: @x\n", 2, "malformed directive head 'foliation A B'"),
+        ("chart C: x y\n", 1, "chart takes no name"),
+        ("chart:\n", 1, "chart needs at least one coordinate name"),
+        ("chart: x 2y\n", 1, "bad coordinate name '2y'"),
+        ("chart: x y x\n", 1, "duplicate coordinate names"),
+        ("chart: x y\nsymbol h: h(x y)\n", 2, "symbol takes no name before ':'"),
+        ("chart: x y\nsymbol: h(x y)\nsymbol: h(x)\n", 3, "symbol 'h' declared twice"),
+        ("chart: x y\nomega: dx\n", 2, "expected a 2-form, got 1-form: 'dx'"),
+        ("chart: x y\nfoliation A: dx\n", 2, "expected a vector field, got 1-form: 'dx'"),
+        (MINIMAL + "omega: dx^dy\n", 8, "omega declared twice"),
+        (MINIMAL + "foliation Fx: @y\n", 8, "foliation 'Fx' declared twice"),
+        (MINIMAL + "structure: Fy | Fx\n", 8, "structure declared twice"),
+        (MINIMAL + "adapted: x | y\nadapted: x | y\n", 9, "adapted declared twice"),
+        (MINIMAL + "map m: x, y inverse x, y\nmap m: x, y inverse x, y\n", 9,
+         "map 'm' declared twice"),
+        (MINIMAL + "task check: flat\n", 8, "task 'check' declared twice"),
+        (MINIMAL + "foliation: @x\n", 8, "foliation needs a name: 'foliation NAME: ...'"),
+        (MINIMAL + "map: x, y inverse x, y\n", 8, "map needs a name: 'map NAME: ...'"),
+        (MINIMAL + "task: validate\n", 8, "task needs a name: 'task NAME: operation ...'"),
+        (MINIMAL + "foliation E: ;\n", 8, "foliation 'E' has no fields"),
+        ("chart: x y\nstructure: A\n", 2, "structure must read 'NAME | NAME'"),
+        (MINIMAL + "adapted: x\n", 8, "adapted must read 'p; ... | q; ...'"),
+        (MINIMAL + "adapted: x | y ; x\n", 8,
+         "adapted needs equally many p's and q's, got 1 and 2"),
+        (MINIMAL + "map m: x inverse x, y\n", 8,
+         "map 'm' needs 2 forward and inverse components"),
+        (MINIMAL + "map m: x + y, y inverse x, y\n", 8,
+         "map 'm': inverse components do not invert the map: "
+         "coordinate 'x' round-trips to x + y"),
+        (MINIMAL + "task t:\n", 8, "task 't' names no operation"),
+        (MINIMAL + "task t: lift 2\n", 8, "task argument '2' must be key=value"),
+        ("chart: x y\nfoliation A: @x\nstructure: A | A\n", None, "scene declares no omega"),
+        ("chart: x y\nomega: dy^dx\n", None, "scene declares no structure line"),
+        (MINIMAL + "map m: x, y inverse x, y\ntask t: push\n", 9,
+         "task 't' needs a map=NAME argument"),
+    ], ids=[
+        "missing-colon", "three-word-head", "named-chart", "empty-chart",
+        "bad-coordinate", "duplicate-coordinates", "named-symbol", "repeated-symbol",
+        "omega-not-2-form", "field-not-vector", "omega-twice", "foliation-twice",
+        "structure-twice", "adapted-twice", "map-twice", "task-twice",
+        "foliation-unnamed", "map-unnamed", "task-unnamed", "empty-foliation",
+        "malformed-structure", "malformed-adapted", "unequal-adapted",
+        "map-component-count", "map-not-inverse", "task-no-operation",
+        "task-argument-not-key-value", "no-omega", "no-structure", "push-without-map",
+    ])
+    def test_malformed_scene_messages(self, text, line, message):
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
     @pytest.mark.parametrize("task", [
         "flat expect=No", "christoffels frame=coordinate", "lift k=-1",
         "plot steps=0 leaves=-3 window=0,inf,0,1 out=p.svg",
@@ -324,6 +386,20 @@ class TestRunTasks:
         outcome = report.outcomes[0]
         assert outcome.status == "fail"
         assert any(not c["passed"] for c in outcome.payload["checks"])
+
+    @pytest.mark.parametrize("text, status, messages", [
+        (LIFTED_STANDARD.replace("@x ; @t", "@x ; 2*@x") + "task check: validate\n",
+         "fail", ["[FAIL] F1 independent: frame fields are linearly dependent"]),
+        (LIFTED_STANDARD + "adapted: x | y\ntask check: validate\n",
+         "fail", ["[FAIL] adapted: need 4 adapted functions, got 2"]),
+        (MINIMAL.replace("task check", "adapted: x | x\ntask check"),
+         "fail", ["[FAIL] adapted: adapted-function Jacobian is singular"]),
+        (MINIMAL + "task up: lift k=2 fibers=p,q\n",
+         "error", ["SceneError: task 'up': explicit fibers only apply to k=1"]),
+    ], ids=["dependent-frame", "adapted-count", "singular-adapted", "lift-fibers"])
+    def test_invalid_structure_outcomes(self, text, status, messages):
+        outcome = run_tasks(loads(text)).outcomes[-1]
+        assert (outcome.status, outcome.messages) == (status, messages)
 
     def test_act_check_tasks(self):
         scene = load_scene(find_scene("affine-action"))

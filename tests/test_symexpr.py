@@ -97,6 +97,27 @@ class TestParsing:
         e = parse_expr("h * x", ("x", "y"), symbols=(h,))
         assert eval_num(e, {"x": 2, "y": 5, "h": 7}) == 14
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.5", "decimal literals are not supported; use exact fractions "
+                "(at position 1: '.5')"),
+        ("2x", "missing operator between number and name (at position 1: 'x')"),
+        ("x $ y", "unexpected character '$' (at position 2: '$ y')"),
+        ("0^-1", "zero raised to a negative power (at position 3: '1')"),
+        ("(x y", "expected ')' (at position 3: 'y')"),
+        (")", "unexpected token ')' (at position 0: ')')"),
+        ("x -> y", "trailing input after expression (at position 2: '-> y')"),
+        ("x, y", "trailing input after expression (at position 1: ', y')"),
+        ("x^-2", None),
+    ])
+    def test_syntax_error_messages(self, text, message):
+        if message is None:
+            # a negative exponent on a nonzero base is a reciprocal power
+            assert str(parse_expr(text, ("x", "y"))) == "1/x^2"
+            return
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, ("x", "y"))
+        assert str(err.value) == message
+
 
 class TestNormalization:
     def test_idempotent(self):

@@ -18,7 +18,6 @@ from bilag.symexpr import (
 )
 from bilag.symplectic import (
     SymplecticError,
-    TrivialBundleChart,
     hamiltonian_field,
     pfaffian,
     poisson_bracket,
@@ -142,17 +141,16 @@ class TestPoisson:
 
 class TestBundleForms:
     def test_tautological_theta_golden(self):
-        bundle = TrivialBundleChart(CH, ("s", "t"))
+        bundle = CH.extend(("s", "t"))
         theta = tautological_theta(bundle)
-        s = bundle.chart.coord(2)
-        t = bundle.chart.coord(3)
+        s = bundle.coord(2)
+        t = bundle.coord(3)
         assert equal_zero(theta.coefficient((0,)) - s)
         assert equal_zero(theta.coefficient((1,)) - t)
 
     def test_lifted_form_matrix_golden(self):
         om = standard()
-        bundle = TrivialBundleChart(CH, ("s", "t"))
-        lifted = trivial_bundle_symplectic(om, bundle)
+        lifted = trivial_bundle_symplectic(om, CH.extend(("s", "t")))
         mat = lifted.matrix
         expected = {
             (0, 1): -1, (1, 0): 1,
@@ -166,11 +164,13 @@ class TestBundleForms:
 
     def test_fiber_name_collision_rejected(self):
         with pytest.raises(ValueError):
-            TrivialBundleChart(CH, ("x", "t"))
+            CH.extend(("x", "t"))
 
     def test_fiber_count_checked(self):
+        with pytest.raises(SymplecticError):
+            trivial_bundle_symplectic(standard(), CH.extend(("s",)))
         with pytest.raises(ValueError):
-            TrivialBundleChart(CH, ("s",))
+            tautological_theta(CH.extend(("s",)))
 
 
 class TestPfaffian:
