@@ -87,10 +87,9 @@ from .structures import (
     BiLagError,
     BiLagStructure,
     Connection,
-    CurvatureTensor,
     FlatnessResult,
+    FrameTable,
     ParaKahler,
-    TorsionTensor,
     ValidationReport,
     christoffels,
     connections_equal,

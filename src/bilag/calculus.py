@@ -124,8 +124,8 @@ class Chart:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def extend(self, extra_names, extra_symbols=()) -> "Chart":
-        return Chart(self.names + tuple(extra_names), self.symbols + tuple(extra_symbols))
+    def extend(self, extra_names) -> "Chart":
+        return Chart(self.names + tuple(extra_names), self.symbols)
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self.names == other.names
@@ -280,10 +280,6 @@ class KForm:
                 continue
             clean[idx] = c
         self.coeffs = clean
-
-    @staticmethod
-    def scalar(chart: Chart, value) -> "KForm":
-        return KForm(chart, 0, {(): as_expr(value)})
 
     def coefficient(self, idx) -> Expr:
         """Fully antisymmetric coefficient for an arbitrary index tuple."""
@@ -538,22 +534,16 @@ class SmoothMap:
     def _validate(self):
         # components are functions of the source names, inverse components
         # of the target names; compose in both orders and demand identity
-        fwd = {n: c for n, c in zip(self.target.names, self.components)}
-        for name, inv in zip(self.source.names, self.inverse_components):
-            back = substitute(inv, fwd)
-            if not equal_zero(back - Var(name)):
-                raise CalculusError(
-                    f"inverse components do not invert the map: "
-                    f"coordinate {name!r} round-trips to {back}"
-                )
-        inv_map = {n: c for n, c in zip(self.source.names, self.inverse_components)}
-        for name, comp in zip(self.target.names, self.components):
-            back = substitute(comp, inv_map)
-            if not equal_zero(back - Var(name)):
-                raise CalculusError(
-                    f"forward components do not invert the inverse: "
-                    f"coordinate {name!r} round-trips to {back}"
-                )
+        for names, comps, round_trip, what in (
+            (self.source.names, self.inverse_components, self.pull_scalar,
+             "inverse components do not invert the map"),
+            (self.target.names, self.components, self.push_scalar,
+             "forward components do not invert the inverse"),
+        ):
+            for name, c in zip(names, comps):
+                back = round_trip(c)
+                if not equal_zero(back - Var(name)):
+                    raise CalculusError(f"{what}: coordinate {name!r} round-trips to {back}")
         det = sym_det(self.jacobian())
         if is_zero(det):
             raise CalculusError("Jacobian determinant is identically zero")
@@ -579,10 +569,8 @@ class SmoothMap:
         """self after inner (= self . inner)."""
         if inner.target.names != self.source.names:
             raise ChartMismatch("composition charts do not line up")
-        sub_fwd = {n: c for n, c in zip(self.source.names, inner.components)}
-        comps = tuple(substitute(c, sub_fwd) for c in self.components)
-        sub_inv = {n: c for n, c in zip(inner.target.names, self.inverse_components)}
-        inv_comps = tuple(substitute(c, sub_inv) for c in inner.inverse_components)
+        comps = tuple(inner.pull_scalar(c) for c in self.components)
+        inv_comps = tuple(self.push_scalar(c) for c in inner.inverse_components)
         return SmoothMap(inner.source, self.target, comps, inv_comps, _validate=False)
 
     def push_scalar(self, f: Expr) -> Expr:
@@ -626,11 +614,10 @@ def pullback_form(psi: SmoothMap, a: KForm) -> KForm:
                for row in psi.jacobian()]
     result = KForm(source, a.degree, {})
     for idx, c in a.coeffs.items():
-        term = KForm.scalar(source, psi.pull_scalar(c))
         block = d_comps[idx[0]]
         for i in idx[1:]:
             block = wedge(block, d_comps[i])
-        result = result + block.scale(term.coeffs.get((), ZERO))
+        result = result + block.scale(psi.pull_scalar(c))
     return result
 
 

@@ -46,7 +46,7 @@ from .structures import (
     validate_bilagrangian,
 )
 from .symexpr import ZERO, compact, diff, dot, equal_zero
-from .symplectic import trivial_bundle_symplectic, validate_symplectic
+from .symplectic import SymplecticForm, trivial_bundle_symplectic
 
 __all__ = [
     "LiftError",
@@ -201,11 +201,11 @@ def _forms_agree(a: KForm, b: KForm) -> bool:
     )
 
 
-def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
+def lift_map(psi: SmoothMap, omega: SymplecticForm = None, fiber_names=None) -> LiftedMap:
     """Lift a base diffeomorphism to the bundle charts.
 
-    The inverse of the lift is the lift of the inverse.  When `omega` (a
-    symplectic form on the source chart) is supplied and the two base
+    The inverse of the lift is the lift of the inverse.  When `omega` (the
+    SymplecticForm on the source chart) is supplied and the two base
     charts share coordinate names, the lift is checked against
     omega~ = pi^* omega + d theta and the verdict stored in
     `preserves_form`; the lift itself is built for any diffeomorphism.
@@ -227,8 +227,6 @@ def lift_map(psi: SmoothMap, omega=None, fiber_names=None) -> LiftedMap:
 
     preserves = None
     if omega is not None and psi.source.names == psi.target.names:
-        if isinstance(omega, KForm):
-            omega = validate_symplectic(omega)
         tilde = trivial_bundle_symplectic(omega, source)
         pulled = pullback_form(lifted, tilde.form)
         preserves = _forms_agree(pulled, tilde.form)
@@ -293,13 +291,9 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure,
 
     omega_match = _forms_agree(hat.omega.form, tilde.omega.form)
     verdicts = []
-    chart = hat.chart
-    _membership_pass("pushed-then-lifted F1", hat.f1.fields,
-                     "lifted-then-pushed F1", tilde.f1.fields, chart, verdicts)
-    _membership_pass("lifted-then-pushed F1", tilde.f1.fields,
-                     "pushed-then-lifted F1", hat.f1.fields, chart, verdicts)
-    _membership_pass("pushed-then-lifted F2", hat.f2.fields,
-                     "lifted-then-pushed F2", tilde.f2.fields, chart, verdicts)
-    _membership_pass("lifted-then-pushed F2", tilde.f2.fields,
-                     "pushed-then-lifted F2", hat.f2.fields, chart, verdicts)
+    for leaf, hat_fol, tilde_fol in (("F1", hat.f1, tilde.f1), ("F2", hat.f2, tilde.f2)):
+        pushed = (f"pushed-then-lifted {leaf}", hat_fol.fields)
+        lifted = (f"lifted-then-pushed {leaf}", tilde_fol.fields)
+        for a, b in ((pushed, lifted), (lifted, pushed)):
+            _membership_pass(*a, *b, hat.chart, verdicts)
     return ActionCheckResult(hat, tilde, lm, omega_match, verdicts)

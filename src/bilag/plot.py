@@ -22,6 +22,8 @@ from .symexpr import ZeroDenominator, as_expr, bind_symbol, compile_float
 
 __all__ = ["PlotError", "Window", "bind_field", "integral_curve", "leaf_plot"]
 
+SIZE = 480  # pixels on the longer side of a leaf plot
+
 
 class PlotError(Exception):
     pass
@@ -149,7 +151,7 @@ def _polyline(points, to_px, color):
 
 
 def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
-              leaves: int = 9, steps: int = 240, size: int = 480,
+              leaves: int = 9, steps: int = 240,
               bindings: dict = None) -> str:
     """An SVG drawing of the two foliations' leaves on a 2-dimensional chart.
 
@@ -165,7 +167,7 @@ def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
     f2 = bind_field(f2, bindings or {})
 
     pad = 12.0
-    scale = (size - 2 * pad) / max(window.width, window.height)
+    scale = (SIZE - 2 * pad) / max(window.width, window.height)
 
     def to_px(x, y):
         return (pad + (x - window.x0) * scale,

@@ -856,6 +856,8 @@ def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
     except BiLagError as exc:
         status, payload = "fail", {"checks": _checks_payload(exc.report)}
         messages = [repr(c) for c in exc.report.failures()]
+    except SymplecticError as exc:
+        status, payload, messages = "fail", {"checks": []}, [str(exc)]
     except Exception as exc:
         status, payload, messages = "error", {}, [f"{type(exc).__name__}: {exc}"]
     ms = int((time.perf_counter() - start) * 1000)

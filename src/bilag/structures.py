@@ -20,6 +20,11 @@ the coordinate frame and is the independent route the tests compare
 against.  Curvature forms only the products of nonzero Christoffel symbols
 and structure functions, for i < j only, and fills R(E_j, E_i) by negation.
 
+Each operation takes one input shape.  A `Connection` is built over the
+`FrameBasis` of its frame, `torsion` and `curvature` take a `Connection`,
+and all three results are sparse `FrameTable`s (rank 3, 3 and 4) holding
+only the entries with a nonzero normal form.
+
 A structure optionally carries "adapted functions": 2n scalar functions
 (p_1..p_n, q_1..q_n) whose level sets straighten the two foliations (the
 q's are constant along foliation 1 and the p's along foliation 2), with an
@@ -58,9 +63,8 @@ __all__ = [
     "ValidationReport",
     "FoliationFrame",
     "BiLagStructure",
+    "FrameTable",
     "Connection",
-    "TorsionTensor",
-    "CurvatureTensor",
     "FlatnessResult",
     "ParaKahler",
     "validate_bilagrangian",
@@ -285,10 +289,6 @@ def split(s: BiLagStructure, x: VectorField) -> tuple:
     return x1, x2
 
 
-def _project(s: BiLagStructure, x: VectorField, leaf: int) -> VectorField:
-    return split(s, x)[leaf - 1]
-
-
 def d_map(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
     """The derivative map D(X, Y): the unique field with i_D omega = L_X i_Y omega."""
     beta = lie_derivative_form(x, interior_product(y, s.omega.form))
@@ -303,9 +303,9 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     x1, x2 = split(s, x)
     y1, y2 = split(s, y)
     term1 = d_map(s, x1, y1)
-    term2 = _project(s, lie_bracket(x2, y1), 1)
+    term2 = split(s, lie_bracket(x2, y1))[0]
     term3 = d_map(s, x2, y2)
-    term4 = _project(s, lie_bracket(x1, y2), 2)
+    term4 = split(s, lie_bracket(x1, y2))[1]
     total = term1 + term2 + term3 + term4
     return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
 
@@ -317,17 +317,20 @@ def _dense(n, rank, entry, idx=()):
     return tuple(_dense(n, rank, entry, idx + (i,)) for i in range(n))
 
 
-class _FrameTable:
-    """A sparse table of frame coefficients: `entries` maps each index tuple
-    whose entry has a nonzero normal form to that entry, in lexicographic
-    order.  It is built from (index tuple, entry) pairs in any order.
+class FrameTable:
+    """A sparse table of frame coefficients, `rank` indices deep: `entries`
+    maps each index tuple whose entry has a nonzero normal form to that
+    entry, in lexicographic order.  It is built from (index tuple, entry)
+    pairs in any order.  A torsion table has rank 3, T[i][j][k] the k-th
+    frame coefficient of T(E_i, E_j); a curvature table rank 4,
+    R[i][j][k][l] the l-th frame coefficient of R(E_i, E_j) E_k.
     """
 
-    __slots__ = ("frame", "entries")
-    rank = 0
+    __slots__ = ("frame", "rank", "entries")
 
-    def __init__(self, frame, entries):
+    def __init__(self, frame, rank: int, entries):
         self.frame = tuple(frame)
+        self.rank = rank
         nonzero = [(idx, e) for idx, e in entries if not is_zero(e)]
         self.entries = {idx: as_expr(e) for idx, e in sorted(nonzero, key=lambda p: p[0])}
 
@@ -348,29 +351,25 @@ class _FrameTable:
         return _dense(len(self.frame), self.rank, self.coefficient)
 
 
-class Connection(_FrameTable):
+class Connection(FrameTable):
     """Christoffel data on a frame: nabla_{E_i} E_j = Gamma^k_{ij} E_k.
 
-    `frame_or_basis` is the frame, or a FrameBasis over it whose cached
-    inverse and structure functions the connection then shares; `entries`
-    are ((i, j, k), Gamma^k_{ij}) pairs.
+    `basis` is the FrameBasis over the frame, whose cached inverse and
+    structure functions the connection shares; `entries` are
+    ((i, j, k), Gamma^k_{ij}) pairs.
     """
 
     __slots__ = ("basis",)
-    rank = 3
 
-    def __init__(self, frame_or_basis, entries):
-        if isinstance(frame_or_basis, FrameBasis):
-            self.basis = frame_or_basis
-        else:
-            self.basis = FrameBasis(frame_or_basis)
-        super().__init__(self.basis.fields, entries)
+    def __init__(self, basis: FrameBasis, entries):
+        self.basis = basis
+        super().__init__(basis.fields, 3, entries)
 
     @property
     def chart(self) -> Chart:
         return self.basis.chart
 
-    gamma = _FrameTable.table  # Gamma[i][j][k], all n^3 slots per read
+    gamma = FrameTable.table  # Gamma[i][j][k], all n^3 slots per read
 
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary fields, by expanding in the frame.
@@ -447,34 +446,14 @@ def _foliation_christoffels(s: BiLagStructure):
                     yield (i, j, k), compact(basis.structure_coeff(i, j, k))
 
 
-class TorsionTensor(_FrameTable):
-    """T[i][j][k]: the k-th frame coefficient of T(E_i, E_j)."""
-
-    __slots__ = ()
-    rank = 3
-
-
-def torsion(conn) -> TorsionTensor:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c).
-
-    Accepts a Connection, or a BiLagStructure whose canonical connection
-    is computed first.
-    """
-    if isinstance(conn, BiLagStructure):
-        conn = christoffels(conn)
+def torsion(conn: Connection) -> FrameTable:
+    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c)."""
     g, c = conn.coefficient, conn.basis.structure_coeff
     n = len(conn.frame)
-    return TorsionTensor(conn.frame, (
+    return FrameTable(conn.frame, 3, (
         ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
         for i in range(n) for j in range(n) if i != j for k in range(n)
     ))
-
-
-class CurvatureTensor(_FrameTable):
-    """R[i][j][k][l]: the l-th frame coefficient of R(E_i, E_j) E_k."""
-
-    __slots__ = ()
-    rank = 4
 
 
 def _curvature_terms(fields, gam, struct, i, j, k):
@@ -494,7 +473,7 @@ def _curvature_terms(fields, gam, struct, i, j, k):
             yield l, -(c * h)
 
 
-def curvature(conn) -> CurvatureTensor:
+def curvature(conn: Connection) -> FrameTable:
     """Frame curvature R(E_i, E_j) E_k = R^l_{ijk} E_l.
 
     R^l_{ijk} = E_i(Gamma^l_{jk}) - E_j(Gamma^l_{ik})
@@ -505,12 +484,7 @@ def curvature(conn) -> CurvatureTensor:
     functions c are formed, and only for i < j: R is antisymmetric in i
     and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  The
     table stores only the entries with a nonzero normal form.
-
-    Accepts a Connection, or a BiLagStructure whose canonical connection
-    is computed first.
     """
-    if isinstance(conn, BiLagStructure):
-        conn = christoffels(conn)
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
     gam = [[[] for _ in range(n)] for _ in range(n)]
@@ -530,7 +504,7 @@ def curvature(conn) -> CurvatureTensor:
                 for l, val in acc.items():
                     entry = compact(val)
                     entries += (((i, j, k, l), entry), ((j, i, k, l), compact(-entry)))
-    return CurvatureTensor(conn.frame, entries)
+    return FrameTable(conn.frame, 4, entries)
 
 
 class FlatnessResult:
@@ -657,7 +631,7 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
             for k, row in enumerate(Ginv):
                 g = dot(row, first)
                 entries += (((i, j, k), g), ((j, i, k), g))
-    return Connection(coordinate_frame(chart), entries)
+    return Connection(FrameBasis(coordinate_frame(chart)), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +654,7 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:
     """The image connection: pushed frame with composed coefficients."""
     new_frame = tuple(pushforward_field(psi, e) for e in conn.frame)
-    return Connection(new_frame,
+    return Connection(FrameBasis(new_frame),
                       [(idx, psi.push_scalar(g)) for idx, g in conn.entries.items()])
 
 

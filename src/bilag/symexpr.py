@@ -770,9 +770,7 @@ def _poly_to_expr(p: Poly, atoms=None) -> "Expr":
         for v, e in m:
             base = atoms.get(v) or Var(v)
             factors.append(base if e == 1 else Pow(base, e))
-        if not factors:
-            terms.append(Rat(c))
-        elif len(factors) == 1:
+        if len(factors) == 1:
             terms.append(factors[0])
         else:
             terms.append(Mul(tuple(factors)))

@@ -41,11 +41,7 @@ __all__ = [
 
 
 class SymplecticError(Exception):
-    """Validation failure; `.failures` lists (condition, detail) pairs."""
-
-    def __init__(self, message: str, failures=()):
-        super().__init__(message)
-        self.failures = tuple(failures)
+    """Validation failure; the message names the condition that failed."""
 
 
 def pfaffian(matrix) -> Expr:
@@ -111,24 +107,14 @@ def validate_symplectic(form: KForm) -> SymplecticForm:
     degenerate.  A witness vanishing only on a proper subset produces a
     warning on the returned form.
     """
-    failures = []
     if form.degree != 2:
-        raise SymplecticError(
-            f"expected a 2-form, got degree {form.degree}",
-            [("degree", str(form.degree))],
-        )
+        raise SymplecticError(f"expected a 2-form, got degree {form.degree}")
     if form.chart.dim % 2 == 1:
-        raise SymplecticError(
-            f"chart dimension {form.chart.dim} is odd",
-            [("dimension", str(form.chart.dim))],
-        )
-    d = exterior_d(form)
-    for idx, c in d.coeffs.items():
-        if not equal_zero(c):
-            names = ",".join(form.chart.names[i] for i in idx)
-            failures.append(("closed", f"d(omega) has coefficient {c} on ({names})"))
-    if failures:
-        raise SymplecticError("form is not closed", failures)
+        raise SymplecticError(f"chart dimension {form.chart.dim} is odd")
+    # every coefficient is zero-tested, so the points drawn do not depend on
+    # which one fails first
+    if not all([equal_zero(c) for c in exterior_d(form).coeffs.values()]):
+        raise SymplecticError("form is not closed")
     matrix = form.matrix()
     if form.chart.dim <= 8:
         witness = pfaffian(matrix)
@@ -137,10 +123,7 @@ def validate_symplectic(form: KForm) -> SymplecticForm:
     witness = compact(witness)
     witness_nf = witness.normal()
     if witness_nf.is_zero:
-        raise SymplecticError(
-            "form is degenerate (nondegeneracy witness is identically zero)",
-            [("nondegenerate", "witness normalizes to zero")],
-        )
+        raise SymplecticError("form is degenerate (nondegeneracy witness is identically zero)")
     warnings = []
     if not witness_nf.is_const():
         warnings.append(

@@ -75,6 +75,9 @@ foliation F2: @y ; @s
 structure: F1 | F2
 """
 
+# omega is not closed: d omega = dx^dy^ds
+NON_CLOSED = LIFTED_STANDARD.replace("dy^dx + ds^dx + dt^dy", "x*dy^ds + dx^dy + ds^dt")
+
 
 class TestParsing:
     def test_minimal_scene(self):
@@ -396,10 +399,25 @@ class TestRunTasks:
          "fail", ["[FAIL] adapted: adapted-function Jacobian is singular"]),
         (MINIMAL + "task up: lift k=2 fibers=p,q\n",
          "error", ["SceneError: task 'up': explicit fibers only apply to k=1"]),
-    ], ids=["dependent-frame", "adapted-count", "singular-adapted", "lift-fibers"])
+        (NON_CLOSED + "task check: validate\n", "fail", ["form is not closed"]),
+        (NON_CLOSED + "task f: flat\n", "fail", ["form is not closed"]),
+        (MINIMAL.replace("dy^dx", "(x-x)*dx^dy") + "task g: christoffels\n",
+         "fail", ["form is degenerate (nondegeneracy witness is identically zero)"]),
+        (LIFTED_STANDARD.replace("@x ; @t", "@x ; 2*@x") + "task f: flat\n",
+         "fail", ["[FAIL] F1 independent: frame fields are linearly dependent"]),
+    ], ids=["dependent-frame", "adapted-count", "singular-adapted", "lift-fibers",
+            "non-closed-validate", "non-closed-flat", "degenerate-christoffels",
+            "dependent-frame-flat"])
     def test_invalid_structure_outcomes(self, text, status, messages):
         outcome = run_tasks(loads(text)).outcomes[-1]
         assert (outcome.status, outcome.messages) == (status, messages)
+
+    def test_non_symplectic_payloads(self):
+        # validate's own payload says ok: false; a task that needs the
+        # structure reports only the empty check list
+        report = run_tasks(loads(NON_CLOSED + "task check: validate\ntask f: flat\n"))
+        assert [o.payload for o in report.outcomes] == [{"ok": False, "checks": []},
+                                                        {"checks": []}]
 
     def test_act_check_tasks(self):
         scene = load_scene(find_scene("affine-action"))

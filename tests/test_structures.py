@@ -389,9 +389,6 @@ class TestConnection:
             t = torsion(christoffels(s))
             assert t.is_zero()
 
-    def test_torsion_accepts_structure(self):
-        assert torsion(parabola_structure()).is_zero()
-
     def test_parallel_symplectic_form(self):
         # (nabla_X omega)(Y, Z) = X(omega(Y,Z)) - omega(DX Y, Z) - omega(Y, DX Z)
         for s in (standard_structure(), parabola_structure()):
@@ -584,10 +581,6 @@ class TestCurvature:
         assert equal_zero(r.coefficient(0, 1, 0, 0) + v.apply(g111))
         assert equal_zero(r.coefficient(0, 1, 1, 1) - u.apply(g222))
         assert equal_zero(r.coefficient(1, 0, 1, 1) + u.apply(g222))
-
-    def test_curvature_accepts_structure(self):
-        r = curvature(standard_structure())
-        assert r.is_zero()
 
     def test_flatness_trichotomy(self):
         x = Chart(("x", "y")).coord(0)

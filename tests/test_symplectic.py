@@ -2,9 +2,11 @@
 
 import pytest
 
+from bilag import symexpr
 from bilag.calculus import (
     Chart,
     KForm,
+    exterior_d,
     form_from_matrix,
     sym_det,
 )
@@ -13,6 +15,7 @@ from bilag.symexpr import (
     ZERO,
     OpaqueSymbol,
     as_expr,
+    check_stream,
     equal_zero,
     is_zero,
 )
@@ -32,6 +35,14 @@ X, Y = CH.coords()
 
 def standard():
     return validate_symplectic(form_from_matrix(CH, [[ZERO, -ONE], [ONE, ZERO]]))
+
+
+def non_closed():
+    """x^2 dy^ds + y^2 dx^dt + dx^dy + ds^dt: d of it has two nonconstant
+    coefficients, 2x on dx^dy^ds and -2y on dx^dy^dt."""
+    ch4 = Chart(("x", "y", "s", "t"))
+    x, y, _, _ = ch4.coords()
+    return KForm(ch4, 2, {(1, 2): x * x, (0, 3): y * y, (0, 1): ONE, (2, 3): ONE})
 
 
 class TestValidation:
@@ -64,6 +75,32 @@ class TestValidation:
         with pytest.raises(SymplecticError) as err:
             validate_symplectic(form)
         assert "closed" in str(err.value)
+
+    @pytest.mark.parametrize("form, message", [
+        (KForm(CH, 1, {(0,): ONE}), "expected a 2-form, got degree 1"),
+        (KForm(Chart(("a", "b", "c")), 2, {(0, 1): ONE}), "chart dimension 3 is odd"),
+        (non_closed(), "form is not closed"),
+        (form_from_matrix(CH, [[ZERO, ZERO], [ZERO, ZERO]]),
+         "form is degenerate (nondegeneracy witness is identically zero)"),
+    ], ids=["degree", "odd-dimension", "not-closed", "degenerate"])
+    def test_error_messages(self, form, message):
+        with pytest.raises(SymplecticError) as err:
+            validate_symplectic(form)
+        assert str(err.value) == message
+
+    def test_closedness_zero_tests_every_coefficient(self):
+        # the check draws the points of a zero test on every coefficient of
+        # d(omega), in order, even after the first one fails
+        form = non_closed()
+        coeffs = list(exterior_d(form).coeffs.values())
+        assert len(coeffs) == 2
+        with check_stream("closed"):
+            assert [equal_zero(c) for c in coeffs] == [False, False]
+            expected = symexpr._check_rng.getstate()
+        with check_stream("closed"):
+            with pytest.raises(SymplecticError):
+                validate_symplectic(form)
+            assert symexpr._check_rng.getstate() == expected
 
     def test_scaled_form_with_opaque_coefficient(self):
         h = OpaqueSymbol("h", ("x", "y"))
