@@ -55,6 +55,7 @@ from .calculus import (
     ChartMismatch,
     DegreeError,
     FrameBasis,
+    FrameTable,
     KForm,
     SingularFrame,
     SmoothMap,
@@ -88,7 +89,6 @@ from .structures import (
     BiLagStructure,
     Connection,
     FlatnessResult,
-    FrameTable,
     ParaKahler,
     ValidationReport,
     christoffels,

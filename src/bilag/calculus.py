@@ -16,6 +16,10 @@ row, plus back substitution, serves determinants, solves, inverses, rank
 and span tests.
 A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
+
+A `FrameBasis` caches a full frame's matrix, inverse and structure
+functions; those functions, and a connection with its torsion and
+curvature, are sparse `FrameTable`s holding only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .symexpr import (
     ONE,
     _cached_tree,
     as_expr,
+    compact,
     coordinates,
     diff,
     directional,
@@ -62,6 +67,7 @@ __all__ = [
     "pullback_form",
     "frame_decompose",
     "span_membership",
+    "FrameTable",
     "FrameBasis",
     "frame_rank_full",
     "component_matrix",
@@ -814,6 +820,44 @@ def span_membership(xs, fields) -> tuple:
     )
 
 
+def _dense(n, rank, entry, idx=()):
+    """The table of nested tuples, `rank` deep over range(n), with entry(*idx) at idx."""
+    if len(idx) == rank:
+        return entry(*idx)
+    return tuple(_dense(n, rank, entry, idx + (i,)) for i in range(n))
+
+
+class FrameTable:
+    """A sparse table of frame coefficients, `rank` indices deep: `entries`
+    maps each index tuple whose entry has a nonzero normal form to that
+    entry, in lexicographic order.  It is built from (index tuple, entry)
+    pairs in any order.  The structure functions, a connection and its
+    torsion are rank-3 tables: c[i][j][k] is the k-th frame coefficient of
+    [E_i, E_j], T[i][j][k] that of T(E_i, E_j).  A curvature table has rank
+    4, R[i][j][k][l] the l-th frame coefficient of R(E_i, E_j) E_k.
+    """
+
+    __slots__ = ("frame", "rank", "entries")
+
+    def __init__(self, frame, rank: int, entries):
+        self.frame = tuple(frame)
+        self.rank = rank
+        nonzero = [(idx, e) for idx, e in entries if not is_zero(e)]
+        self.entries = {idx: as_expr(e) for idx, e in sorted(nonzero, key=lambda p: p[0])}
+
+    def coefficient(self, *idx) -> Expr:
+        """The entry at the given frame indices (0-based)."""
+        return self.entries.get(idx, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    @property
+    def table(self):
+        """A dense view: all n**rank slots rebuilt on each read (O(n^rank))."""
+        return _dense(len(self.frame), self.rank, self.coefficient)
+
+
 class FrameBasis:
     """A full frame with cached inverse matrix and structure functions.
 
@@ -822,8 +866,8 @@ class FrameBasis:
     0, in ascending column order.  A product of a row with a field sums
     over the indices both hold, in ascending order.  `brackets`, if given,
     maps pairs (i, j) with i < j to the known brackets [E_i, E_j], which
-    structure_functions takes instead of bracketing those pairs again, and
-    then lets go of.
+    `structure` takes instead of bracketing those pairs again, and then
+    lets go of.
     """
 
     __slots__ = ("chart", "fields", "_matrix", "_inverse", "_structure", "_brackets")
@@ -871,27 +915,26 @@ class FrameBasis:
         x's stored components."""
         return tuple(dot(row, x.entries) for row in self.inverse)
 
-    def structure_functions(self) -> dict:
-        """c[i, j] with [E_i, E_j] = sum_k c[i, j][k] E_k, for i < j."""
+    @property
+    def structure(self) -> FrameTable:
+        """The structure functions, [E_i, E_j] = sum_k c[i][j][k] E_k, as a
+        rank-3 table: for each i < j and each k with c nonzero, (i, j, k)
+        holds c and (j, i, k) its compacted negation."""
         if self._structure is None:
-            out = {}
             n = len(self.fields)
+            entries = []
             for i in range(n):
                 for j in range(i + 1, n):
                     bracket = self._brackets.get((i, j))
                     if bracket is None:
                         bracket = lie_bracket(self.fields[i], self.fields[j])
-                    out[(i, j)] = self.decompose(bracket)
-            self._structure = out
+                    for k, c in enumerate(self.decompose(bracket)):
+                        if not is_zero(c):
+                            entries += (((i, j, k), c), ((j, i, k), compact(-c)))
+            self._structure = FrameTable(self.fields, 3, entries)
             self._brackets = None
         return self._structure
 
-    def structure_coeff(self, i: int, j: int, k: int) -> Expr:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.structure_functions()[(i, j)][k]
-        return -self.structure_functions()[(j, i)][k]
 
 def frame_rank_full(fields) -> bool:
     """Do the fields have full rank (as many independent directions as fields)?"""

@@ -131,9 +131,9 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> BiLagStructure:
     # the functions (K xi)_l = sum_m K_lm xi_m
     kxi = [dot(row, fiber_coords) for row in kmat]
 
-    f1 = [_lift_base_field(bundle, e, jac, kxi) for e in s.f1.fields]
+    f1 = [_lift_base_field(bundle, e, jac, kxi) for e in s.f1]
     f1 += [_fiber_frame_field(bundle, jac, j) for j in range(n, n2)]
-    f2 = [_lift_base_field(bundle, e, jac, kxi) for e in s.f2.fields]
+    f2 = [_lift_base_field(bundle, e, jac, kxi) for e in s.f2]
     f2 += [_fiber_frame_field(bundle, jac, j) for j in range(n)]
 
     adapted = (
@@ -292,8 +292,8 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure,
     omega_match = _forms_agree(hat.omega.form, tilde.omega.form)
     verdicts = []
     for leaf, hat_fol, tilde_fol in (("F1", hat.f1, tilde.f1), ("F2", hat.f2, tilde.f2)):
-        pushed = (f"pushed-then-lifted {leaf}", hat_fol.fields)
-        lifted = (f"lifted-then-pushed {leaf}", tilde_fol.fields)
+        pushed = (f"pushed-then-lifted {leaf}", hat_fol)
+        lifted = (f"lifted-then-pushed {leaf}", tilde_fol)
         for a, b in ((pushed, lifted), (lifted, pushed)):
             _membership_pass(*a, *b, hat.chart, verdicts)
     return ActionCheckResult(hat, tilde, lm, omega_match, verdicts)

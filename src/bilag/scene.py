@@ -59,6 +59,7 @@ from .structures import (
     christoffels,
     curvature,
     hess_nabla,
+    index_label,
     is_flat,
     para_structure,
     push_structure,
@@ -530,16 +531,16 @@ def _matrix_payload(mat):
     return [[_fmt(e) for e in row] for row in mat]
 
 
-def _curvature_payload(pairs):
-    return {f"R^{l + 1}_{i + 1}{j + 1}{k + 1}": _fmt(e) for (i, j, k, l), e in pairs}
+def _curvature_payload(n, pairs):
+    return {f"R^{l + 1}_{index_label(n, i, j, k)}": _fmt(e) for (i, j, k, l), e in pairs}
 
 
 def _structure_payload(s):
     return {
         "chart": list(s.chart.names),
         "omega": _matrix_payload(s.omega.form.matrix()),
-        "f1": [_field_payload(f) for f in s.f1.fields],
-        "f2": [_field_payload(f) for f in s.f2.fields],
+        "f1": [_field_payload(f) for f in s.f1],
+        "f2": [_field_payload(f) for f in s.f2],
         "adapted": [_fmt(a) for a in s.adapted],
     }
 
@@ -703,9 +704,10 @@ def _run_christoffels(scene, task, options):
         labels = scene.frame_labels()
     else:
         labels = list(scene.chart.names)
+    n = len(conn.frame)
     table = {
-        f"Gamma^{k + 1}_{i + 1}{j + 1}": _fmt(conn.coefficient(i, j, k))
-        for i, j, k in itertools.product(range(len(conn.frame)), repeat=3)
+        f"Gamma^{k + 1}_{index_label(n, i, j)}": _fmt(conn.coefficient(i, j, k))
+        for i, j, k in itertools.product(range(n), repeat=3)
     }
     messages = [f"{key} = {value}" for key, value in table.items() if value != "0"]
     if not messages:
@@ -721,7 +723,7 @@ def _run_christoffels(scene, task, options):
 def _run_curvature(scene, task, options):
     s = scene.structure()
     curv = curvature(christoffels(s))
-    entries = _curvature_payload(curv.nonzero_entries())
+    entries = _curvature_payload(len(curv.frame), curv.entries.items())
     messages = [f"{key} = {value}" for key, value in entries.items()]
     if not entries:
         messages.append("curvature vanishes")
@@ -732,7 +734,8 @@ def _run_curvature(scene, task, options):
 def _run_flat(scene, task, options):
     s = scene.structure()
     result = is_flat(s)
-    payload = {"flat": result.flat, "witnesses": _curvature_payload(result.witnesses)}
+    payload = {"flat": result.flat,
+               "witnesses": _curvature_payload(len(result.curvature.frame), result.witnesses)}
     messages = [f"flat: {result.flat}"]
     messages += [f"{k} = {v}" for k, v in sorted(payload["witnesses"].items())]
     expect = _arg(task, "expect")
@@ -818,7 +821,7 @@ def _run_plot(scene, task, options):
     out = options.get("out") or _arg(task, "out")
     if not out:
         raise SceneError(f"task {task.name!r}: plot needs out=PATH or --out")
-    svg = leaf_plot(s.f1.fields[0], s.f2.fields[0], window,
+    svg = leaf_plot(s.f1[0], s.f2[0], window,
                     leaves=leaves, steps=steps, bindings=bindings)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)

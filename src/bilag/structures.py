@@ -22,8 +22,9 @@ and structure functions, for i < j only, and fills R(E_j, E_i) by negation.
 
 Each operation takes one input shape.  A `Connection` is built over the
 `FrameBasis` of its frame, `torsion` and `curvature` take a `Connection`,
-and all three results are sparse `FrameTable`s (rank 3, 3 and 4) holding
-only the entries with a nonzero normal form.
+and all three results are sparse `FrameTable`s (rank 3, 3 and 4), as are
+the basis's structure functions.  A structure's foliations `f1` and `f2`
+are plain tuples of frame fields.
 
 A structure optionally carries "adapted functions": 2n scalar functions
 (p_1..p_n, q_1..q_n) whose level sets straighten the two foliations (the
@@ -38,6 +39,7 @@ from __future__ import annotations
 from .calculus import (
     Chart,
     FrameBasis,
+    FrameTable,
     KForm,
     SmoothMap,
     VectorField,
@@ -61,7 +63,6 @@ __all__ = [
     "BiLagError",
     "CheckResult",
     "ValidationReport",
-    "FoliationFrame",
     "BiLagStructure",
     "FrameTable",
     "Connection",
@@ -82,6 +83,7 @@ __all__ = [
     "push_paracomplex",
     "connection_coordinate_table",
     "connections_equal",
+    "index_label",
 ]
 
 
@@ -128,45 +130,10 @@ class BiLagError(Exception):
         self.report = report
 
 
-class FoliationFrame:
-    """A rank-n involutive frame spanning a foliation's tangent distribution."""
-
-    __slots__ = ("chart", "fields")
-
-    def __init__(self, chart: Chart, fields):
-        self.chart = chart
-        self.fields = tuple(fields)
-        for f in self.fields:
-            if f.chart.names != chart.names:
-                raise ValueError("frame field lives on a different chart")
-
-    @property
-    def rank(self) -> int:
-        return len(self.fields)
-
-    def independent(self) -> bool:
-        return frame_rank_full(self.fields)
-
-    def involutivity_report(self, report: ValidationReport, label: str) -> dict:
-        """Add one involutivity check per pair i < j of fields, and return
-        the brackets [E_i, E_j] keyed by (i, j)."""
-        pairs = [(i, j) for i in range(self.rank) for j in range(i + 1, self.rank)]
-        brackets = [lie_bracket(self.fields[i], self.fields[j]) for i, j in pairs]
-        verdicts = span_membership(brackets, self.fields)
-        for (i, j), bracket, (ok, cert) in zip(pairs, brackets, verdicts):
-            if ok:
-                detail = ("bracket decomposes with coefficients ("
-                          + ", ".join(str(c) for c in cert) + ")")
-            else:
-                detail = (f"bracket {bracket} escapes the span "
-                          f"(unmatched component {self.chart.names[cert]})")
-            report.add(f"{label} involutive [{i},{j}]", ok, detail)
-        return dict(zip(pairs, brackets))
-
-
 class BiLagStructure:
     """A certified bi-Lagrangian structure; build via validate_bilagrangian.
 
+    `f1` and `f2` are the tuples of the two foliations' frame fields.
     `basis` is the combined frame (foliation-1 fields, then foliation-2
     fields); validate_bilagrangian hands over one that already holds the
     same-leaf brackets its involutivity checks formed.
@@ -174,25 +141,25 @@ class BiLagStructure:
 
     __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis")
 
-    def __init__(self, omega: SymplecticForm, f1: FoliationFrame, f2: FoliationFrame,
+    def __init__(self, omega: SymplecticForm, f1: tuple, f2: tuple,
                  adapted, report: ValidationReport, basis: FrameBasis):
         self.omega = omega
         self.f1 = f1
         self.f2 = f2
         self.chart = omega.chart
-        self.n = f1.rank
+        self.n = len(f1)
         self.adapted = tuple(adapted)
         self.report = report
         self.basis = basis
 
     @property
     def frame(self) -> tuple:
-        return self.f1.fields + self.f2.fields
+        return self.f1 + self.f2
 
     def __repr__(self):
         return (
             f"BiLagStructure(chart={self.chart.names}, omega={self.omega.form}, "
-            f"f1={[str(f) for f in self.f1.fields]}, f2={[str(f) for f in self.f2.fields]})"
+            f"f1={[str(f) for f in self.f1]}, f2={[str(f) for f in self.f2]})"
         )
 
 
@@ -211,34 +178,35 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
     n2 = chart.dim
     n = n2 // 2
     report = ValidationReport()
-    f1 = FoliationFrame(chart, f1_fields)
-    f2 = FoliationFrame(chart, f2_fields)
-    if f1.rank != n or f2.rank != n:
+    f1, f2 = tuple(f1_fields), tuple(f2_fields)
+    if any(f.chart.names != chart.names for f in f1 + f2):
+        raise ValueError("frame field lives on a different chart")
+    if len(f1) != n or len(f2) != n:
         report.add(
             "rank", False,
-            f"expected two rank-{n} frames, got {f1.rank} and {f2.rank}",
+            f"expected two rank-{n} frames, got {len(f1)} and {len(f2)}",
         )
         raise BiLagError("foliation frames have the wrong rank", report)
     report.add("rank", True, f"two rank-{n} frames on a {n2}-dimensional chart")
 
-    for label, fol in (("F1", f1), ("F2", f2)):
-        ok = fol.independent()
+    for label, fields in (("F1", f1), ("F2", f2)):
+        ok = frame_rank_full(fields)
         report.add(f"{label} independent", ok,
                    "" if ok else "frame fields are linearly dependent")
     if not report.ok:
         raise BiLagError("foliation frames are degenerate", report)
 
-    combined = f1.fields + f2.fields
+    combined = f1 + f2
     det = sym_det(component_matrix(combined))
     if is_zero(det):
         report.add("transversal", False, "combined frame determinant is identically zero")
         raise BiLagError("foliations are not transversal", report)
     report.add("transversal", True, f"combined frame determinant {det}")
 
-    for label, fol in (("F1", f1), ("F2", f2)):
+    for label, fields in (("F1", f1), ("F2", f2)):
         for i in range(n):
             for j in range(i + 1, n):
-                value = omega(fol.fields[i], fol.fields[j])
+                value = omega(fields[i], fields[j])
                 if equal_zero(value):
                     report.add(f"{label} Lagrangian [{i},{j}]", True)
                 else:
@@ -247,10 +215,22 @@ def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStr
                         f"omega(E_{i}, E_{j}) = {value.normal()}",
                     )
 
-    # the same-leaf brackets, keyed by their indices in the combined frame
-    brackets = f1.involutivity_report(report, "F1")
-    brackets.update(((n + i, n + j), b)
-                    for (i, j), b in f2.involutivity_report(report, "F2").items())
+    # one involutivity check per same-leaf pair i < j; the brackets are kept,
+    # keyed by their indices in the combined frame
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for label, fields, offset in (("F1", f1, 0), ("F2", f2, n)):
+        formed = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
+        verdicts = span_membership(formed, fields)
+        for (i, j), bracket, (ok, cert) in zip(pairs, formed, verdicts):
+            if ok:
+                detail = ("bracket decomposes with coefficients ("
+                          + ", ".join(str(c) for c in cert) + ")")
+            else:
+                detail = (f"bracket {bracket} escapes the span "
+                          f"(unmatched component {chart.names[cert]})")
+            report.add(f"{label} involutive [{i},{j}]", ok, detail)
+            brackets[offset + i, offset + j] = bracket
 
     if adapted is None:
         adapted = chart.coords()
@@ -281,10 +261,10 @@ def split(s: BiLagStructure, x: VectorField) -> tuple:
     coeffs = s.basis.decompose(x)
     n = s.n
     x1 = zero_field(s.chart)
-    for c, e in zip(coeffs[:n], s.f1.fields):
+    for c, e in zip(coeffs[:n], s.f1):
         x1 = x1 + e.scale(c)
     x2 = zero_field(s.chart)
-    for c, e in zip(coeffs[n:], s.f2.fields):
+    for c, e in zip(coeffs[n:], s.f2):
         x2 = x2 + e.scale(c)
     return x1, x2
 
@@ -310,45 +290,10 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
 
 
-def _dense(n, rank, entry, idx=()):
-    """The table of nested tuples, `rank` deep over range(n), with entry(*idx) at idx."""
-    if len(idx) == rank:
-        return entry(*idx)
-    return tuple(_dense(n, rank, entry, idx + (i,)) for i in range(n))
-
-
-class FrameTable:
-    """A sparse table of frame coefficients, `rank` indices deep: `entries`
-    maps each index tuple whose entry has a nonzero normal form to that
-    entry, in lexicographic order.  It is built from (index tuple, entry)
-    pairs in any order.  A torsion table has rank 3, T[i][j][k] the k-th
-    frame coefficient of T(E_i, E_j); a curvature table rank 4,
-    R[i][j][k][l] the l-th frame coefficient of R(E_i, E_j) E_k.
-    """
-
-    __slots__ = ("frame", "rank", "entries")
-
-    def __init__(self, frame, rank: int, entries):
-        self.frame = tuple(frame)
-        self.rank = rank
-        nonzero = [(idx, e) for idx, e in entries if not is_zero(e)]
-        self.entries = {idx: as_expr(e) for idx, e in sorted(nonzero, key=lambda p: p[0])}
-
-    def coefficient(self, *idx) -> Expr:
-        """The entry at the given frame indices (0-based)."""
-        return self.entries.get(idx, ZERO)
-
-    def nonzero_entries(self):
-        """(index tuple, entry) for each nonzero entry, in lexicographic order."""
-        return list(self.entries.items())
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    @property
-    def table(self):
-        """A dense view: all n**rank slots rebuilt on each read (O(n^rank))."""
-        return _dense(len(self.frame), self.rank, self.coefficient)
+def index_label(n: int, *idx) -> str:
+    """Frame indices idx as printed in a key, 1-based: run together on at
+    most 9 fields ("12"), comma-separated beyond, so "1,11" is not "11,1"."""
+    return ("" if n <= 9 else ",").join(str(i + 1) for i in idx)
 
 
 class Connection(FrameTable):
@@ -394,8 +339,9 @@ class Connection(FrameTable):
             self.chart, ((i, dot(row, coeffs)) for i, row in enumerate(self.basis.matrix)))
 
     def __repr__(self):
+        n = len(self.frame)
         entries = [
-            f"Gamma^{k + 1}_{i + 1}{j + 1} = {g.normal()}"
+            f"Gamma^{k + 1}_{index_label(n, i, j)} = {g.normal()}"
             for (i, j, k), g in self.entries.items()
         ]
         return "Connection(" + ("; ".join(entries) or "flat coefficients") + ")"
@@ -441,14 +387,14 @@ def _foliation_christoffels(s: BiLagStructure):
             if i // n == j // n:
                 for k, g in enumerate(basis.decompose(d_map(s, x, y))):
                     yield (i, j, k), g
-            else:
-                for k in range(j // n * n, j // n * n + n):
-                    yield (i, j, k), compact(basis.structure_coeff(i, j, k))
+    for (i, j, k), c in basis.structure.entries.items():
+        if i // n != j // n == k // n:
+            yield (i, j, k), c
 
 
 def torsion(conn: Connection) -> FrameTable:
     """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c)."""
-    g, c = conn.coefficient, conn.basis.structure_coeff
+    g, c = conn.coefficient, conn.basis.structure.coefficient
     n = len(conn.frame)
     return FrameTable(conn.frame, 3, (
         ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
@@ -490,16 +436,18 @@ def curvature(conn: Connection) -> FrameTable:
     gam = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j, k), g in conn.entries.items():
         gam[i][j].append((k, g))
+    # struct[i, j]: the (s, c^s_{ij}) with a nonzero normal form, for i < j
+    struct = {}
+    for (i, j, s), c in conn.basis.structure.entries.items():
+        if i < j:
+            struct.setdefault((i, j), []).append((s, c))
     entries = []
     for i in range(n):
         for j in range(i + 1, n):
-            struct = [
-                (s, c) for s, c in enumerate(conn.basis.structure_functions()[(i, j)])
-                if not is_zero(c)
-            ]
+            pair = struct.get((i, j), ())
             for k in range(n):
                 acc = {}
-                for l, term in _curvature_terms(conn.frame, gam, struct, i, j, k):
+                for l, term in _curvature_terms(conn.frame, gam, pair, i, j, k):
                     acc[l] = acc.get(l, ZERO) + term
                 for l, val in acc.items():
                     entry = compact(val)
@@ -525,8 +473,9 @@ class FlatnessResult:
     def __repr__(self):
         if self.flat:
             return "FlatnessResult(flat=True)"
+        n = len(self.curvature.frame)
         parts = ", ".join(
-            f"R^{l + 1}_{i + 1}{j + 1}{k + 1} = {e.normal()}"
+            f"R^{l + 1}_{index_label(n, i, j, k)} = {e.normal()}"
             for (i, j, k, l), e in self.witnesses
         )
         return f"FlatnessResult(flat=False, {parts})"
@@ -541,7 +490,7 @@ def is_flat(s: BiLagStructure) -> FlatnessResult:
     """
     conn = christoffels(s, "foliation")
     curv = curvature(conn)
-    witnesses = [(idx, e) for idx, e in curv.nonzero_entries() if not equal_zero(e)]
+    witnesses = [(idx, e) for idx, e in curv.entries.items() if not equal_zero(e)]
     return FlatnessResult(not witnesses, conn, curv, witnesses)
 
 
@@ -645,8 +594,8 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
     functions to a . psi^{-1}; the result is re-validated.
     """
     new_form = pullback_form(psi.inverse(), s.omega.form)
-    new_f1 = tuple(pushforward_field(psi, e) for e in s.f1.fields)
-    new_f2 = tuple(pushforward_field(psi, e) for e in s.f2.fields)
+    new_f1 = tuple(pushforward_field(psi, e) for e in s.f1)
+    new_f2 = tuple(pushforward_field(psi, e) for e in s.f2)
     new_adapted = tuple(psi.push_scalar(a) for a in s.adapted)
     return validate_bilagrangian(new_form, new_f1, new_f2, new_adapted)
 

@@ -145,7 +145,7 @@ def test_criterion_02_curvature_table_exact():
     s = parabola_structure()
     conn = christoffels(s)
     r = curvature(conn)
-    u, v = s.f1.fields[0], s.f2.fields[0]
+    u, v = s.f1[0], s.f2[0]
     g111, g222 = conn.gamma[0][0][0], conn.gamma[1][1][1]
     expected = {
         (1, 0, 0, 0): v.apply(g111),
@@ -185,7 +185,7 @@ def test_criterion_04_connection_axioms_pin_it_down():
                     corr2 = s.omega(yf, hess_nabla(s, xf, zf))
                     assert equal_zero(lead - corr1 - corr2)
         for xf in frame:
-            for leaf in (s.f1.fields, s.f2.fields):
+            for leaf in (s.f1, s.f2):
                 for yf in leaf:
                     ok, _ = span_membership([hess_nabla(s, xf, yf)], leaf)[0]
                     assert ok
@@ -206,10 +206,10 @@ def test_criterion_06_standard_lift_exact():
     def comps(f):
         return tuple(str(c.normal()) for c in f.components)
 
-    assert comps(lifted.f1.fields[0]) == ("1", "0", "0", "0")
-    assert comps(lifted.f1.fields[1]) == ("0", "0", "0", "1")
-    assert comps(lifted.f2.fields[0]) == ("0", "1", "0", "0")
-    assert comps(lifted.f2.fields[1]) == ("0", "0", "1", "0")
+    assert comps(lifted.f1[0]) == ("1", "0", "0", "0")
+    assert comps(lifted.f1[1]) == ("0", "0", "0", "1")
+    assert comps(lifted.f2[0]) == ("0", "1", "0", "0")
+    assert comps(lifted.f2[1]) == ("0", "0", "1", "0")
     assert tuple(str(a.normal()) for a in lifted.adapted) == ("x", "t", "y", "s")
     assert lifted.report.ok
     twice = iterate_lift(s, 2)
@@ -273,8 +273,8 @@ def test_criterion_09_push_coherence_and_action_laws():
     shear = SmoothMap(ch, ch, (x, y + x * x), (x, y - x * x))
 
     out = push_structure(ident, s)
-    assert fields_equal(out.f1.fields[0], s.f1.fields[0])
-    assert fields_equal(out.f2.fields[0], s.f2.fields[0])
+    assert fields_equal(out.f1[0], s.f1[0])
+    assert fields_equal(out.f2[0], s.f2[0])
 
     for trial in range(10):
         psi = random_unit_affine(rng, ch)
@@ -293,8 +293,8 @@ def test_criterion_09_push_coherence_and_action_laws():
         both = phi.compose(psi)
         direct = push_structure(both, s)
         stepwise = push_structure(phi, pushed)
-        assert fields_equal(direct.f1.fields[0], stepwise.f1.fields[0]), trial
-        assert fields_equal(direct.f2.fields[0], stepwise.f2.fields[0]), trial
+        assert fields_equal(direct.f1[0], stepwise.f1[0]), trial
+        assert fields_equal(direct.f2[0], stepwise.f2[0]), trial
 
     with pytest.raises(CompositionError):
         push_structure(shear, parabola_structure())

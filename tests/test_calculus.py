@@ -493,14 +493,14 @@ class TestFrameBasis:
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    assert equal_zero(basis.structure_coeff(i, j, k))
+                    assert equal_zero(basis.structure.coefficient(i, j, k))
 
     def test_structure_functions_nontrivial(self):
         dx = VectorField(CH, (ONE, ZERO))
         w = VectorField(CH, (ZERO, X))
         # [dx, w] = w / x, so c^1_01 = 1/x on the w leg
         basis = FrameBasis((dx, w))
-        assert equal_zero(basis.structure_coeff(0, 1, 1) - ONE / X)
+        assert equal_zero(basis.structure.coefficient(0, 1, 1) - ONE / X)
 
     def test_decompose_roundtrip(self):
         u = VectorField(CH, (ONE, 2 * X))

@@ -236,7 +236,7 @@ def test_structure_frames(name, dim):
     rhs = [c * c + ONE for c in reversed(s.chart.coords())]
     same_square(matrix, rhs)
     probe = VectorField(s.chart, rhs)
-    for fields in (s.f1.fields, s.f2.fields, s.frame):
+    for fields in (s.f1, s.f2, s.frame):
         same_span(s.frame + (probe,), fields)
 
 
@@ -268,8 +268,8 @@ def test_transport_frames(index):
     for s in (pushed, hat, tilde):
         same_square(component_matrix(s.frame), list(reversed(s.chart.coords())))
     for a, b in ((hat.f1, tilde.f1), (tilde.f1, hat.f1), (hat.f2, tilde.f2), (tilde.f2, hat.f2)):
-        assert all(ok for ok, _ in same_span(a.fields, b.fields))
-    verdicts = same_span(hat.frame, hat.f1.fields)
+        assert all(ok for ok, _ in same_span(a, b))
+    verdicts = same_span(hat.frame, hat.f1)
     assert [ok for ok, _ in verdicts] == [True] * hat.n + [False] * hat.n
 
 

@@ -86,10 +86,10 @@ class TestLiftStructure:
     def test_standard_lift_exact_frames(self):
         lifted = lift_structure(standard_structure())
         assert lifted.chart.names == ("x", "y", "s", "t")
-        assert comp_strings(lifted.f1.fields[0]) == ("1", "0", "0", "0")
-        assert comp_strings(lifted.f1.fields[1]) == ("0", "0", "0", "1")
-        assert comp_strings(lifted.f2.fields[0]) == ("0", "1", "0", "0")
-        assert comp_strings(lifted.f2.fields[1]) == ("0", "0", "1", "0")
+        assert comp_strings(lifted.f1[0]) == ("1", "0", "0", "0")
+        assert comp_strings(lifted.f1[1]) == ("0", "0", "0", "1")
+        assert comp_strings(lifted.f2[0]) == ("0", "1", "0", "0")
+        assert comp_strings(lifted.f2[1]) == ("0", "0", "1", "0")
 
     def test_standard_lift_adapted(self):
         lifted = lift_structure(standard_structure())
@@ -113,17 +113,17 @@ class TestLiftStructure:
 
     def test_parabola_lift_golden(self):
         lifted = lift_structure(parabola_structure())
-        assert comp_strings(lifted.f1.fields[0]) == ("1", "2*x", "-2*t", "0")
-        assert comp_strings(lifted.f1.fields[1]) == ("0", "0", "-2*x", "1")
-        assert comp_strings(lifted.f2.fields[0]) == ("0", "1", "0", "0")
-        assert comp_strings(lifted.f2.fields[1]) == ("0", "0", "1", "0")
+        assert comp_strings(lifted.f1[0]) == ("1", "2*x", "-2*t", "0")
+        assert comp_strings(lifted.f1[1]) == ("0", "0", "-2*x", "1")
+        assert comp_strings(lifted.f2[0]) == ("0", "1", "0", "0")
+        assert comp_strings(lifted.f2[1]) == ("0", "0", "1", "0")
         adapted = tuple(str(a.normal()) for a in lifted.adapted)
         assert adapted == ("x", "t", "-x^2 + y", "s + 2*t*x")
 
     def test_lifted_base_fields_commute_with_fiber_frame(self):
         lifted = lift_structure(parabola_structure())
-        base_lift = lifted.f1.fields[0]
-        for fiber_field in (lifted.f1.fields[1], lifted.f2.fields[1]):
+        base_lift = lifted.f1[0]
+        for fiber_field in (lifted.f1[1], lifted.f2[1]):
             br = lie_bracket(base_lift, fiber_field)
             assert br.is_zero() or all(equal_zero(c) for c in br.components)
 

@@ -28,7 +28,7 @@ from bilag.symexpr import (
     equal_zero,
     parse_expr,
 )
-from bilag.structures import christoffels
+from bilag.structures import christoffels, index_label
 
 MINIMAL = """
 chart: x y
@@ -95,7 +95,7 @@ class TestParsing:
 
     def test_field_grammar(self):
         scene = loads(PARABOLA_TEXT)
-        u = scene.structure().f1.fields[0]
+        u = scene.structure().f1[0]
         x = scene.chart.coord(0)
         assert equal_zero(u.components[0] - ONE)
         assert equal_zero(u.components[1] - 2 * x)
@@ -363,6 +363,26 @@ class TestRunTasks:
                     text = table[f"Gamma^{k + 1}_{i + 1}{j + 1}"]
                     parsed = parse_expr(text, scene.chart.names, (h,))
                     assert equal_zero(parsed - conn.gamma[i][j][k]), (i, j, k)
+
+    def test_twelve_field_payload_keeps_every_index_triple(self):
+        # run together, (0, 10) and (10, 0) would both print "111"
+        xs = [f"x{i}" for i in range(1, 7)]
+        ys = [f"y{i}" for i in range(1, 7)]
+        scene = loads(
+            "chart: " + " ".join(xs + ys) + "\n"
+            + "omega: " + " + ".join(f"d{y}^d{x}" for x, y in zip(xs, ys)) + "\n"
+            + "foliation F: " + " ; ".join(f"@{x}" for x in xs) + "\n"
+            + "foliation G: " + " ; ".join(f"@{y}" for y in ys) + "\n"
+            + "structure: F | G\ntask gammas: christoffels frame=coordinate\n")
+        table = run_tasks(scene).outcomes[0].payload["table"]
+        assert len(table) == len(set(table)) == 12 ** 3
+        assert {"Gamma^1_1,11", "Gamma^1_11,1", "Gamma^12_12,12"} <= set(table)
+
+    def test_index_labels_run_together_up_to_nine_fields(self):
+        assert index_label(9, 0, 8) == "19"
+        assert index_label(9, 8, 0, 4) == "915"
+        assert index_label(10, 0, 9) == "1,10"
+        assert (index_label(12, 0, 10), index_label(12, 10, 0)) == ("1,11", "11,1")
 
     def test_flat_expectation_pass_and_fail(self):
         base = loads(PARABOLA_TEXT.replace(

@@ -20,6 +20,7 @@ from bilag.calculus import (
 )
 from bilag.structures import validate_bilagrangian
 from bilag.symexpr import ONE, ZERO, Rat, diff, directional, dot, equal_zero
+from test_sparse_tables import assert_structure_is_fresh
 from test_structures import STRUCTURES, lifted
 
 CH = Chart(("x", "y"))
@@ -203,14 +204,13 @@ def test_basis_rows_are_sparse_and_the_brackets_shared(name, dim):
     for i, row in enumerate(basis.matrix):
         assert row == {j: f.entries[i] for j, f in enumerate(s.frame) if i in f.entries}
     # the same-leaf brackets come from validation, every structure function
-    # is the one a fresh basis computes, and the brackets go once used
-    handed = validate_bilagrangian(s.omega, s.f1.fields, s.f2.fields, s.adapted).basis
+    # is the one each bracket decomposed afresh gives, and the brackets go
+    # once used
+    handed = validate_bilagrangian(s.omega, s.f1, s.f2, s.adapted).basis
     h = n // 2
     same_leaf = [(i, j) for i in range(n) for j in range(i + 1, n) if i // h == j // h]
     assert sorted(handed._brackets) == same_leaf
-    fresh = FrameBasis(s.frame).structure_functions()
-    assert {k: strs(v) for k, v in handed.structure_functions().items()} == \
-        {k: strs(v) for k, v in fresh.items()}
+    assert_structure_is_fresh(handed)
     assert handed._brackets is None
 
 

@@ -1,9 +1,11 @@
-"""The sparse frame tables: Gamma, T and R store only their nonzero entries."""
+"""The sparse frame tables: the structure functions c, Gamma, T and R store
+only their nonzero entries."""
 
 import itertools
 
 import pytest
 
+from bilag.calculus import lie_bracket
 from bilag.structures import (
     Connection,
     christoffels,
@@ -13,7 +15,7 @@ from bilag.structures import (
     para_structure,
     torsion,
 )
-from bilag.symexpr import ZERO, is_zero
+from bilag.symexpr import ZERO, compact, is_zero
 from test_structures import STRUCTURES, lifted, parabola_structure
 
 # every pool structure at its own dimension and lifted to dims 4 and 8
@@ -29,6 +31,7 @@ def build(name, dim):
 def tables(s):
     conn = christoffels(s)
     return {
+        "structure": s.basis.structure,
         "gamma": conn,
         "gamma-coordinate": christoffels(s, "coordinate"),
         "torsion": torsion(conn),
@@ -51,7 +54,6 @@ def test_tables_store_only_nonzero_entries_in_order(name, dim):
         keys = list(table.entries)
         assert keys == sorted(keys), label
         assert not any(is_zero(e) for e in table.entries.values()), label
-        assert table.nonzero_entries() == list(table.entries.items()), label
         assert table.is_zero() == (not keys), label
 
 
@@ -71,6 +73,29 @@ def test_coefficient_and_dense_views_agree(name, dim):
             assert len(cells) == n ** table.rank, label
             for idx, entry in cells:
                 assert entry is table.coefficient(*idx), (label, idx)
+
+
+def assert_structure_is_fresh(basis):
+    """basis.structure holds, for each i < j, the nonzero coefficients c of
+    [E_i, E_j] decomposed afresh at (i, j, k) and their compacted negations
+    at (j, i, k), and nothing else; so it is antisymmetric in i and j."""
+    fields = basis.fields
+    expected = {}
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            for k, c in enumerate(basis.decompose(lie_bracket(fields[i], fields[j]))):
+                if not is_zero(c):
+                    expected[i, j, k] = str(c)
+                    expected[j, i, k] = str(compact(-c))
+    entries = basis.structure.entries
+    assert {idx: str(c) for idx, c in entries.items()} == expected
+    for (i, j, k), c in entries.items():
+        assert is_zero(c + entries[j, i, k]), (i, j, k)
+
+
+@pytest.mark.parametrize("name, dim", CASES)
+def test_structure_functions_are_antisymmetric_and_fresh(name, dim):
+    assert_structure_is_fresh(build(name, dim).basis)
 
 
 def test_table_constructor_sorts_and_drops_zero_forms():

@@ -10,6 +10,7 @@ from bilag.calculus import (
     VectorField,
     coordinate_frame,
     form_from_matrix,
+    lie_bracket,
     sym_inverse,
     zero_field,
 )
@@ -133,7 +134,8 @@ STRUCTURES = {
 
 
 def dense_curvature(conn):
-    """Reference: every R^l_{ijk} from all n^5 products, zero or not."""
+    """Reference: every R^l_{ijk} from all n^5 products, zero or not, with
+    the structure functions decomposed afresh from each bracket."""
     n = len(conn.frame)
     fields = conn.frame
     gamma = conn.gamma
@@ -141,6 +143,7 @@ def dense_curvature(conn):
     for i in range(n):
         block = []
         for j in range(n):
+            struct = conn.basis.decompose(lie_bracket(fields[i], fields[j]))
             plane = []
             for k in range(n):
                 row = []
@@ -149,7 +152,7 @@ def dense_curvature(conn):
                     for sdx in range(n):
                         val = val + gamma[j][k][sdx] * gamma[i][sdx][l]
                         val = val - gamma[i][k][sdx] * gamma[j][sdx][l]
-                        c = conn.basis.structure_coeff(i, j, sdx)
+                        c = struct[sdx]
                         if not is_zero(c):
                             val = val - c * gamma[sdx][k][l]
                     row.append(val.normal().as_expr())
@@ -180,7 +183,7 @@ def per_pair_apply(conn, x, y):
     out = zero_field(conn.chart)
     for e, c in zip(conn.frame, cy):
         out = out + e.scale(x.apply(c))
-    for (i, j, k), g in conn.nonzero_entries():
+    for (i, j, k), g in conn.entries.items():
         if not (is_zero(cx[i]) or is_zero(cy[j])):
             out = out + conn.frame[k].scale(cx[i] * cy[j] * g)
     return VectorField(conn.chart, tuple(c.normal().as_expr() for c in out.components))
@@ -271,6 +274,20 @@ class TestValidation:
             validate_bilagrangian(om, [dx, dy], [dy])
         assert "rank" in str(err.value)
 
+    def test_field_on_another_chart_rejected_before_rank(self):
+        ch = Chart(("x", "y"))
+        om = validate_symplectic(form_from_matrix(ch, [[ZERO, -ONE], [ONE, ZERO]]))
+        dx = VectorField(ch, (ONE, ZERO))
+        du = VectorField(Chart(("u", "v")), (ZERO, ONE))
+        # the second frame also has the wrong rank, which is checked later
+        with pytest.raises(ValueError, match="frame field lives on a different chart"):
+            validate_bilagrangian(om, [dx], [du, du])
+
+    def test_frames_are_tuples_of_fields(self):
+        s = parabola_structure()
+        assert isinstance(s.f1, tuple) and isinstance(s.f2, tuple)
+        assert s.frame == s.f1 + s.f2 == s.basis.fields
+
     def test_non_involutive_rejected(self):
         ch = Chart(("a", "b", "c", "d"))
         a = ch.coord(0)
@@ -319,8 +336,8 @@ class TestSplit:
         dx = VectorField(s.chart, (ONE, ZERO))
         x1, x2 = split(s, dx)
         # d/dx = U - 2x V
-        assert fields_equal(x1, s.f1.fields[0])
-        assert fields_equal(x2, s.f2.fields[0].scale(-2 * x))
+        assert fields_equal(x1, s.f1[0])
+        assert fields_equal(x2, s.f2[0].scale(-2 * x))
 
     def test_split_sums_back(self):
         s = parabola_structure()
@@ -369,7 +386,7 @@ class TestConnection:
     def test_d_map_reproduces_diagonal_derivatives(self):
         s = parabola_structure()
         conn = christoffels(s)
-        u = s.f1.fields[0]
+        u = s.f1[0]
         duu = d_map(s, u, u)
         expected = u.scale(conn.gamma[0][0][0])
         assert fields_equal(duu, expected)
@@ -406,7 +423,7 @@ class TestConnection:
             from bilag.calculus import span_membership
 
             for xf in s.frame:
-                for leaf in (s.f1.fields, s.f2.fields):
+                for leaf in (s.f1, s.f2):
                     for yf in leaf:
                         out = hess_nabla(s, xf, yf)
                         ok, _ = span_membership([out], leaf)[0]
@@ -464,8 +481,8 @@ class TestLeafwiseAssembly:
         assert not is_zero(conn.gamma[0][1][1])  # [E_1, E_2] projected to leaf 2
         assert not is_zero(conn.gamma[1][0][0])  # [E_2, E_1] projected to leaf 1
         assert is_zero(conn.gamma[0][1][0]) and is_zero(conn.gamma[1][0][1])
-        assert not is_zero(s.basis.structure_coeff(0, 1, 0))
-        assert curvature(conn).nonzero_entries()
+        assert not is_zero(s.basis.structure.coefficient(0, 1, 0))
+        assert curvature(conn).entries
         assert torsion(conn).is_zero()
 
 
@@ -567,14 +584,14 @@ class TestCurvature:
     def test_parabola_nonzero_slots_exact(self):
         s = parabola_structure()
         r = curvature(christoffels(s))
-        slots = sorted(idx for idx, _ in r.nonzero_entries())
+        slots = sorted(r.entries)
         assert slots == [(0, 1, 0, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 1, 1)]
 
     def test_parabola_values(self):
         s = parabola_structure()
         conn = christoffels(s)
         r = curvature(conn)
-        u, v = s.f1.fields[0], s.f2.fields[0]
+        u, v = s.f1[0], s.f2[0]
         g111 = conn.gamma[0][0][0]
         g222 = conn.gamma[1][1][1]
         assert equal_zero(r.coefficient(1, 0, 0, 0) - v.apply(g111))
@@ -646,8 +663,8 @@ class TestParaStructure:
     def test_eigenframes(self):
         s = parabola_structure()
         pk = para_structure(s)
-        u = s.f1.fields[0]
-        v = s.f2.fields[0]
+        u = s.f1[0]
+        v = s.f2[0]
         assert fields_equal(pk.apply_F(u), u)
         assert fields_equal(pk.apply_F(v), v.scale(-ONE))
 
@@ -721,8 +738,8 @@ class TestPush:
         x, y = s.chart.coords()
         ident = SmoothMap(s.chart, s.chart, (x, y), (x, y))
         out = push_structure(ident, s)
-        assert fields_equal(out.f1.fields[0], s.f1.fields[0])
-        assert fields_equal(out.f2.fields[0], s.f2.fields[0])
+        assert fields_equal(out.f1[0], s.f1[0])
+        assert fields_equal(out.f2[0], s.f2[0])
 
     def test_push_composes(self):
         s = standard_structure()
@@ -732,8 +749,8 @@ class TestPush:
         both = phi.compose(psi)
         direct = push_structure(both, s)
         stepwise = push_structure(phi, push_structure(psi, s))
-        assert fields_equal(direct.f1.fields[0], stepwise.f1.fields[0])
-        assert fields_equal(direct.f2.fields[0], stepwise.f2.fields[0])
+        assert fields_equal(direct.f1[0], stepwise.f1[0])
+        assert fields_equal(direct.f2[0], stepwise.f2[0])
 
     def test_push_through_opaque_dependency_rejected(self):
         from bilag.symexpr import CompositionError
