@@ -121,6 +121,7 @@ from .scene import (
     SceneReport,
     Task,
     load_scene,
+    make_task,
     run_task,
     run_tasks,
 )

@@ -912,7 +912,8 @@ class FrameBasis:
 
     def decompose(self, x: VectorField) -> tuple:
         """The frame coefficients of x: one dot of each inverse row with
-        x's stored components."""
+        x's stored components.  ChartMismatch unless x is on the frame's chart."""
+        _require_same_chart(x, self)
         return tuple(dot(row, x.entries) for row in self.inverse)
 
     @property

@@ -12,8 +12,10 @@ One subcommand per scene operation plus ``report``:
     bilag report       --scene parabola.scene [--task gammas ...]
 
 An operation's flags are its task arguments, generated from
-``scene._TASK_ARGS`` with the names, defaults and parsers of a task line;
+``scene._TASK_ARGS`` with the names and defaults of a task line;
 ``plot`` takes ``out`` as ``--out`` and each symbol binding as ``--bind``.
+``scene.make_task`` reads the flags' values once, as it reads a task
+line's, so a value is refused with the message the task line gets.
 
 Common flags: ``--scene`` (a path, or the name of a bundled scene),
 ``--format text|machine``, ``--out`` (report destination; for ``plot``,
@@ -30,6 +32,7 @@ import argparse
 import os
 import sys
 
+from .calculus import Chart
 from .lift import DEFAULT_MAX_DIM
 from .scene import (
     OPERATIONS,
@@ -40,8 +43,8 @@ from .scene import (
     _TASK_ARGS,
     _check_references,
     _one_of,
-    _read_arg,
     load_scene,
+    make_task,
     run_task,
     run_tasks,
 )
@@ -132,21 +135,26 @@ def _attach_values(parser: argparse.ArgumentParser, argv: list) -> list:
     return out
 
 
-def _adhoc_task(args) -> Task:
+def _adhoc_task(args, chart: Chart) -> Task:
+    """The subcommand's task: its --bind values, which must name declared
+    symbols, then its operation's flags, read by make_task."""
     op = args.command
-    task_args = {}
-    if op == "plot":
-        for binding in args.bind:
-            key, sep, value = binding.partition("=")
-            if not sep:
-                raise SceneError(f"--bind needs NAME=EXPR, got {binding!r}")
-            if key in task_args:
-                raise SceneError(f"--bind {key!r} given twice")
-            task_args[key] = value
-    for key in _TASK_ARGS[op]:
-        if getattr(args, key) is not None:
-            task_args[key] = getattr(args, key)
-    return Task(f"cli-{op}", op, task_args)
+    binds = {}
+    for binding in getattr(args, "bind", ()):
+        key, sep, value = binding.partition("=")
+        if not sep:
+            raise SceneError(f"--bind needs NAME=EXPR, got {binding!r}")
+        if key in binds:
+            raise SceneError(f"--bind {key!r} given twice")
+        binds[key] = value
+    declared = [sym.name for sym in chart.symbols]
+    unknown = sorted(set(binds) - set(declared))
+    if unknown:
+        raise SceneError(f"--bind names undeclared symbols: {', '.join(unknown)}; "
+                         f"declared: {', '.join(declared) or 'none'}")
+    flags = {key: getattr(args, key) for key in _TASK_ARGS[op]
+             if getattr(args, key) is not None}
+    return make_task(f"cli-{op}", op, {**binds, **flags}.items(), chart)
 
 
 def _emit(report: SceneReport, args, fmt: str) -> None:
@@ -171,18 +179,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             report = run_tasks(scene, args.task, **options)
         else:
-            task = _adhoc_task(args)
-            if task.operation == "plot":
-                declared = [sym.name for sym in scene.chart.symbols]
-                unknown = sorted({b.partition("=")[0] for b in args.bind} - set(declared))
-                if unknown:
-                    raise SceneError(
-                        f"--bind names undeclared symbols: {', '.join(unknown)}; "
-                        f"declared: {', '.join(declared) or 'none'}"
-                    )
-            # the flags' values pass the checks of a scene's task line
-            for key, raw in task.args.items():
-                _read_arg(task.name, task.operation, key, raw, scene.chart)
+            task = _adhoc_task(args, scene.chart)
             _check_references(task, scene.maps)
             report = SceneReport(scene, [run_task(scene, task, **options)])
     except (SceneError, OSError) as exc:

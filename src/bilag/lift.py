@@ -274,17 +274,16 @@ def _membership_pass(label_a: str, fields_a, label_b: str, fields_b, chart, out)
         ))
 
 
-def lifted_action_check(psi: SmoothMap, s: BiLagStructure,
-                        fiber_names=None) -> ActionCheckResult:
+def lifted_action_check(psi: SmoothMap, s: BiLagStructure) -> ActionCheckResult:
     """Does pushing then lifting agree with lifting then pushing?
 
     Builds both structures on the same bundle chart and certifies that
     every generator of each lifted foliation frame lies in the span of its
     counterpart (both directions, one elimination each), alongside
-    agreement of the two lifted symplectic forms.
+    agreement of the two lifted symplectic forms.  All three lifts take the
+    default fiber names, which skip every name of both charts.
     """
-    if fiber_names is None:
-        fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
+    fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
     hat = lift_structure(push_structure(psi, s), fiber_names)
     lm = lift_map(psi, s.omega, fiber_names)
     tilde = push_structure(lm.map, lift_structure(s, fiber_names))

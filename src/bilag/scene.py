@@ -20,11 +20,13 @@ acting as a wedge between forms (it stays integer power on scalars).
 
 Task lines name one of the operations validate, hess, christoffels,
 curvature, flat, para, push, lift, act-check, plot, followed by
-``key=value`` arguments; an argument the operation does not read, or a
-value that is not of its argument's type, makes the scene malformed.
-Running tasks yields a report that prints as text or serializes to
-versioned, deterministic JSON (the per-task ``timing_ms`` field is the
-documented exception).
+``key=value`` arguments.  ``make_task`` reads them once, at load, into the
+typed values of ``Task.args``; the CLI builds its tasks from flags the same
+way.  An argument the operation does not read, one given twice, or a value
+that is not of its argument's type makes the scene malformed.  Running
+tasks yields a report that prints as text or serializes to versioned,
+deterministic JSON (the per-task ``timing_ms`` field is the documented
+exception).
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from .symplectic import SymplecticError, validate_symplectic
 __all__ = [
     "SceneError",
     "Task",
+    "make_task",
     "Scene",
     "TaskOutcome",
     "SceneReport",
@@ -179,7 +182,7 @@ def parse_geometric(text: str, chart: Chart):
 
 
 class Task:
-    """A named operation with raw key=value arguments."""
+    """A named operation with its typed arguments, as `make_task` reads them."""
 
     __slots__ = ("name", "operation", "args", "line")
 
@@ -282,6 +285,19 @@ def _split_head(stripped: str, line: int):
     raise SceneError(f"malformed directive head {head!r}", line)
 
 
+# Directive heads: these kinds take no name, and these need one (with the
+# payload their message shows); a kind and name are declared once.
+_NAMELESS = ("omega", "structure", "adapted")
+_NAMED = {"foliation": "...", "map": "...", "task": "operation ..."}
+
+
+def _key_value(word: str, line: int) -> tuple:
+    key, sep, value = word.partition("=")
+    if not sep or not key:
+        raise SceneError(f"task argument {word!r} must be key=value", line)
+    return key, value
+
+
 def loads(text: str, name: str = "<scene>") -> Scene:
     """Parse a scene from a string.  See the module docstring for the format."""
     records = []
@@ -345,35 +361,32 @@ def loads(text: str, name: str = "<scene>") -> Scene:
         except ExprError as exc:
             raise SceneError(str(exc), lineno) from None
 
+    declared = set()
     for lineno, kind, label, payload in records:
         if kind in ("chart", "symbol"):
             continue
-        if label is not None and kind in ("omega", "structure", "adapted"):
+        if kind in _NAMELESS and label is not None:
             raise SceneError(f"{kind} takes no name", lineno)
+        if kind in _NAMED and label is None:
+            raise SceneError(f"{kind} needs a name: '{kind} NAME: {_NAMED[kind]}'", lineno)
+        if (kind, label) in declared:
+            raise SceneError(f"{kind} {label!r} declared twice" if label
+                             else f"{kind} declared twice", lineno)
+        declared.add((kind, label))
         if kind == "omega":
-            if omega_form is not None:
-                raise SceneError("omega declared twice", lineno)
             omega_form = geometric(payload, lineno, "2-form")
         elif kind == "foliation":
-            if not label:
-                raise SceneError("foliation needs a name: 'foliation NAME: ...'", lineno)
-            if label in foliations:
-                raise SceneError(f"foliation {label!r} declared twice", lineno)
             fields = [geometric(p.strip(), lineno, "field")
                       for p in payload.split(";") if p.strip()]
             if not fields:
                 raise SceneError(f"foliation {label!r} has no fields", lineno)
             foliations[label] = tuple(fields)
         elif kind == "structure":
-            if f1_name is not None:
-                raise SceneError("structure declared twice", lineno)
             sides = [p.strip() for p in payload.split("|")]
             if len(sides) != 2 or not all(sides):
                 raise SceneError("structure must read 'NAME | NAME'", lineno)
             f1_name, f2_name = sides
         elif kind == "adapted":
-            if adapted is not None:
-                raise SceneError("adapted declared twice", lineno)
             sides = payload.split("|")
             if len(sides) != 2:
                 raise SceneError("adapted must read 'p; ... | q; ...'", lineno)
@@ -385,10 +398,6 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                     lineno)
             adapted = tuple(ps) + tuple(qs)
         elif kind == "map":
-            if not label:
-                raise SceneError("map needs a name: 'map NAME: ...'", lineno)
-            if label in maps:
-                raise SceneError(f"map {label!r} declared twice", lineno)
             halves = re.split(r"\binverse\b", payload)
             if len(halves) != 2:
                 raise SceneError("map must read 'comps inverse comps'", lineno)
@@ -403,10 +412,6 @@ def loads(text: str, name: str = "<scene>") -> Scene:
             except (CalculusError, ExprError) as exc:
                 raise SceneError(f"map {label!r}: {exc}", lineno) from None
         elif kind == "task":
-            if not label:
-                raise SceneError("task needs a name: 'task NAME: operation ...'", lineno)
-            if any(t.name == label for t in tasks):
-                raise SceneError(f"task {label!r} declared twice", lineno)
             words = payload.split()
             if not words:
                 raise SceneError(f"task {label!r} names no operation", lineno)
@@ -415,24 +420,8 @@ def loads(text: str, name: str = "<scene>") -> Scene:
                 raise SceneError(
                     f"unknown operation {op!r}; expected one of {', '.join(OPERATIONS)}",
                     lineno)
-            allowed = tuple(_TASK_ARGS[op])
-            if op == "plot":
-                allowed += tuple(s.name for s in symbols)
-            args = {}
-            for w in words[1:]:
-                key, sep, value = w.partition("=")
-                if not sep or not key:
-                    raise SceneError(f"task argument {w!r} must be key=value", lineno)
-                if key not in allowed:
-                    raise SceneError(
-                        f"task {label!r}: unknown {op} argument {key!r} "
-                        f"(known: {', '.join(allowed) or 'none'})", lineno)
-                if key in args:
-                    raise SceneError(
-                        f"task {label!r}: {op} argument {key!r} given twice", lineno)
-                _read_arg(label, op, key, value, chart, lineno)
-                args[key] = value
-            tasks.append(Task(label, op, args, lineno))
+            pairs = (_key_value(w, lineno) for w in words[1:])
+            tasks.append(make_task(label, op, pairs, chart, lineno))
         else:
             raise SceneError(f"unknown directive {kind!r}", lineno)
 
@@ -598,9 +587,9 @@ _MAP = _Arg("the name of a declared map", str, required=True)
 
 # Each operation's task arguments, in the order that messages and --help
 # list them; a plot task also takes one binding per declared symbol.  Scene
-# task lines and CLI subcommands both read this table.  A value that does
-# not parse makes the input malformed; one that parses but lies outside the
-# operation's range is the task's error when it runs.
+# task lines and CLI subcommands both read them through make_task.  A value
+# that does not parse makes the input malformed; one that parses but lies
+# outside the operation's range is the task's error when it runs.
 _TASK_ARGS = {
     "validate": {},
     "hess": {},
@@ -621,24 +610,33 @@ _TASK_ARGS = {
 OPERATIONS = tuple(_TASK_ARGS)
 
 
-def _read_arg(task_name: str, op: str, key: str, raw: str, chart: Chart, line: int = None):
-    """A task argument's value: typed arguments parse by the table, and a
-    plot binding is an expression over the chart coordinates, without
-    symbols.  SceneError when the value does not read."""
-    arg = _TASK_ARGS[op].get(key)
-    if arg is not None:
-        return arg.read(f"task {task_name!r}: {key}", raw, line)
-    try:
-        return parse_expr(raw, chart.names, ())
-    except ExprError as exc:
-        raise SceneError(f"task {task_name!r}: binding {key}={raw!r}: {exc}", line) from None
-
-
-def _arg(task: Task, key: str):
-    """A task's typed argument, or its default; None when it has neither."""
-    arg = _TASK_ARGS[task.operation][key]
-    raw = task.args.get(key, arg.default)
-    return None if raw is None else arg.read(f"task {task.name!r}: {key}", raw)
+def make_task(name: str, op: str, pairs, chart: Chart, line: int = None) -> Task:
+    """The task that runs `op` with the given (key, raw value) pairs, read
+    in order: each key must be one of the operation's arguments (or, for
+    plot, a declared symbol) and come once.  A table argument parses by the
+    table, a plot binding as an expression over the chart coordinates,
+    without symbols; the table's defaults fill in the rest.  SceneError at
+    `line` for the first pair that does not read."""
+    table = _TASK_ARGS[op]
+    allowed = tuple(table) + (tuple(s.name for s in chart.symbols) if op == "plot" else ())
+    args = {}
+    for key, raw in pairs:
+        if key not in allowed:
+            raise SceneError(f"task {name!r}: unknown {op} argument {key!r} "
+                             f"(known: {', '.join(allowed) or 'none'})", line)
+        if key in args:
+            raise SceneError(f"task {name!r}: {op} argument {key!r} given twice", line)
+        if key in table:
+            args[key] = table[key].read(f"task {name!r}: {key}", raw, line)
+            continue
+        try:
+            args[key] = parse_expr(raw, chart.names, ())
+        except ExprError as exc:
+            raise SceneError(f"task {name!r}: binding {key}={raw!r}: {exc}", line) from None
+    for key, arg in table.items():
+        if key not in args and arg.default is not None:
+            args[key] = arg.parse(arg.default)
+    return Task(name, op, args, line)
 
 
 def _check_references(task: Task, maps) -> None:
@@ -697,7 +695,7 @@ def _run_hess(scene, task, options):
 
 
 def _run_christoffels(scene, task, options):
-    frame_kind = _arg(task, "frame")
+    frame_kind = task.args["frame"]
     s = scene.structure()
     conn = christoffels(s, frame_kind)
     if frame_kind == "foliation":
@@ -738,7 +736,7 @@ def _run_flat(scene, task, options):
                "witnesses": _curvature_payload(len(result.curvature.frame), result.witnesses)}
     messages = [f"flat: {result.flat}"]
     messages += [f"{k} = {v}" for k, v in sorted(payload["witnesses"].items())]
-    expect = _arg(task, "expect")
+    expect = task.args.get("expect")
     if expect is not None:
         status = "pass" if result.flat == expect else "fail"
         messages.append(f"expected flat={expect}: {status}")
@@ -769,8 +767,8 @@ def _run_push(scene, task, options):
 
 
 def _run_lift(scene, task, options):
-    k = _arg(task, "k")
-    fibers = _arg(task, "fibers")
+    k = task.args["k"]
+    fibers = task.args.get("fibers")
     s = scene.structure()
     max_dim = options.get("max_dim", DEFAULT_MAX_DIM)
     if fibers is not None:
@@ -804,25 +802,20 @@ def _run_act_check(scene, task, options):
         ],
     }
     messages = repr(result).splitlines()
-    expect = _arg(task, "expect")
-    status = "pass" if result.equal == expect else "fail"
+    status = "pass" if result.equal == task.args["expect"] else "fail"
     return status, payload, messages
 
 
 def _run_plot(scene, task, options):
     s = scene.structure()
-    bindings = {
-        key: _read_arg(task.name, "plot", key, raw, scene.chart)
-        for key, raw in task.args.items() if key not in _TASK_ARGS["plot"]
-    }
-    window = Window(*_arg(task, "window"))
-    leaves = _arg(task, "leaves")
-    steps = _arg(task, "steps")
-    out = options.get("out") or _arg(task, "out")
+    args = task.args
+    bindings = {key: e for key, e in args.items() if key not in _TASK_ARGS["plot"]}
+    window = Window(*args["window"])
+    out = options.get("out") or args.get("out")
     if not out:
         raise SceneError(f"task {task.name!r}: plot needs out=PATH or --out")
     svg = leaf_plot(s.f1[0], s.f2[0], window,
-                    leaves=leaves, steps=steps, bindings=bindings)
+                    leaves=args["leaves"], steps=args["steps"], bindings=bindings)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     payload = {"out": str(out), "bytes": len(svg.encode("utf-8"))}

@@ -40,7 +40,6 @@ from .calculus import (
     Chart,
     FrameBasis,
     FrameTable,
-    KForm,
     SmoothMap,
     VectorField,
     component_matrix,
@@ -163,17 +162,17 @@ class BiLagStructure:
         )
 
 
-def validate_bilagrangian(omega, f1_fields, f2_fields, adapted=None) -> BiLagStructure:
+def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
+                          adapted=None) -> BiLagStructure:
     """Validate (omega, F1, F2) and return the certified structure.
 
-    `omega` is a SymplecticForm or a 2-form KForm (validated here).  Checks:
-    even rank split, frame independence, transversality of the combined
-    frame, omega vanishing on each frame (Lagrangian), involutivity of each
-    frame, and - when adapted functions are declared - invertibility of
-    their Jacobian.  Raises BiLagError with the full report on failure.
+    `omega` is a SymplecticForm; pass a 2-form KForm through
+    `validate_symplectic` first.  Checks: even rank split, frame
+    independence, transversality of the combined frame, omega vanishing on
+    each frame (Lagrangian), involutivity of each frame, and - when adapted
+    functions are declared - invertibility of their Jacobian.  Raises
+    BiLagError with the full report on failure.
     """
-    if isinstance(omega, KForm):
-        omega = validate_symplectic(omega)
     chart = omega.chart
     n2 = chart.dim
     n = n2 // 2
@@ -597,7 +596,7 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
     new_f1 = tuple(pushforward_field(psi, e) for e in s.f1)
     new_f2 = tuple(pushforward_field(psi, e) for e in s.f2)
     new_adapted = tuple(psi.push_scalar(a) for a in s.adapted)
-    return validate_bilagrangian(new_form, new_f1, new_f2, new_adapted)
+    return validate_bilagrangian(validate_symplectic(new_form), new_f1, new_f2, new_adapted)
 
 
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:

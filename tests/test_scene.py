@@ -22,6 +22,7 @@ from bilag.scene import (
 )
 from bilag.symexpr import (
     ONE,
+    Expr,
     OpaqueSymbol,
     ParseError,
     check_seed,
@@ -306,6 +307,35 @@ class TestParsing:
         assert err.value.line == line
         assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
+    @pytest.mark.parametrize("text, line, message", [
+        (MINIMAL + "task bad: flat bogus=1 stray\n", 8,
+         "task 'bad': unknown flat argument 'bogus' (known: expect)"),
+        (MINIMAL + "task bad: flat stray bogus=1\n", 8,
+         "task argument 'stray' must be key=value"),
+        (MINIMAL + "task bad: flat expect=maybe expect=true\n", 8,
+         "task 'bad': expect must be true or false, got 'maybe'"),
+        (MINIMAL + "task bad: flat expect=true expect=maybe\n", 8,
+         "task 'bad': flat argument 'expect' given twice"),
+        (MINIMAL + "task bad: flat expect=maybe\nwibble: 3\n", 8,
+         "task 'bad': expect must be true or false, got 'maybe'"),
+        (MINIMAL + "wibble: 3\ntask bad: flat expect=maybe\n", 8,
+         "unknown directive 'wibble'"),
+        ("chart: x y\nfoliation A: @x\nstructure: A | A\ntask bad: lift k=two\n", 4,
+         "task 'bad': k must be an integer, got 'two'"),
+        ("chart: x y\nfoliation A: @x\nstructure: A | A\ntask t: push\n", None,
+         "scene declares no omega"),
+    ], ids=[
+        "unknown-key-before-stray-word", "stray-word-before-unknown-key",
+        "bad-value-before-repeat", "repeat-before-bad-value",
+        "bad-argument-before-unknown-directive", "unknown-directive-before-bad-argument",
+        "bad-argument-before-missing-omega", "missing-omega-before-missing-map",
+    ])
+    def test_first_error_in_file_and_word_order_is_reported(self, text, line, message):
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
     @pytest.mark.parametrize("task", [
         "flat expect=No", "christoffels frame=coordinate", "lift k=-1",
         "plot steps=0 leaves=-3 window=0,inf,0,1 out=p.svg",
@@ -465,6 +495,33 @@ class TestRunTasks:
         scene = loads(MINIMAL + "task figure: plot\n")
         outcome = run_task(scene, scene.task("figure"))
         assert outcome.status == "error"
+
+    def test_task_arguments_are_read_once_at_load(self, monkeypatch, tmp_path):
+        # count every call of a table parser and of the binding parser
+        calls = []
+
+        def counted(parse):
+            def count(raw, *rest):
+                calls.append(raw)
+                return parse(raw, *rest)
+            return count
+
+        for op, table in scene_module._TASK_ARGS.items():
+            monkeypatch.setitem(scene_module._TASK_ARGS, op, {
+                key: arg._replace(parse=counted(arg.parse)) for key, arg in table.items()})
+        monkeypatch.setattr(scene_module, "parse_expr", counted(scene_module.parse_expr))
+        scene = load_scene(find_scene("parabola"))
+        args = scene.task("figure").args
+        assert isinstance(args["h"], Expr) and args["h"] == ONE
+        assert args["window"] == (-2.0, 2.0, -2.0, 2.0)
+        assert [type(v) for v in args["window"]] == [float] * 4
+        assert (args["leaves"], args["steps"]) == (9, 240)
+        assert type(args["leaves"]) is int and type(args["steps"]) is int
+        assert calls.count("parabola.svg") == 1
+        calls.clear()
+        outcome = run_task(scene, scene.task("figure"), out=str(tmp_path / "p.svg"))
+        assert outcome.status == "computed"
+        assert calls == []
 
     def test_unknown_task_name(self):
         scene = loads(MINIMAL)
@@ -747,20 +804,24 @@ class TestCli:
     @pytest.mark.parametrize("argv, expected", [
         (["christoffels"], {"frame": "foliation"}),
         (["flat"], {}),
-        (["flat", "--expect", "false"], {"expect": "false"}),
+        (["flat", "--expect", "false"], {"expect": False}),
         (["push", "--map", "shear"], {"map": "shear"}),
         (["act-check", "--map", "shear", "--expect", "false"],
-         {"map": "shear", "expect": "false"}),
-        (["lift"], {"k": "1"}),
-        (["lift", "--k", "2", "--fibers", "a,b"], {"k": "2", "fibers": "a,b"}),
+         {"map": "shear", "expect": False}),
+        (["lift"], {"k": 1}),
+        (["lift", "--k", "2", "--fibers", "a,b"], {"k": 2, "fibers": ("a", "b")}),
         (["plot", "--bind", "h=1", "--window", "0,1,0,1", "--leaves", "3",
           "--steps", "7", "--out", "p.svg"],
-         {"h": "1", "window": "0,1,0,1", "leaves": "3", "steps": "7", "out": "p.svg"}),
+         {"h": ONE, "window": (0.0, 1.0, 0.0, 1.0), "leaves": 3, "steps": 7,
+          "out": "p.svg"}),
         (["validate", "--out", "r.json"], {}),
+        (["plot"], {"window": (-2.0, 2.0, -2.0, 2.0), "leaves": 9, "steps": 240}),
     ])
     def test_adhoc_task_copies_the_operation_flags(self, argv, expected):
         args = build_parser().parse_args(argv[:1] + ["--scene", "parabola"] + argv[1:])
-        assert _adhoc_task(args).args == expected
+        task = _adhoc_task(args, load_scene(find_scene("parabola")).chart)
+        assert task.args == expected
+        assert all(type(task.args[key]) is type(value) for key, value in expected.items())
 
     def test_plot_on_lifted_scene_rejected(self, capsys):
         code = main(["plot", "--scene", "lifted-standard", "--out", "/tmp/x.svg"])

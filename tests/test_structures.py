@@ -5,6 +5,7 @@ import pytest
 from bilag import symexpr
 from bilag.calculus import (
     Chart,
+    ChartMismatch,
     KForm,
     SmoothMap,
     VectorField,
@@ -345,6 +346,19 @@ class TestSplit:
         v = VectorField(s.chart, (x * y, ONE))
         x1, x2 = split(s, v)
         assert fields_equal(x1 + x2, v)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x: s.basis.decompose(x),
+        lambda s, x: split(s, x),
+        lambda s, x: hess_nabla(s, x, x),
+        lambda s, x: christoffels(s).apply(x, x),
+    ], ids=["decompose", "split", "hess_nabla", "connection-apply"])
+    def test_a_field_on_another_chart_is_refused(self, call):
+        # (a, b) has the structure's dimension, so only the names tell
+        s = parabola_structure()
+        field = VectorField(Chart(("a", "b")), (ONE, ZERO))
+        with pytest.raises(ChartMismatch, match="different charts"):
+            call(s, field)
 
 
 class TestConnection:
