@@ -861,16 +861,16 @@ class FrameTable:
 class FrameBasis:
     """A full frame with cached inverse matrix and structure functions.
 
-    `matrix` and `inverse` keep their rows sparse, as the fields do: each
-    row is a dict from column index to each entry that is not the literal
-    0, in ascending column order.  A product of a row with a field sums
+    `inverse` keeps its rows sparse, as the fields do: each row is a dict
+    from column index to each entry that is not the literal 0, in
+    ascending column order.  A product of a row with a field sums
     over the indices both hold, in ascending order.  `brackets`, if given,
     maps pairs (i, j) with i < j to the known brackets [E_i, E_j], which
     `structure` takes instead of bracketing those pairs again, and then
     lets go of.
     """
 
-    __slots__ = ("chart", "fields", "_matrix", "_inverse", "_structure", "_brackets")
+    __slots__ = ("chart", "fields", "_inverse", "_structure", "_brackets")
 
     def __init__(self, fields, brackets=None):
         self.fields = tuple(fields)
@@ -882,21 +882,9 @@ class FrameBasis:
             raise ValueError(
                 f"frame needs {self.chart.dim} fields, got {len(self.fields)}"
             )
-        self._matrix = None
         self._inverse = None
         self._structure = None
         self._brackets = brackets or {}
-
-    @property
-    def matrix(self):
-        """Columns are the frame fields' components."""
-        if self._matrix is None:
-            rows = [{} for _ in self.fields]
-            for j, f in enumerate(self.fields):
-                for i, c in f.entries.items():
-                    rows[i][j] = c
-            self._matrix = tuple(rows)
-        return self._matrix
 
     @property
     def inverse(self):

@@ -154,7 +154,9 @@ def _adhoc_task(args, chart: Chart) -> Task:
                          f"declared: {', '.join(declared) or 'none'}")
     flags = {key: getattr(args, key) for key in _TASK_ARGS[op]
              if getattr(args, key) is not None}
-    return make_task(f"cli-{op}", op, {**binds, **flags}.items(), chart)
+    # with only bound symbols in scope, a flag named like another one is the flag
+    bound = Chart(chart.names, [sym for sym in chart.symbols if sym.name in binds])
+    return make_task(f"cli-{op}", op, (*binds.items(), *flags.items()), bound)
 
 
 def _emit(report: SceneReport, args, fmt: str) -> None:

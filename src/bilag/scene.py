@@ -615,15 +615,20 @@ def make_task(name: str, op: str, pairs, chart: Chart, line: int = None) -> Task
     in order: each key must be one of the operation's arguments (or, for
     plot, a declared symbol) and come once.  A table argument parses by the
     table, a plot binding as an expression over the chart coordinates,
-    without symbols; the table's defaults fill in the rest.  SceneError at
+    without symbols; the table's defaults fill in the rest.  A key both an
+    argument and a symbol could be either, so it is refused.  SceneError at
     `line` for the first pair that does not read."""
     table = _TASK_ARGS[op]
-    allowed = tuple(table) + (tuple(s.name for s in chart.symbols) if op == "plot" else ())
+    symbols = tuple(s.name for s in chart.symbols) if op == "plot" else ()
+    allowed = tuple(table) + symbols
     args = {}
     for key, raw in pairs:
         if key not in allowed:
             raise SceneError(f"task {name!r}: unknown {op} argument {key!r} "
                              f"(known: {', '.join(allowed) or 'none'})", line)
+        if key in table and key in symbols:
+            raise SceneError(f"task {name!r}: {key!r} names both a {op} argument "
+                             f"and a declared symbol", line)
         if key in args:
             raise SceneError(f"task {name!r}: {op} argument {key!r} given twice", line)
         if key in table:

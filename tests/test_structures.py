@@ -118,6 +118,21 @@ def noncommuting_structure():
     )
 
 
+def curved_structure():
+    """omega = (1 + y^2) dx^dy on the parabola's leaves: not flat, and the
+    Christoffel symbols are concrete rational functions."""
+    ch = Chart(("x", "y"))
+    x, y = ch.coords()
+    h = 1 + y * y
+    om = validate_symplectic(form_from_matrix(ch, [[ZERO, h], [-h, ZERO]]))
+    return validate_bilagrangian(
+        om,
+        [VectorField(ch, (ONE, 2 * x))],
+        [VectorField(ch, (ZERO, ONE))],
+        adapted=(x, y - x * x),
+    )
+
+
 def lifted(s, dim):
     while s.chart.dim < dim:
         s = lift_structure(s)
@@ -520,6 +535,7 @@ def transport_pair():
 CROSS_CHECKED = dict(STRUCTURES, **{
     "parabola-dim8": lambda: lifted(parabola_structure(), 8),
     "standard-dim8": lambda: lifted(standard_structure(), 8),
+    "curved": curved_structure,
 })
 
 
