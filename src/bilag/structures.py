@@ -41,6 +41,7 @@ from .calculus import (
     Chart,
     FrameBasis,
     FrameTable,
+    SingularFrame,
     SmoothMap,
     VectorField,
     component_matrix,
@@ -173,8 +174,10 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
     `validate_symplectic` first.  Checks: even rank split, frame
     independence, transversality of the combined frame, omega vanishing on
     each frame (Lagrangian), involutivity of each frame, and - when adapted
-    functions are declared - invertibility of their Jacobian.  Raises
-    BiLagError with the full report on failure.
+    functions are declared - invertibility of their Jacobian.  A nonzero
+    determinant of the combined frame gives both frames full rank; only a
+    zero one has each frame eliminated on its own.  Raises BiLagError with
+    the full report on failure.
     """
     chart = omega.chart
     n2 = chart.dim
@@ -191,16 +194,16 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
         raise BiLagError("foliation frames have the wrong rank", report)
     report.add("rank", True, f"two rank-{n} frames on a {n2}-dimensional chart")
 
+    combined = f1 + f2
+    det = sym_det(component_matrix(combined))
+    transversal = not is_zero(det)
     for label, fields in (("F1", f1), ("F2", f2)):
-        ok = frame_rank_full(fields)
+        ok = transversal or frame_rank_full(fields)
         report.add(f"{label} independent", ok,
                    "" if ok else "frame fields are linearly dependent")
     if not report.ok:
         raise BiLagError("foliation frames are degenerate", report)
-
-    combined = f1 + f2
-    det = sym_det(component_matrix(combined))
-    if is_zero(det):
+    if not transversal:
         report.add("transversal", False, "combined frame determinant is identically zero")
         raise BiLagError("foliations are not transversal", report)
     report.add("transversal", True, f"combined frame determinant {det}")
@@ -209,13 +212,9 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
         for i in range(n):
             for j in range(i + 1, n):
                 value = omega(fields[i], fields[j])
-                if equal_zero(value):
-                    report.add(f"{label} Lagrangian [{i},{j}]", True)
-                else:
-                    report.add(
-                        f"{label} Lagrangian [{i},{j}]", False,
-                        f"omega(E_{i}, E_{j}) = {value.normal()}",
-                    )
+                ok = equal_zero(value)
+                report.add(f"{label} Lagrangian [{i},{j}]", ok,
+                           "" if ok else f"omega(E_{i}, E_{j}) = {value.normal()}")
 
     # one involutivity check per same-leaf pair i < j; the brackets are kept,
     # keyed by their indices in the combined frame
@@ -248,10 +247,9 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
                            f"adapted function {a} contains an opaque symbol")
         jac = [[diff(a, name) for name in chart.names] for a in adapted]
         jdet = sym_det(jac)
-        if is_zero(jdet):
-            report.add("adapted", False, "adapted-function Jacobian is singular")
-        else:
-            report.add("adapted", True, f"adapted-function Jacobian determinant {jdet}")
+        ok = not is_zero(jdet)
+        report.add("adapted", ok, f"adapted-function Jacobian determinant {jdet}"
+                   if ok else "adapted-function Jacobian is singular")
 
     if not report.ok:
         raise BiLagError("bi-Lagrangian validation failed", report)
@@ -260,15 +258,10 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
 
 def split(s: BiLagStructure, x: VectorField) -> tuple:
     """Decompose X = X1 + X2 along the two foliations."""
-    coeffs = s.basis.decompose(x)
-    n = s.n
-    x1 = zero_field(s.chart)
-    for c, e in zip(coeffs[:n], s.f1):
-        x1 = x1 + e.scale(c)
-    x2 = zero_field(s.chart)
-    for c, e in zip(coeffs[n:], s.f2):
-        x2 = x2 + e.scale(c)
-    return x1, x2
+    halves = [zero_field(s.chart), zero_field(s.chart)]
+    for k, (c, e) in enumerate(zip(s.basis.decompose(x), s.frame)):
+        halves[k // s.n] = halves[k // s.n] + e.scale(c)
+    return tuple(halves)
 
 
 def d_map(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
@@ -284,11 +277,8 @@ def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField
     """The canonical connection applied to arbitrary fields."""
     x1, x2 = split(s, x)
     y1, y2 = split(s, y)
-    term1 = d_map(s, x1, y1)
-    term2 = split(s, lie_bracket(x2, y1))[0]
-    term3 = d_map(s, x2, y2)
-    term4 = split(s, lie_bracket(x1, y2))[1]
-    total = term1 + term2 + term3 + term4
+    total = (d_map(s, x1, y1) + split(s, lie_bracket(x2, y1))[0]
+             + d_map(s, x2, y2) + split(s, lie_bracket(x1, y2))[1])
     return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
 
 
@@ -323,29 +313,30 @@ class Connection(FrameTable):
     gamma = FrameTable.table  # Gamma[i][j][k], all n^3 slots per read
 
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
-        """nabla_X Y for arbitrary fields, by expanding in the frame.
-
-        X and Y are decomposed once each; the result is assembled by
-        `_along`, the one route shared with connection_coordinate_table.
-        """
+        """nabla_X Y for arbitrary fields, by expanding in the frame: X and Y
+        are decomposed once each, and `_along` assembles the result."""
         return self._along(x, self._coefficients(x), self._coefficients(y))
 
     def _coefficients(self, field: VectorField) -> dict:
         """The nonzero frame coefficients of field, by frame index."""
         return {k: c for k, c in enumerate(self.basis.decompose(field)) if not is_zero(c)}
 
-    def _along(self, x: VectorField, cx: dict, cy: dict) -> VectorField:
-        """nabla_X Y from the nonzero frame coefficients of X and Y, dicts in
-        ascending index order: X(cy_k) + sum cx_i cy_j Gamma^k_{ij} over the
-        pairs both hold, scattered through the stored components of each E_k
-        and summed per component as one dot."""
-        # X of a constant is the literal 0, which the dot below skips
+    def _frame_coefficients(self, x: VectorField, cx: dict, cy: dict) -> dict:
+        """The frame coefficients of nabla_X Y, uncompacted, from the nonzero
+        frame coefficients of X and Y, dicts in ascending index order:
+        X(cy_k) + sum cx_i cy_j Gamma^k_{ij} over the pairs both hold, by k
+        ascending.  X of a constant is skipped, being the literal 0."""
         coeffs = {k: x.apply(c) for k, c in cy.items() if c.__class__ is not Rat}
         for i, ci in cx.items():
             for j, cj in cy.items():
                 for k, g in self._pairs.get((i, j), ()):
                     coeffs[k] = coeffs.get(k, ZERO) + ci * cj * g
-        coeffs = dict(sorted(coeffs.items()))
+        return dict(sorted(coeffs.items()))
+
+    def _along(self, x: VectorField, cx: dict, cy: dict) -> VectorField:
+        """nabla_X Y: its frame coefficients scattered through the stored
+        components of each E_k and summed per component as one dot."""
+        coeffs = self._frame_coefficients(x, cx, cy)
         # rows[a][k] = component a of E_k, for the k that coeffs holds
         rows = {}
         for k in coeffs:
@@ -563,13 +554,9 @@ def para_structure(s: BiLagStructure) -> ParaKahler:
     """
     chart = s.chart
     m = chart.dim
-    coords = coordinate_frame(chart)
     # column b of F, sparse: the compacted stored components of F(d_b)
-    columns = []
-    for b in range(m):
-        x1, x2 = split(s, coords[b])
-        fx = x1 - x2
-        columns.append({a: compact(c) for a, c in fx.entries.items()})
+    columns = [{a: compact(c) for a, c in (x1 - x2).entries.items()}
+               for x1, x2 in (split(s, d) for d in coordinate_frame(chart))]
     F = tuple(tuple(columns[b].get(a, ZERO) for b in range(m)) for a in range(m))
     # G[a][b] = sum_c F[c][a] omega[c][b]: column a of F against column b of omega
     omega_cols = tuple(zip(*s.omega.matrix))
@@ -660,16 +647,9 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
     Returns the coordinate matrix of F^psi on the target chart.
     """
     para = para_structure(s)
-    inv = psi.inverse()
-    target_coords = coordinate_frame(psi.target)
-    columns = []
-    for b in range(psi.target.dim):
-        pulled = pushforward_field(inv, target_coords[b])
-        mapped = para.apply_F(pulled)
-        pushed = pushforward_field(psi, mapped)
-        columns.append(tuple(compact(pushed.component(a)) for a in range(psi.target.dim)))
-    m = psi.target.dim
-    return tuple(tuple(columns[b][a] for b in range(m)) for a in range(m))
+    columns = [pushforward_field(psi, para.apply_F(pushforward_field(psi.inverse(), d)))
+               for d in coordinate_frame(psi.target)]
+    return tuple(tuple(compact(c) for c in row) for row in zip(*(f.components for f in columns)))
 
 
 def connection_coordinate_table(conn: Connection):
@@ -685,12 +665,30 @@ def connection_coordinate_table(conn: Connection):
 
 
 def connections_equal(c1: Connection, c2: Connection) -> bool:
-    """Do two connections agree as geometric objects (frame independent)?"""
+    """Do two connections agree as geometric objects (frame independent)?
+
+    They are compared in c1's frame E, on the pairs of c2's frame F.  Each
+    F_k = sum_c A_ck E_c is decomposed once through E's cached inverse, and
+    a zero det(A) raises SingularFrame, as a dependent E does.  For each
+    pair, the E-coefficients of nabla1_{F_i} F_j (`_frame_coefficients`)
+    and of nabla2_{F_i} F_j = sum_k Gamma2^k_ij A_ck are each one compacted
+    sum, and their difference is zero-tested unless both are literal zeros;
+    the first nonzero difference decides.  On one frame A is the constant
+    identity: Gamma1 meets Gamma2 entry by entry, with no second inverse.
+    """
     if c1.chart.names != c2.chart.names:
         return False
-    t1 = connection_coordinate_table(c1)
-    t2 = connection_coordinate_table(c2)
-    # a difference stores every component but the literal zeros, and those
-    # pass the zero test without drawing a point
-    diffs = (f1 - f2 for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2))
-    return all(equal_zero(c) for d in diffs for c in d.entries.values())
+    columns = [c1._coefficients(f) for f in c2.frame]
+    A = [[column.get(c, ZERO) for column in columns] for c in range(len(columns))]
+    if is_zero(sym_det(A)):
+        raise SingularFrame("frame fields are linearly dependent")
+    for i, (f, ci) in enumerate(zip(c2.frame, columns)):
+        for j, cj in enumerate(columns):
+            lhs = c1._frame_coefficients(f, ci, cj)
+            gamma = dict(c2._pairs.get((i, j), ()))
+            rhs = {c: dot(gamma, A[c]) for c in {c for k in gamma for c in columns[k]}}
+            for c in sorted(lhs.keys() | rhs.keys()):
+                left, right = compact(lhs.get(c, ZERO)), rhs.get(c, ZERO)
+                if not (is_zero(left) and is_zero(right)) and not equal_zero(left - right):
+                    return False
+    return True

@@ -2,15 +2,18 @@
 
 import pytest
 
-from bilag import symexpr
+from bilag import structures, symexpr
 from bilag.calculus import (
     Chart,
     ChartMismatch,
+    FrameBasis,
     KForm,
+    SingularFrame,
     SmoothMap,
     VectorField,
     coordinate_frame,
     form_from_matrix,
+    frame_rank_full,
     lie_bracket,
     sym_inverse,
     zero_field,
@@ -18,6 +21,7 @@ from bilag.calculus import (
 from bilag.lift import lift_structure
 from bilag.structures import (
     BiLagError,
+    Connection,
     christoffels,
     connection_coordinate_table,
     connections_equal,
@@ -262,6 +266,20 @@ def fields_equal(a, b):
     return all(equal_zero(p - q) for p, q in zip(a.components, b.components))
 
 
+def count_frame_rank_calls(monkeypatch):
+    """Wrap validation's frame_rank_full; the returned list gets the number
+    of fields of each call."""
+    calls = []
+
+    def counted(fields):
+        fields = tuple(fields)
+        calls.append(len(fields))
+        return frame_rank_full(fields)
+
+    monkeypatch.setattr(structures, "frame_rank_full", counted)
+    return calls
+
+
 class TestValidation:
     def test_both_bundled_structures_validate(self):
         assert standard_structure().report.ok
@@ -330,6 +348,49 @@ class TestValidation:
         with pytest.raises(BiLagError) as err:
             validate_bilagrangian(om, [e1, e2], [f1, f2])
         assert "Lagrangian" in str(err.value)
+
+    @pytest.mark.parametrize("name, message, checks", [
+        ("dependent F1", "foliation frames are degenerate",
+         ["[FAIL] F1 independent: frame fields are linearly dependent",
+          "[ok] F2 independent"]),
+        ("dependent F2", "foliation frames are degenerate",
+         ["[ok] F1 independent",
+          "[FAIL] F2 independent: frame fields are linearly dependent"]),
+        ("both dependent", "foliation frames are degenerate",
+         ["[FAIL] F1 independent: frame fields are linearly dependent",
+          "[FAIL] F2 independent: frame fields are linearly dependent"]),
+        ("not transversal", "foliations are not transversal",
+         ["[ok] F1 independent", "[ok] F2 independent",
+          "[FAIL] transversal: combined frame determinant is identically zero"]),
+    ])
+    def test_degenerate_frames_keep_their_checks_and_messages(self, monkeypatch,
+                                                              name, message, checks):
+        ch = Chart(("a", "b", "c", "d"))
+        a, b, _, _ = ch.coords()
+        om = validate_symplectic(KForm(ch, 2, {(0, 2): -ONE, (1, 3): -ONE}))
+        e1, e2, e3, e4 = coordinate_frame(ch)
+        f1, f2 = {
+            "dependent F1": ([e1, e1.scale(1 + a)], [e3, e4]),
+            "dependent F2": ([e1, e2], [e3, e3.scale(b)]),
+            "both dependent": ([e1, e1.scale(a)], [e4, e4.scale(2)]),
+            "not transversal": ([e1, e2], [e1 + e3, e2]),
+        }[name]
+        calls = count_frame_rank_calls(monkeypatch)
+        with pytest.raises(BiLagError) as err:
+            validate_bilagrangian(om, f1, f2)
+        assert str(err.value) == "\n".join(
+            [message, "[ok] rank: two rank-2 frames on a 4-dimensional chart", *checks])
+        # the combined determinant is zero, so each leaf is eliminated
+        assert calls == [2, 2]
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_a_transversal_structure_eliminates_no_leaf(self, monkeypatch, name):
+        calls = count_frame_rank_calls(monkeypatch)
+        s = STRUCTURES[name]()
+        assert calls == []
+        assert [(c.name, c.passed, c.detail) for c in s.report.checks[1:3]] == [
+            ("F1 independent", True, ""), ("F2 independent", True, "")]
+        assert s.report.checks[3].name == "transversal" and s.report.checks[3].passed
 
     def test_opaque_adapted_function_rejected(self):
         ch = Chart(("x", "y"), symbols=(H,))
@@ -539,10 +600,27 @@ CROSS_CHECKED = dict(STRUCTURES, **{
 })
 
 
+def verdict_and_draws(same, c1, c2, label):
+    """same(c1, c2) in the check stream `label`, and the RNG state after it."""
+    with check_stream(label):
+        return same(c1, c2), symexpr._check_rng.getstate()
+
+
+def assert_same_verdict_repeatable_draws(reference, c1, c2, label):
+    """connections_equal gives the reference's verdict, and two runs in one
+    check stream end in the same RNG state.  It compares in c1's frame,
+    not in coordinate tables, so it zero-tests other differences than the
+    reference and may draw other points."""
+    verdict, state = verdict_and_draws(connections_equal, c1, c2, label)
+    assert verdict is verdict_and_draws(reference, c1, c2, label)[0]
+    assert verdict_and_draws(connections_equal, c1, c2, label) == (verdict, state)
+    return verdict
+
+
 class TestOnePassCrossCheck:
     """Coordinate tables, the oracle and connections_equal against the
-    per-pair and per-entry routes they replace: the same trees, verdicts
-    and zero-test draws."""
+    per-pair and per-entry routes they replace: the same trees and
+    verdicts."""
 
     @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
     def test_oracle_matches_per_entry_formula(self, name):
@@ -563,28 +641,20 @@ class TestOnePassCrossCheck:
         for conn in (hess, oracle):
             assert (table_strings(connection_coordinate_table(conn))
                     == table_strings(per_pair_coordinate_table(conn)))
-        runs = []
-        for same in (per_pair_connections_equal, connections_equal):
-            with check_stream("oracle"):
-                runs.append((same(hess, oracle), symexpr._check_rng.getstate()))
-        assert runs[0] == runs[1]
-        assert runs[1][0] is True
+        assert assert_same_verdict_repeatable_draws(
+            per_pair_connections_equal, hess, oracle, "oracle") is True
 
     @pytest.mark.parametrize("name", [*sorted(STRUCTURES), "pushed"])
     def test_sparse_walk_matches_dense_components(self, name):
-        # connections_equal skips the literal zeros of each difference; the
-        # dense walk zero-tests them too, and they draw no point
+        # connections_equal skips the differences of two literal zeros; the
+        # dense walk zero-tests every component of the coordinate tables
         if name == "pushed":
             c1, c2 = transport_pair()
         else:
             s = STRUCTURES[name]()
             c1, c2 = christoffels(s), levi_civita_oracle(para_structure(s))
-        runs = []
-        for same in (dense_connections_equal, connections_equal):
-            with check_stream("sparse-walk"):
-                runs.append((same(c1, c2), symexpr._check_rng.getstate()))
-        assert runs[0] == runs[1]
-        assert runs[1][0] is (name != "pushed")
+        assert assert_same_verdict_repeatable_draws(
+            dense_connections_equal, c1, c2, "sparse-walk") is (name != "pushed")
 
     def test_differing_connections_same_false_verdict_and_draws(self):
         pushed, wrong = transport_pair()
@@ -608,6 +678,78 @@ class TestOnePassCrossCheck:
         for x in fields:
             for y in fields:
                 assert str(conn.apply(x, y)) == str(per_pair_apply(conn, x, y))
+
+
+def transport_connections(seed, index, build=None):
+    """The transport workload's op `index` at `seed`, on its own structure
+    or on build(): the connection of the pushed structure, the pushed
+    connection (equal to it) and the connection pushed by psi . bump (not
+    equal)."""
+    from test_elimination import _workloads
+
+    wl = _workloads()
+    kind, spec = wl.transport_specs(seed)[index]
+    s = build() if build else wl.plane_structure(kind)
+    psi = wl.build_map(s.chart, spec)
+    base = christoffels(s)
+    wrong = psi.compose(wl.bump_map(s.chart, spec["shear"]))
+    return (christoffels(push_structure(psi, s)), push_connection(psi, base),
+            push_connection(wrong, base))
+
+
+def assert_same_verdict_as_references(c1, c2, expected):
+    verdict = connections_equal(c1, c2)
+    assert verdict is expected
+    assert per_pair_connections_equal(c1, c2) is verdict
+    assert dense_connections_equal(c1, c2) is verdict
+
+
+class TestOneFrameComparison:
+    """connections_equal compares in the first connection's frame; the
+    coordinate-table routes it replaced must give the same verdicts.  The
+    Hess connections of CROSS_CHECKED against their oracles are compared
+    with the same references in TestOnePassCrossCheck."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("index", range(10))
+    def test_transport_pushes_and_their_controls(self, seed, index):
+        pushed, image, control = transport_connections(seed, index)
+        assert_same_verdict_as_references(pushed, image, True)
+        assert_same_verdict_as_references(pushed, control, False)
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_pushes_of_the_curved_structure(self, index):
+        pushed, image, control = transport_connections(1, index, curved_structure)
+        assert_same_verdict_as_references(pushed, image, True)
+        assert_same_verdict_as_references(pushed, control, False)
+
+    def test_same_frame_needs_no_second_inverse(self):
+        pushed, image, _ = transport_connections(1, 0)
+        assert connections_equal(pushed, image)
+        assert image.basis._inverse is None
+
+    def test_charts_with_different_names_differ(self):
+        conn = christoffels(standard_structure())
+        renamed = standard_structure()
+        uv = Chart(("u", "v"))
+        x, y = renamed.chart.coords()
+        u, v = uv.coords()
+        psi = SmoothMap(renamed.chart, uv, (x, y), (u, v))
+        other = push_connection(psi, conn)
+        assert other.chart.names == ("u", "v")
+        assert connections_equal(conn, other) is False
+        assert connections_equal(other, conn) is False
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_dependent_frame_on_either_side_raises(self, side):
+        conn = christoffels(parabola_structure(h_value=ONE))
+        x, _ = conn.chart.coords()
+        u = VectorField(conn.chart, (ONE, x))
+        dependent = Connection(FrameBasis((u, u.scale(1 + x))), [((0, 0, 1), x)])
+        pair = (dependent, conn) if side == 0 else (conn, dependent)
+        for same in (connections_equal, per_pair_connections_equal, dense_connections_equal):
+            with pytest.raises(SingularFrame, match="frame fields are linearly dependent"):
+                same(*pair)
 
 
 class TestCurvature:
