@@ -65,7 +65,6 @@ from .calculus import (
     d_coord,
     exterior_d,
     form_from_matrix,
-    frame_decompose,
     interior_product,
     lie_bracket,
     lie_derivative_form,

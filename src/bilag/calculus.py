@@ -65,7 +65,6 @@ __all__ = [
     "lie_derivative_form",
     "pushforward_field",
     "pullback_form",
-    "frame_decompose",
     "span_membership",
     "FrameTable",
     "FrameBasis",
@@ -780,16 +779,6 @@ def sym_inverse(matrix):
     return tuple(tuple(x) for x in _solve_square(rows, n))
 
 
-def frame_decompose(x: VectorField, frame) -> tuple:
-    """Coefficients of x in a full frame (len(frame) == chart dimension)."""
-    frame = tuple(frame)
-    _require_same_chart(x, *frame)
-    n = x.chart.dim
-    if len(frame) != n:
-        raise ValueError(f"need {n} frame fields, got {len(frame)}")
-    return FrameBasis(frame).decompose(x)
-
-
 def span_membership(xs, fields) -> tuple:
     """Is each x in xs in the pointwise span of the given fields?
 
@@ -864,15 +853,16 @@ class FrameBasis:
     `inverse` keeps its rows sparse, as the fields do: each row is a dict
     from column index to each entry that is not the literal 0, in
     ascending column order.  A product of a row with a field sums
-    over the indices both hold, in ascending order.  `brackets`, if given,
-    maps pairs (i, j) with i < j to the known brackets [E_i, E_j], which
-    `structure` takes instead of bracketing those pairs again, and then
-    lets go of.
+    over the indices both hold, in ascending order.  `known`, if given,
+    maps pairs (i, j) with i < j to the frame coefficients of [E_i, E_j]
+    already solved for, as a dict from k to c^k_{ij} that may leave out
+    zeros; `structure` takes them instead of bracketing and decomposing
+    those pairs, and then lets go of them.
     """
 
-    __slots__ = ("chart", "fields", "_inverse", "_structure", "_brackets")
+    __slots__ = ("chart", "fields", "_inverse", "_structure", "_known")
 
-    def __init__(self, fields, brackets=None):
+    def __init__(self, fields, known=None):
         self.fields = tuple(fields)
         if not self.fields:
             raise ValueError("empty frame")
@@ -884,7 +874,7 @@ class FrameBasis:
             )
         self._inverse = None
         self._structure = None
-        self._brackets = brackets or {}
+        self._known = known or {}
 
     @property
     def inverse(self):
@@ -908,20 +898,22 @@ class FrameBasis:
     def structure(self) -> FrameTable:
         """The structure functions, [E_i, E_j] = sum_k c[i][j][k] E_k, as a
         rank-3 table: for each i < j and each k with c nonzero, (i, j, k)
-        holds c and (j, i, k) its compacted negation."""
+        holds c and (j, i, k) its compacted negation.  Only the pairs not
+        `known` are bracketed and decomposed."""
         if self._structure is None:
             n = len(self.fields)
             entries = []
             for i in range(n):
                 for j in range(i + 1, n):
-                    bracket = self._brackets.get((i, j))
-                    if bracket is None:
+                    coeffs = self._known.get((i, j))
+                    if coeffs is None:
                         bracket = lie_bracket(self.fields[i], self.fields[j])
-                    for k, c in enumerate(self.decompose(bracket)):
+                        coeffs = dict(enumerate(self.decompose(bracket)))
+                    for k, c in coeffs.items():
                         if not is_zero(c):
                             entries += (((i, j, k), c), ((j, i, k), compact(-c)))
             self._structure = FrameTable(self.fields, 3, entries)
-            self._brackets = None
+            self._known = None
         return self._structure
 
 

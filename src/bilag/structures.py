@@ -16,10 +16,12 @@ one leaf, so the formula is applied leaf-wise (Hess, LNM 836, 1980): across
 leaves, the projected bracket, whose coefficients are the structure
 functions c^k_{ij} for k in the leaf of E_j; within a leaf, D(E_i, E_j),
 read off the L x L' block B of omega's frame matrix and its inverse (see
-christoffels).  d_map and hess_nabla, which split arbitrary fields, serve
-the coordinate frame and the `hess` task.  Curvature forms only the
-products of nonzero Christoffel symbols and structure functions, for i < j
-only, and fills R(E_j, E_i) by negation.
+christoffels).  The coordinate frame's symbols are that connection
+re-expressed by a change of frame (`Connection.in_coordinates`).  d_map and
+hess_nabla, which split arbitrary fields, serve the `hess` task as its own
+route to the connection.  Curvature forms only the products of nonzero
+Christoffel symbols and structure functions, for i < j only, and fills
+R(E_j, E_i) by negation.
 
 Each operation takes one input shape.  A `Connection` is built over the
 `FrameBasis` of its frame, `torsion` and `curvature` take a `Connection`,
@@ -84,7 +86,6 @@ __all__ = [
     "push_structure",
     "push_connection",
     "push_paracomplex",
-    "connection_coordinate_table",
     "connections_equal",
     "index_label",
 ]
@@ -139,7 +140,7 @@ class BiLagStructure:
     `f1` and `f2` are the tuples of the two foliations' frame fields.
     `basis` is the combined frame (foliation-1 fields, then foliation-2
     fields); validate_bilagrangian hands over one that already holds the
-    same-leaf brackets its involutivity checks formed.
+    same-leaf structure functions its involutivity checks solved for.
     """
 
     __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis")
@@ -216,10 +217,11 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
                 report.add(f"{label} Lagrangian [{i},{j}]", ok,
                            "" if ok else f"omega(E_{i}, E_{j}) = {value.normal()}")
 
-    # one involutivity check per same-leaf pair i < j; the brackets are kept,
-    # keyed by their indices in the combined frame
+    # one involutivity check per same-leaf pair i < j; each certificate is
+    # the bracket's coefficients in its leaf's fields, which are its
+    # structure functions (0 on the other leaf), kept by combined-frame index
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = {}
+    known = {}
     for label, fields, offset in (("F1", f1, 0), ("F2", f2, n)):
         formed = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
         verdicts = span_membership(formed, fields)
@@ -231,7 +233,9 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
                 detail = (f"bracket {bracket} escapes the span "
                           f"(unmatched component {chart.names[cert]})")
             report.add(f"{label} involutive [{i},{j}]", ok, detail)
-            brackets[offset + i, offset + j] = bracket
+            if ok:
+                known[offset + i, offset + j] = {
+                    offset + k: c for k, c in enumerate(cert) if not is_zero(c)}
 
     if adapted is None:
         adapted = chart.coords()
@@ -253,7 +257,7 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
 
     if not report.ok:
         raise BiLagError("bi-Lagrangian validation failed", report)
-    return BiLagStructure(omega, f1, f2, adapted, report, FrameBasis(combined, brackets))
+    return BiLagStructure(omega, f1, f2, adapted, report, FrameBasis(combined, known))
 
 
 def split(s: BiLagStructure, x: VectorField) -> tuple:
@@ -311,6 +315,20 @@ class Connection(FrameTable):
         return self.basis.chart
 
     gamma = FrameTable.table  # Gamma[i][j][k], all n^3 slots per read
+
+    def in_coordinates(self) -> "Connection":
+        """The same connection on the coordinate frame: Gamma^c_{ab} is
+        component c of nabla_{d_a} d_b.  The frame coefficients of each d_a
+        are taken once; each pair is then assembled by the `_along` that
+        serves `apply`, and only its stored components are handed over."""
+        coords = coordinate_frame(self.chart)
+        columns = [self._coefficients(d) for d in coords]
+        return Connection(FrameBasis(coords), (
+            ((a, b, c), g)
+            for a, (x, cx) in enumerate(zip(coords, columns))
+            for b, cy in enumerate(columns)
+            for c, g in self._along(x, cx, cy).entries.items()
+        ))
 
     def apply(self, x: VectorField, y: VectorField) -> VectorField:
         """nabla_X Y for arbitrary fields, by expanding in the frame: X and Y
@@ -372,23 +390,17 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
 
     B comes from one interior product per field and B^{-1} from one
     sym_inverse per leaf; rhs walks only the nonzero B and stored c, and
-    each Gamma is one dot.
+    each Gamma is one dot.  The entries are handed over as they are
+    formed, so only the nonzero ones are ever held at once.
 
-    The coordinate frame has no leaf structure; there every entry goes
-    through hess_nabla.  The entries are handed over as they are formed,
-    so only the nonzero ones are ever held at once.
+    The coordinate frame has no leaf structure; its symbols are the
+    foliation-frame connection re-expressed by a change of frame
+    (`Connection.in_coordinates`).
     """
     if frame not in ("foliation", "coordinate"):
         raise ValueError(f"unknown frame kind {frame!r}")
-    if frame == "coordinate":
-        fields = coordinate_frame(s.chart)
-        basis = FrameBasis(fields)
-        return Connection(basis, (
-            ((i, j, k), g)
-            for i, x in enumerate(fields) for j, y in enumerate(fields)
-            for k, g in enumerate(basis.decompose(hess_nabla(s, x, y)))
-        ))
-    return Connection(s.basis, _foliation_christoffels(s))
+    conn = Connection(s.basis, _foliation_christoffels(s))
+    return conn if frame == "foliation" else conn.in_coordinates()
 
 
 def _foliation_christoffels(s: BiLagStructure):
@@ -650,18 +662,6 @@ def push_paracomplex(psi: SmoothMap, s: BiLagStructure) -> tuple:
     columns = [pushforward_field(psi, para.apply_F(pushforward_field(psi.inverse(), d)))
                for d in coordinate_frame(psi.target)]
     return tuple(tuple(compact(c) for c in row) for row in zip(*(f.components for f in columns)))
-
-
-def connection_coordinate_table(conn: Connection):
-    """nabla_{d_a} d_b for all coordinate pairs, as component tuples.
-
-    The frame coefficients of each d_a are taken once; each pair is then
-    assembled by the same `Connection._along` that serves `Connection.apply`.
-    """
-    coords = coordinate_frame(conn.chart)
-    columns = [conn._coefficients(d) for d in coords]
-    return tuple(tuple(conn._along(x, cx, cy) for cy in columns)
-                 for x, cx in zip(coords, columns))
 
 
 def connections_equal(c1: Connection, c2: Connection) -> bool:

@@ -923,16 +923,13 @@ class Rat(Expr):
             return f"({s})"
         return s
 
-    def _eval(self, env):
-        return Fraction(self.value)
-
-    def _float(self, names):
+    def _compile(self, names, num):
         try:
-            c = float(self.value)
+            c = num(self.value)
         except OverflowError:
             # raised by each call, so a plotted leaf ends there
             value = self.value
-            return lambda p: float(value)
+            return lambda p: num(value)
         return lambda p: c
 
     def _mod(self, env):
@@ -950,14 +947,7 @@ class _Leaf(Expr):
     def _fmt(self, prec):
         return self.name
 
-    def _eval(self, env):
-        try:
-            v = env[self.name]
-        except KeyError:
-            raise EvalError(f"missing assignment for {self.name!r}") from None
-        return Fraction(v)
-
-    def _float(self, names):
+    def _compile(self, names, num):
         if self.name in names:
             return itemgetter(names.index(self.name))
 
@@ -1036,12 +1026,9 @@ class Add(Expr):
         body = " ".join(parts)
         return f"({body})" if prec >= 1 else body
 
-    def _eval(self, env):
-        return sum(t._eval(env) for t in self.terms)
-
-    def _float(self, names):
+    def _compile(self, names, num):
         # sum, not a chain of +: it compensates float sums on Python 3.12+
-        terms = [t._float(names) for t in self.terms]
+        terms = [t._compile(names, num) for t in self.terms]
         return lambda p: sum([t(p) for t in terms])
 
     def _mod(self, env):
@@ -1074,17 +1061,12 @@ class Mul(Expr):
             body += f"/{d}"
         return f"({body})" if prec >= 2 else body
 
-    def _eval(self, env):
-        out = Fraction(1)
-        for f in self.factors:
-            out *= f._eval(env)
-        return out
-
-    def _float(self, names):
-        factors = [f._float(names) for f in self.factors]
+    def _compile(self, names, num):
+        factors = [f._compile(names, num) for f in self.factors]
+        one = num(1)
 
         def mul(p):
-            out = 1.0
+            out = one
             for f in factors:
                 out *= f(p)
             return out
@@ -1121,11 +1103,8 @@ class Pow(Expr):
         body = f"{self.base._fmt(3)}^{self.exponent}"
         return f"({body})" if prec >= 4 else body
 
-    def _eval(self, env):
-        return _power(self.base._eval(env), self.exponent)
-
-    def _float(self, names):
-        base, n = self.base._float(names), self.exponent
+    def _compile(self, names, num):
+        base, n = self.base._compile(names, num), self.exponent
         return lambda p: _power(base(p), n)
 
     def _mod(self, env):
@@ -1774,6 +1753,7 @@ def equal_zero(e: Expr) -> bool:
     checked = 0
     saw_nonzero = False
     attempts = 0
+    exact = None
     while checked < _CHECK_POINTS and attempts < 40 * _CHECK_POINTS:
         attempts += 1
         draws = _draw_points(names, rng, spread, 1)[0]
@@ -1789,8 +1769,10 @@ def equal_zero(e: Expr) -> bool:
                     break
                 continue
         env = {name: Fraction(a, d) for name, (a, d) in zip(names, draws)}
+        if exact is None:
+            exact = e._compile(tuple(names), Fraction)
         try:
-            value = e._eval(env)
+            value = exact(tuple(env.values()))
         except ZeroDenominator:
             spread += 1
             continue
@@ -1824,10 +1806,13 @@ def eval_num(e: Expr, assignment: dict) -> Fraction:
     """Exact evaluation at a rational point.
 
     The assignment maps variable names (coordinates and jet names such as
-    ``h_x``) to ints or Fractions.  Missing assignments raise EvalError;
-    division by zero at the point raises ZeroDenominator.
+    ``h_x``) to ints or Fractions.  Every value is converted to a Fraction,
+    whether the tree reads it or not, as ``eval_float`` converts every
+    value to a float.  Missing assignments raise EvalError; division by
+    zero at the point raises ZeroDenominator.
     """
-    return as_expr(e)._eval(assignment)
+    f = as_expr(e)._compile(tuple(assignment), Fraction)
+    return f(tuple(map(Fraction, assignment.values())))
 
 
 def compile_float(e: Expr, names):
@@ -1838,7 +1823,7 @@ def compile_float(e: Expr, names):
     the float range (OverflowError) or a name outside `names` (EvalError)
     raises when the function is called, not when it is built.
     """
-    return as_expr(e)._float(tuple(names))
+    return as_expr(e)._compile(tuple(names), float)
 
 
 def eval_float(e: Expr, assignment: dict) -> float:

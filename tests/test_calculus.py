@@ -19,7 +19,6 @@ from bilag.calculus import (
     d_coord,
     exterior_d,
     form_from_matrix,
-    frame_decompose,
     frame_rank_full,
     interior_product,
     lie_bracket,
@@ -287,7 +286,7 @@ class TestLinearAlgebra:
     def test_frame_decompose_golden(self):
         u = VectorField(CH, (ONE, 2 * X))
         v = VectorField(CH, (ZERO, ONE))
-        coeffs = frame_decompose(VectorField(CH, (ONE, ZERO)), (u, v))
+        coeffs = FrameBasis((u, v)).decompose(VectorField(CH, (ONE, ZERO)))
         assert equal_zero(coeffs[0] - ONE)
         assert equal_zero(coeffs[1] + 2 * X)
 

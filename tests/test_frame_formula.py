@@ -1,23 +1,27 @@
-"""The Hess connection by the frame formula, against the D-map route it
+"""The Hess connection by the frame formula, against the D-map routes it
 replaced, and a non-flat family with known answers.
 
 In the foliation frame, christoffels takes the same-leaf symbols from
 omega's frame matrix and the nonzero structure functions.  The reference
 below is the route it replaced: one d_map and one decomposition per
-same-leaf pair.  Both must give the same entries, in the same order, with
-the same printed text.
+same-leaf pair.  In the coordinate frame, christoffels re-expresses that
+connection by a change of frame; its reference is one hess_nabla per
+coordinate pair.  Each pair of routes must give the same entries, in the
+same order, with the same printed text.
 """
 
 import functools
 
 import pytest
 
+from bilag.calculus import FrameBasis, coordinate_frame
 from bilag.lift import lifted_action_check
 from bilag.structures import (
     Connection,
     christoffels,
     connections_equal,
     d_map,
+    hess_nabla,
     is_flat,
     levi_civita_oracle,
     para_structure,
@@ -55,6 +59,18 @@ def reference_christoffels(s):
     return Connection(basis, entries())
 
 
+def reference_coordinate_christoffels(s):
+    """The coordinate-frame connection with every entry taken from
+    nabla_{d_a} d_b by the D map (hess_nabla), decomposed in the frame."""
+    fields = coordinate_frame(s.chart)
+    basis = FrameBasis(fields)
+    return Connection(basis, (
+        ((a, b, c), g)
+        for a, x in enumerate(fields) for b, y in enumerate(fields)
+        for c, g in enumerate(basis.decompose(hess_nabla(s, x, y)))
+    ))
+
+
 @functools.lru_cache(maxsize=None)
 def transport_push(seed, index):
     """The transport workload's push number `index` at `seed`."""
@@ -75,6 +91,39 @@ def assert_same_connection(s):
     fast, reference = christoffels(s), reference_christoffels(s)
     assert list(fast.entries) == list(reference.entries)
     assert repr(fast) == repr(reference)
+
+
+def assert_same_coordinate_connection(s):
+    fast, reference = christoffels(s, "coordinate"), reference_coordinate_christoffels(s)
+    assert [str(f) for f in fast.frame] == [str(f) for f in reference.frame]
+    assert ([(idx, str(g)) for idx, g in fast.entries.items()]
+            == [(idx, str(g)) for idx, g in reference.entries.items()])
+    assert repr(fast) == repr(reference)
+
+
+@functools.lru_cache(maxsize=None)
+def curved_push(index):
+    """The curved structure pushed by the transport map number `index` at seed 1."""
+    wl = _workloads()
+    kind, spec = wl.transport_specs(1)[index]
+    s = curved_structure()
+    return push_structure(wl.build_map(s.chart, spec), s)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coordinate_frame_matches_the_d_map_route(name):
+    assert_same_coordinate_connection(CASES[name]())
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_coordinate_frame_matches_the_d_map_route_on_the_curved_pushes(index):
+    assert_same_coordinate_connection(curved_push(index))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("index", range(10))
+def test_coordinate_frame_matches_the_d_map_route_on_the_transport_pushes(seed, index):
+    assert_same_coordinate_connection(transport_push(seed, index))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -12,7 +12,6 @@ from bilag.calculus import (
     SingularFrame,
     VectorField,
     exterior_d,
-    frame_decompose,
     interior_product,
     lie_bracket,
     sym_inverse,
@@ -200,15 +199,16 @@ def test_basis_rows_are_sparse_and_the_brackets_shared(name, dim):
     for row in basis.inverse:
         assert list(row) == sorted(row)
         assert not any(isinstance(e, Rat) and e.value == 0 for e in row.values())
-    # the same-leaf brackets come from validation, every structure function
-    # is the one each bracket decomposed afresh gives, and the brackets go
-    # once used
+    # validation hands over the same-leaf structure functions its
+    # involutivity certificates solved for, every structure function is the
+    # one each bracket decomposed afresh gives, and the hand-over goes once
+    # used
     handed = validate_bilagrangian(s.omega, s.f1, s.f2, s.adapted).basis
     h = n // 2
     same_leaf = [(i, j) for i in range(n) for j in range(i + 1, n) if i // h == j // h]
-    assert sorted(handed._brackets) == same_leaf
+    assert sorted(handed._known) == same_leaf
     assert_structure_is_fresh(handed)
-    assert handed._brackets is None
+    assert handed._known is None
 
 
 class TestStorage:
@@ -249,12 +249,17 @@ class TestStorage:
         assert dot({0: X}, {1: Y}) is ZERO
 
 
+def basis_route(x, frame):
+    """The frame coefficients of x through the frame's FrameBasis."""
+    return FrameBasis(frame).decompose(x)
+
+
 def solve_route(x, frame):
-    """Reference: frame_decompose as a fresh sym_solve of the frame matrix."""
+    """Reference: FrameBasis.decompose as a fresh sym_solve of the frame matrix."""
     frame = tuple(frame)
     n = x.chart.dim
     if len(frame) != n:
-        raise ValueError(f"need {n} frame fields, got {len(frame)}")
+        raise ValueError(f"frame needs {n} fields, got {len(frame)}")
     matrix = [[frame[j].components[i] for j in range(n)] for i in range(n)]
     try:
         return sym_solve(matrix, list(x.components))
@@ -267,14 +272,14 @@ class TestFrameDecompose:
     def test_same_coefficients_as_the_solve_route(self, name, dim):
         s = build(name, dim)
         for x in probe_fields(s):
-            assert strs(frame_decompose(x, s.frame)) == strs(solve_route(x, s.frame))
+            assert strs(basis_route(x, s.frame)) == strs(solve_route(x, s.frame))
 
     def test_errors_keep_their_messages(self):
         u = VectorField(CH, (ONE, X))
-        for route in (frame_decompose, solve_route):
+        for route in (basis_route, solve_route):
             with pytest.raises(ValueError) as info:
                 route(u, (u,))
-            assert str(info.value) == "need 2 frame fields, got 1"
+            assert str(info.value) == "frame needs 2 fields, got 1"
             with pytest.raises(SingularFrame) as info:
                 route(u, (u, u.scale(Y)))
             assert str(info.value) == "frame fields are linearly dependent"

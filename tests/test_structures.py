@@ -23,7 +23,6 @@ from bilag.structures import (
     BiLagError,
     Connection,
     christoffels,
-    connection_coordinate_table,
     connections_equal,
     curvature,
     d_map,
@@ -225,11 +224,22 @@ def per_pair_connections_equal(c1, c2):
     )
 
 
+def coordinate_table(conn):
+    """nabla_{d_a} d_b for every coordinate pair, as fields, read off
+    conn.in_coordinates()."""
+    coords = conn.in_coordinates()
+    m = conn.chart.dim
+    return tuple(
+        tuple(VectorField(conn.chart, [coords.coefficient(a, b, c) for c in range(m)])
+              for b in range(m))
+        for a in range(m))
+
+
 def dense_connections_equal(c1, c2):
     """Reference: connections_equal zero-testing every component of each
     coordinate-table difference, the literal zeros included."""
-    t1 = connection_coordinate_table(c1)
-    t2 = connection_coordinate_table(c2)
+    t1 = coordinate_table(c1)
+    t2 = coordinate_table(c2)
     m = c1.chart.dim
     diffs = (f1 - f2 for r1, r2 in zip(t1, t2) for f1, f2 in zip(r1, r2))
     return all(equal_zero(d.component(k)) for d in diffs for k in range(m))
@@ -467,8 +477,8 @@ class TestConnection:
 
     def test_coordinate_table_matches_frame_change(self):
         s = parabola_structure()
-        table = connection_coordinate_table(christoffels(s))
-        table2 = connection_coordinate_table(christoffels(s, frame="coordinate"))
+        table = per_pair_coordinate_table(christoffels(s))
+        table2 = per_pair_coordinate_table(christoffels(s, frame="coordinate"))
         for a in range(2):
             for b in range(2):
                 assert fields_equal(table[a][b], table2[a][b])
@@ -639,7 +649,7 @@ class TestOnePassCrossCheck:
         hess = christoffels(s)
         oracle = levi_civita_oracle(para_structure(s))
         for conn in (hess, oracle):
-            assert (table_strings(connection_coordinate_table(conn))
+            assert (table_strings(coordinate_table(conn))
                     == table_strings(per_pair_coordinate_table(conn)))
         assert assert_same_verdict_repeatable_draws(
             per_pair_connections_equal, hess, oracle, "oracle") is True
@@ -659,7 +669,7 @@ class TestOnePassCrossCheck:
     def test_differing_connections_same_false_verdict_and_draws(self):
         pushed, wrong = transport_pair()
         for conn in (pushed, wrong):
-            assert (table_strings(connection_coordinate_table(conn))
+            assert (table_strings(coordinate_table(conn))
                     == table_strings(per_pair_coordinate_table(conn)))
         runs = []
         for same in (per_pair_connections_equal, connections_equal):
