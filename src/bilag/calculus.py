@@ -12,8 +12,9 @@ Conventions fixed throughout the package:
 Linear algebra is exact: one forward-elimination kernel over the
 rational-function field, which updates the rows with `NormalForm`
 arithmetic, one multiplier per eliminated row, and never scales a pivot
-row, plus back substitution, serves determinants, solves, inverses, rank
-and span tests.
+row, plus back substitution, serves solves, inverses, rank and span tests.
+A determinant is taken block by block from the matrix's block-triangular
+form: small diagonal blocks by cofactors, larger ones by the same kernel.
 A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
 
@@ -734,21 +735,163 @@ def _back_substitute(rows, pivots, ncols):
     return [[_cached_tree(s) for s in values] for values in solution]
 
 
-def sym_det(matrix) -> Expr:
-    """Exact determinant: the canonical tree of the elimination pivots'
-    product, negated when their rows form an odd permutation."""
-    rows = [list(r) for r in matrix]
+# a diagonal block up to this size takes its determinant by cofactors
+_COFACTOR_MAX = 3
+
+
+def _perfect_matching(pattern):
+    """A column -> row matching that covers every row of the zero pattern
+    (pattern[i] lists the columns where row i is nonzero, ascending), or
+    None when there is none.
+
+    Each row in turn is matched along an augmenting path, found by a
+    depth-first search kept on an explicit stack: a row on the path takes
+    a free column of its own if it has one, else the path goes on through
+    the row matched to its next column not yet visited in this search.
+    """
+    n = len(pattern)
+    row_of = [-1] * n
+    seen = [-1] * n  # the search that last visited each column
+    for root in range(n):
+        path, via, scan = [root], [], [0]  # via[k] joins path[k] to path[k + 1]
+        free = next((c for c in pattern[root] if row_of[c] < 0), -1)
+        while free < 0 and path:
+            cols, k = pattern[path[-1]], scan[-1]
+            while k < len(cols) and seen[cols[k]] == root:
+                k += 1
+            if k == len(cols):
+                path.pop()
+                scan.pop()
+                if via:
+                    via.pop()
+                continue
+            c = cols[k]
+            seen[c] = root
+            scan[-1] = k + 1
+            row = row_of[c]
+            via.append(c)
+            path.append(row)
+            scan.append(0)
+            free = next((d for d in pattern[row] if row_of[d] < 0), -1)
+        if free < 0:
+            return None
+        for r, c in zip(path, via + [free]):
+            row_of[c] = r
+    return row_of
+
+
+def _diagonal_blocks(pattern, row_of):
+    """The strongly connected components of the column graph, each as its
+    ascending columns: column c points to each column d != c where c's
+    matched row row_of[c] is nonzero.  Tarjan's algorithm, with the
+    depth-first walk kept on an explicit stack."""
+    n = len(row_of)
+    index, low = [-1] * n, [0] * n
+    on_stack = [False] * n
+    stack, blocks = [], []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        walk = [(root, 0)]
+        while walk:
+            v, k = walk[-1]
+            succ = pattern[row_of[v]]
+            if k < len(succ):
+                walk[-1] = (v, k + 1)
+                w = succ[k]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    walk.append((w, 0))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            walk.pop()
+            if walk and low[v] < low[walk[-1][0]]:
+                low[walk[-1][0]] = low[v]
+            if low[v] == index[v]:
+                block = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    block.append(w)
+                    if w == v:
+                        break
+                blocks.append(sorted(block))
+    return blocks
+
+
+def _cofactor_det(rows) -> NormalForm:
+    """Determinant of a small square matrix of forms by division-free
+    cofactor expansion along its first row, skipping zero entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = _ZERO_FORM
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero:
+            continue
+        term = entry.mul(_cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]]))
+        total = total.add(term if j % 2 == 0 else term.neg())
+    return total
+
+
+def _eliminated_det(rows) -> NormalForm:
+    """Determinant of a square matrix of forms: the product of its
+    elimination pivots, negated when their rows form an odd permutation."""
     n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("determinant of a non-square matrix")
     pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
-        return ZERO
+        return _ZERO_FORM
     det = ONE.normal()
     for _, _, pivot in pivots:
         det = det.mul(pivot)
-    if _perm_sign_to_sorted([i for _, i, _ in pivots]) == -1:
+    return det.neg() if _perm_sign_to_sorted([i for _, i, _ in pivots]) == -1 else det
+
+
+def sym_det(matrix) -> Expr:
+    """Exact determinant, as the canonical tree of its value.
+
+    The matrix is split into its block-triangular form, read off the zero
+    pattern of the entries' normal forms (an entry such as y - y counts as
+    zero).  A perfect row -> column matching is found by augmenting paths;
+    without one the determinant is identically zero.  Each strongly
+    connected component of the column graph (column c points to column d
+    when c's matched row is nonzero in d) is one diagonal block, its rows
+    and columns in ascending order.  The determinant is the product of
+    the blocks' determinants, negated when pairing each block's rows with
+    its columns in order is an odd permutation.  A block of at most
+    `_COFACTOR_MAX` rows is expanded by cofactors, a larger one is
+    eliminated by `_eliminate`; the entries off the diagonal blocks are
+    never touched.  Both walks are iterative, so any size runs within
+    the recursion limit.
+    """
+    forms = [[_entry_form(e) for e in r] for r in matrix]
+    n = len(forms)
+    if any(len(r) != n for r in forms):
+        raise ValueError("determinant of a non-square matrix")
+    pattern = [[c for c, f in enumerate(r) if not f.is_zero] for r in forms]
+    row_of = _perfect_matching(pattern)
+    if row_of is None:
+        return ZERO
+    det = ONE.normal()
+    paired = [0] * n  # the row paired with each column
+    for cols in _diagonal_blocks(pattern, row_of):
+        block_rows = sorted(row_of[c] for c in cols)
+        for r, c in zip(block_rows, cols):
+            paired[c] = r
+        block = [[forms[r][c] for c in cols] for r in block_rows]
+        value = _cofactor_det(block) if len(cols) <= _COFACTOR_MAX else _eliminated_det(block)
+        if value.is_zero:
+            return ZERO
+        det = det.mul(value)
+    if _perm_sign_to_sorted(paired) == -1:
         det = det.neg()
     return _cached_tree(det)
 

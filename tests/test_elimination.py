@@ -14,7 +14,9 @@ only as negation does.
 
 import functools
 import importlib.util
+import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,3 +342,121 @@ def test_an_untouched_residual_is_zero_tested_as_given():
     state = symexpr._check_rng.getstate()
     span_membership([x], [field])
     assert symexpr._check_rng.getstate() != state
+
+
+# ---------------------------------------------------------------------------
+# the block-triangular determinant
+
+
+def permuted(matrix, row_order, col_order):
+    """The matrix whose row i is matrix's row row_order[i], and so on for
+    the columns."""
+    return [[matrix[r][c] for c in col_order] for r in row_order]
+
+
+def block_entry(rng):
+    """An entry of a diagonal block: mostly nonzero, so that most blocks
+    stay whole and nonsingular, and a constant or linear in x alone, so
+    that both routes invert a block-triangular matrix of size 8 in under
+    a second."""
+    kind = rng.random()
+    if kind < 0.12:
+        return ZERO
+    if kind < 0.2:
+        return NOT_LITERAL_ZERO
+    if kind < 0.3:
+        return NOT_A_RAT
+    if kind < 0.85:
+        return Rat(rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    return X - rng.randint(1, 3)
+
+
+def random_block_triangular(rng, n):
+    """A block lower-triangular matrix with diagonal blocks of sizes 1 to 5,
+    entries from `random_entry` below them and zeros above."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 5), n - sum(sizes)))
+    block_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+    return [[ZERO if block_of[c] > block_of[r]
+             else block_entry(rng) if block_of[c] == block_of[r] else random_entry(rng)
+             for c in range(n)]
+            for r in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_permuted_block_triangular_matrices(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    matrix = permuted(random_block_triangular(rng, n), rows, cols)
+    same_square(matrix, [random_entry(rng) for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_rows_sharing_their_only_column_give_zero(seed, monkeypatch):
+    # rows 0 and 2 are nonzero in column 1 alone, so no row -> column
+    # matching covers both, whatever the other entries: the pattern alone
+    # decides, and no block determinant is taken
+    rng = random.Random(seed)
+    n = rng.randint(3, 6)
+    matrix = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+    for r in (0, 2):
+        matrix[r] = [X + 1 if c == 1 else rng.choice((ZERO, NOT_LITERAL_ZERO))
+                     for c in range(n)]
+    same_square(matrix, [ONE] * n)
+    with monkeypatch.context() as m:
+        for name in ("_cofactor_det", "_eliminated_det"):
+            m.setattr(calculus, name, None)
+        assert sym_det(matrix) is ZERO
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_permuting_rows_and_columns_multiplies_by_their_signs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    matrix = random_block_triangular(rng, n)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    det = sym_det(matrix)
+    sign = calculus._perm_sign_to_sorted(rows) * calculus._perm_sign_to_sorted(cols)
+    expected = det if sign == 1 else compact(-det)
+    assert str(sym_det(permuted(matrix, rows, cols))) == str(expected)
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("corner", (False, True))
+def test_a_long_chain_of_blocks_needs_no_recursion(corner):
+    # upper bidiagonal: 400 blocks of one column, chained through the
+    # superdiagonal, so the component search walks 400 deep; with the last
+    # row moved to column 0, that row's augmenting path runs through every
+    # other row
+    n = 400
+    diagonal = [Fraction(k + 2, k + 1) for k in range(n)]
+    upper = [Fraction(-1, k + 3) for k in range(n - 1)]
+    matrix = [[ZERO] * n for _ in range(n)]
+    for k in range(n):
+        matrix[k][k] = Rat(diagonal[k])
+    for k in range(n - 1):
+        matrix[k][k + 1] = Rat(upper[k])
+    expected = math.prod(diagonal)
+    if corner:
+        matrix[n - 1] = [Rat(1)] + [ZERO] * (n - 1)
+        # the one permutation left is the n-cycle k -> k + 1, of sign (-1)^(n-1)
+        expected = -math.prod(upper)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        det = sym_det(matrix)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(det) == str(Rat(expected))

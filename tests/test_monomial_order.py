@@ -22,7 +22,7 @@ from bilag import symexpr
 from bilag.lift import lifted_action_check
 from bilag.structures import christoffels, curvature, push_structure
 from bilag.symexpr import Poly, _poly_divexact, _qdiv
-from test_structures import STRUCTURES
+from test_structures import STRUCTURES, curved_structure
 
 # ---------------------------------------------------------------------------
 # reference: the variable-set key and the divisibility test
@@ -236,12 +236,15 @@ def test_divisions_of_the_structure_pool(monkeypatch):
 def test_divisions_of_the_transport_pushes(seed, monkeypatch):
     wl = _workloads()
 
+    # each map also carries the curved structure, whose pushes and lifts
+    # divide by non-monomial denominators of their own
     def run():
         for kind, spec in wl.transport_specs(seed):
             s = wl.plane_structure(kind)
             psi = wl.build_map(s.chart, spec)
-            christoffels(push_structure(psi, s))
-            lifted_action_check(psi, s)
+            for structure in (s, curved_structure()):
+                christoffels(push_structure(psi, structure))
+                lifted_action_check(psi, structure)
 
     calls = recorded(run, monkeypatch)
     assert sum(len(b.terms) > 1 for _, b in calls) > 200
