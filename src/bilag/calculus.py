@@ -14,7 +14,7 @@ rational-function field, which updates the rows with `NormalForm`
 arithmetic, one multiplier per eliminated row, and never scales a pivot
 row, plus back substitution, serves solves, inverses, rank and span tests.
 A determinant is taken block by block from the matrix's block-triangular
-form: small diagonal blocks by cofactors, larger ones by the same kernel.
+form: blocks of one or two rows directly, larger ones by the same kernel.
 A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
 
@@ -735,10 +735,6 @@ def _back_substitute(rows, pivots, ncols):
     return [[_cached_tree(s) for s in values] for values in solution]
 
 
-# a diagonal block up to this size takes its determinant by cofactors
-_COFACTOR_MAX = 3
-
-
 def _perfect_matching(pattern):
     """A column -> row matching that covers every row of the zero pattern
     (pattern[i] lists the columns where row i is nonzero, ascending), or
@@ -828,24 +824,17 @@ def _diagonal_blocks(pattern, row_of):
     return blocks
 
 
-def _cofactor_det(rows) -> NormalForm:
-    """Determinant of a small square matrix of forms by division-free
-    cofactor expansion along its first row, skipping zero entries."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = _ZERO_FORM
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero:
-            continue
-        term = entry.mul(_cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]]))
-        total = total.add(term if j % 2 == 0 else term.neg())
-    return total
-
-
-def _eliminated_det(rows) -> NormalForm:
-    """Determinant of a square matrix of forms: the product of its
-    elimination pivots, negated when their rows form an odd permutation."""
+def _block_det(rows) -> NormalForm:
+    """Determinant of one diagonal block of forms.  One or two rows give
+    the entry or ad - bc, with no division; a larger block gives the
+    product of its elimination pivots, negated when their rows form an odd
+    permutation."""
     n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a.mul(d).add(b.mul(c).neg())
     pivots, _ = _eliminate(rows, n)
     if len(pivots) < n:
         return _ZERO_FORM
@@ -866,11 +855,11 @@ def sym_det(matrix) -> Expr:
     when c's matched row is nonzero in d) is one diagonal block, its rows
     and columns in ascending order.  The determinant is the product of
     the blocks' determinants, negated when pairing each block's rows with
-    its columns in order is an odd permutation.  A block of at most
-    `_COFACTOR_MAX` rows is expanded by cofactors, a larger one is
-    eliminated by `_eliminate`; the entries off the diagonal blocks are
-    never touched.  Both walks are iterative, so any size runs within
-    the recursion limit.
+    its columns in order is an odd permutation.  A block of one or two
+    rows is its entry or ad - bc, a larger one is eliminated by
+    `_eliminate`; the entries off the diagonal blocks are never touched.
+    Both walks are iterative, so any size runs within the recursion
+    limit.
     """
     forms = [[_entry_form(e) for e in r] for r in matrix]
     n = len(forms)
@@ -887,7 +876,7 @@ def sym_det(matrix) -> Expr:
         for r, c in zip(block_rows, cols):
             paired[c] = r
         block = [[forms[r][c] for c in cols] for r in block_rows]
-        value = _cofactor_det(block) if len(cols) <= _COFACTOR_MAX else _eliminated_det(block)
+        value = _block_det(block)
         if value.is_zero:
             return ZERO
         det = det.mul(value)

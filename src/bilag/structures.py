@@ -438,18 +438,12 @@ def _foliation_christoffels(s: BiLagStructure):
 
 
 def torsion(conn: Connection) -> FrameTable:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c).
-
-    Formed only at the (i, j, k), i != j, where Gamma^k_{ij}, Gamma^k_{ji}
-    or c^k_{ij} is stored; every other slot is 0 - 0 - 0."""
-    g, structure = conn.coefficient, conn.basis.structure
-    c = structure.coefficient
-    keys = set(structure.entries)
-    for i, j, k in conn.entries:
-        keys.update(((i, j, k), (j, i, k)))
+    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c)."""
+    g, c = conn.coefficient, conn.basis.structure.coefficient
+    n = len(conn.frame)
     return FrameTable(conn.frame, 3, (
         ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
-        for i, j, k in keys if i != j
+        for i in range(n) for j in range(n) if i != j for k in range(n)
     ))
 
 

@@ -75,40 +75,6 @@ def test_coefficient_and_dense_views_agree(name, dim):
                 assert entry is table.coefficient(*idx), (label, idx)
 
 
-def dense_torsion(conn):
-    """Reference: T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} formed at
-    every slot with i != j, as text, keeping those with a nonzero form."""
-    g, c = conn.coefficient, conn.basis.structure.coefficient
-    n = len(conn.frame)
-    cells = {(i, j, k): compact(g(i, j, k) - g(j, i, k) - c(i, j, k))
-             for i in range(n) for j in range(n) if i != j for k in range(n)}
-    return {idx: str(e) for idx, e in cells.items() if not is_zero(e)}
-
-
-def twisted(conn):
-    """A connection with torsion on the same basis: Gamma^k_{ij} moved to
-    (j, i, k), plus x at (0, n - 1, n - 1)."""
-    n = len(conn.frame)
-    entries = {(j, i, k): g for (i, j, k), g in conn.entries.items()}
-    key = (0, n - 1, n - 1)
-    entries[key] = entries.get(key, ZERO) + conn.chart.coords()[0]
-    return Connection(conn.basis, entries.items())
-
-
-TORSION_CASES = [(name, dim) for name in sorted(STRUCTURES) for dim in (2, 4, 8, 16)
-                 if dim >= NATIVE_DIM[name]]
-
-
-@pytest.mark.parametrize("name, dim", TORSION_CASES)
-def test_torsion_matches_the_dense_loop(name, dim):
-    conn = christoffels(build(name, dim))
-    zero = Connection(conn.basis, ())  # T = -c
-    for label, c in (("hess", conn), ("twisted", twisted(conn)), ("zero", zero)):
-        t = torsion(c)
-        assert {idx: str(e) for idx, e in t.entries.items()} == dense_torsion(c), label
-    assert torsion(conn).is_zero() and not torsion(twisted(conn)).is_zero()
-
-
 def assert_structure_is_fresh(basis):
     """basis.structure holds, for each i < j, the nonzero coefficients c of
     [E_i, E_j] decomposed afresh at (i, j, k) and their compacted negations
