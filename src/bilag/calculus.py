@@ -35,7 +35,6 @@ from .symexpr import (
     _cached_tree,
     as_expr,
     compact,
-    coordinates,
     diff,
     directional,
     dot,
@@ -461,15 +460,15 @@ def wedge(a: KForm, b: KForm) -> KForm:
 def exterior_d(a: KForm) -> KForm:
     """Exterior derivative.
 
-    Each coefficient is differentiated only along the coordinates it
-    depends on, in ascending order; every other derivative is the literal 0.
+    Each coefficient is differentiated along each coordinate not in its
+    index, in ascending order; `diff` gives the literal 0, unwalked, along
+    the coordinates the coefficient does not depend on.
     """
     chart = a.chart
     coeffs: dict = {}
     for idx, c in a.coeffs.items():
-        deps = coordinates(c)
         for j, name in enumerate(chart.names):
-            if j in idx or name not in deps:
+            if j in idx:
                 continue
             dc = diff(c, name)
             if is_zero(dc):
@@ -1031,7 +1030,10 @@ class FrameBasis:
         """The structure functions, [E_i, E_j] = sum_k c[i][j][k] E_k, as a
         rank-3 table: for each i < j and each k with c nonzero, (i, j, k)
         holds c and (j, i, k) its compacted negation.  Only the pairs not
-        `known` are bracketed and decomposed."""
+        `known` are bracketed, and only the brackets with a stored component
+        are decomposed: a frame whose brackets all vanish builds no inverse,
+        so the frame's independence is validation's to prove, not this
+        table's."""
         if self._structure is None:
             n = len(self.fields)
             entries = []
@@ -1040,7 +1042,7 @@ class FrameBasis:
                     coeffs = self._known.get((i, j))
                     if coeffs is None:
                         bracket = lie_bracket(self.fields[i], self.fields[j])
-                        coeffs = dict(enumerate(self.decompose(bracket)))
+                        coeffs = dict(enumerate(self.decompose(bracket))) if bracket.entries else {}
                     for k, c in coeffs.items():
                         if not is_zero(c):
                             entries += (((i, j, k), c), ((j, i, k), compact(-c)))

@@ -473,12 +473,18 @@ def curvature(conn: Connection) -> FrameTable:
 
     Only the products of nonzero Gamma entries and nonzero structure
     functions c are formed, and only for i < j: R is antisymmetric in i
-    and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  The
+    and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  Each
+    term has a factor Gamma^._{jk}, Gamma^._{ik} or Gamma^._{sk} with
+    c^s_{ij} nonzero, so only those k are visited, in ascending order.  The
     table stores only the entries with a nonzero normal form.
     """
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
     gam = [[conn._pairs.get((i, j), ()) for j in range(n)] for i in range(n)]
+    # ks[i]: the k with a nonzero Gamma^._{ik}
+    ks = [set() for _ in range(n)]
+    for i, k in conn._pairs:
+        ks[i].add(k)
     # struct[i, j]: the (s, c^s_{ij}) with a nonzero normal form, for i < j
     struct = {}
     for (i, j, s), c in conn.basis.structure.entries.items():
@@ -488,7 +494,7 @@ def curvature(conn: Connection) -> FrameTable:
     for i in range(n):
         for j in range(i + 1, n):
             pair = struct.get((i, j), ())
-            for k in range(n):
+            for k in sorted(ks[i].union(ks[j], *(ks[s] for s, _ in pair))):
                 acc = {}
                 for l, term in _curvature_terms(conn.frame, gam, pair, i, j, k):
                     acc[l] = acc.get(l, ZERO) + term

@@ -819,8 +819,10 @@ class OpaqueSymbol:
 class Expr:
     """Immutable scalar expression node."""
 
-    __slots__ = ("_nf",)
+    __slots__ = ("_nf", "_coords")
 
+    # _coords is left unset until `coordinates` first reads it: most nodes
+    # are never differentiated, and a store per node shows on small inputs
     def __init__(self):
         self._nf = None
 
@@ -917,6 +919,9 @@ class Rat(Expr):
     def _normal(self):
         return _const_form(self.value)
 
+    def _coordinates(self):
+        return frozenset()
+
     def _fmt(self, prec):
         s = _frac_str(self.value)
         if (self.value < 0 and prec >= 1) or ("/" in s and prec >= 1):
@@ -968,6 +973,9 @@ class Var(_Leaf):
         super().__init__()
         self.name = name
 
+    def _coordinates(self):
+        return frozenset((self.name,))
+
 
 class JetVar(_Leaf):
     """A jet of an opaque symbol: the symbol differentiated per a multi-index.
@@ -994,6 +1002,9 @@ class JetVar(_Leaf):
         orders[i] += 1
         return JetVar(self.symbol, orders)
 
+    def _coordinates(self):
+        return frozenset(self.symbol.deps)
+
     # JetVar is used in sets during traversal; identity there must be
     # structural, not semantic, so override the Expr comparison.
     def __eq__(self, other):
@@ -1017,6 +1028,9 @@ class Add(Expr):
         for t in self.terms[1:]:
             nf = nf.add(t.normal())
         return nf
+
+    def _coordinates(self):
+        return _union(self.terms)
 
     def _fmt(self, prec):
         parts = [self.terms[0]._fmt(0)]
@@ -1047,6 +1061,9 @@ class Mul(Expr):
         for f in self.factors[1:]:
             nf = nf.mul(f.normal())
         return nf
+
+    def _coordinates(self):
+        return _union(self.factors)
 
     def _fmt(self, prec):
         # negative-power factors print as division
@@ -1095,6 +1112,9 @@ class Pow(Expr):
 
     def _normal(self):
         return self.base.normal().pow_int(self.exponent)
+
+    def _coordinates(self):
+        return coordinates(self.base)
 
     def _fmt(self, prec):
         if self.exponent < 0:
@@ -1520,17 +1540,16 @@ def parse_expr(text: str, chart_names, symbols=()) -> Expr:
 def diff(e: Expr, var: str) -> Expr:
     """Partial derivative with respect to a coordinate name.
 
-    Jets of opaque symbols differentiate by bumping the multi-index when the
-    coordinate is among the symbol's dependencies, and to zero otherwise.
-    """
-    if isinstance(e, Rat):
+    Jets of opaque symbols differentiate by bumping the multi-index.  A tree
+    or subtree whose `coordinates` leave out var is ZERO, unwalked."""
+    if not isinstance(e, Expr):
+        raise TypeError(f"cannot differentiate {e!r}")
+    if var not in coordinates(e):
         return ZERO
     if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
+        return ONE
     if isinstance(e, JetVar):
-        if var in e.symbol.deps:
-            return e.bump(var)
-        return ZERO
+        return e.bump(var)
     if isinstance(e, Add):
         return _make_add(*(diff(t, var) for t in e.terms))
     if isinstance(e, Mul):
@@ -1542,27 +1561,27 @@ def diff(e: Expr, var: str) -> Expr:
             rest = e.factors[:i] + e.factors[i + 1:]
             terms.append(_make_mul(df, *rest))
         return _make_add(*terms) if terms else ZERO
-    if isinstance(e, Pow):
-        db = diff(e.base, var)
-        if isinstance(db, Rat) and db.value == 0:
-            return ZERO
-        return _make_mul(Rat(e.exponent), _make_pow(e.base, e.exponent - 1), db)
-    raise TypeError(f"cannot differentiate {e!r}")
+    # a Pow: the one node left that has coordinates
+    db = diff(e.base, var)
+    if isinstance(db, Rat) and db.value == 0:
+        return ZERO
+    return _make_mul(Rat(e.exponent), _make_pow(e.base, e.exponent - 1), db)
 
 
 def directional(components, chart_names, f: Expr) -> Expr:
     """Derivative of f along a vector with the given components.
 
-    Components pair with chart_names in order.  A component that is the
-    literal 0 contributes nothing, so f is not differentiated along its
-    coordinate, and a constant f gives ZERO without being differentiated.
+    Components pair with chart_names in order.  f is differentiated only
+    along the names in its `coordinates` whose component is not the literal
+    0, and a constant f is ZERO at once: every other term is ZERO anyway.
     """
-    if isinstance(f, Rat):
+    deps = coordinates(f)
+    if not deps:
         return ZERO
     return _make_add(*(
         _make_mul(c, diff(f, name))
         for c, name in zip(components, chart_names)
-        if not (isinstance(c, Rat) and c.value == 0)
+        if name in deps and not (isinstance(c, Rat) and c.value == 0)
     ))
 
 
@@ -1629,16 +1648,23 @@ def dot(xs, ys) -> Expr:
     return ZERO if total is None else _cached_tree(total)
 
 
-def coordinates(e: Expr) -> set:
+def coordinates(e: Expr) -> frozenset:
     """The coordinate names e depends on: each Var's name and each jet's
-    dependencies.  diff(e, v) is the literal 0 for every other name v."""
-    out = set()
-    for leaf in _leaves(as_expr(e)):
-        if isinstance(leaf, JetVar):
-            out.update(leaf.symbol.deps)
-        else:
-            out.add(leaf.name)
-    return out
+    dependencies.  diff(e, v) is the literal 0 for every other name v.
+    Each node computes its set once, from its children's, and keeps it."""
+    e = as_expr(e)
+    try:
+        return e._coords
+    except AttributeError:
+        e._coords = e._coordinates()
+        return e._coords
+
+
+def _union(nodes) -> frozenset:
+    """The union of the nodes' coordinates: the widest node's own set if it holds the rest."""
+    sets = [coordinates(node) for node in nodes]
+    widest = max(sets, key=len)
+    return widest if all(s <= widest for s in sets) else widest.union(*sets)
 
 
 _DEFAULT_CHECK_SEED = 97131
@@ -1715,7 +1741,9 @@ def _lanes(names, points):
 def equal_zero(e: Expr) -> bool:
     """Decide whether the expression is identically zero.
 
-    The verdict comes from the normal form; it is then cross-checked by
+    A literal (a plain `Rat`) is its value's verdict: it draws no point and
+    builds no normal form, as its one exact evaluation below would draw none.
+    Any other verdict comes from the normal form; it is then cross-checked by
     evaluating the original tree -- never the normal form -- at
     `_CHECK_POINTS` random rational points that avoid denominator zeros (a
     constant tree is evaluated once, exactly).  This is a Schwartz-Zippel
@@ -1737,6 +1765,8 @@ def equal_zero(e: Expr) -> bool:
     point, as if the walk had not been made.
     """
     e = as_expr(e)
+    if e.__class__ is Rat:
+        return e.value == 0
     verdict = e.normal().is_zero
     names = sorted(e.atoms())
     rng = _check_rng

@@ -283,3 +283,14 @@ class TestFrameDecompose:
             with pytest.raises(SingularFrame) as info:
                 route(u, (u, u.scale(Y)))
             assert str(info.value) == "frame fields are linearly dependent"
+
+    def test_structure_of_a_dependent_frame_whose_brackets_vanish(self):
+        # no bracket has a stored component, so none is decomposed and no
+        # inverse is built: the table is empty, and only the inverse, when
+        # asked for, finds the frame dependent
+        u = VectorField(CH, (ONE, 2 * ONE))
+        basis = FrameBasis((u, u.scale(3)))
+        assert basis.structure.entries == {}
+        assert basis._inverse is None
+        with pytest.raises(SingularFrame, match="frame fields are linearly dependent"):
+            basis.inverse

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from bilag.calculus import lie_bracket
+from bilag.calculus import Chart, FrameBasis, VectorField, lie_bracket
 from bilag.structures import (
     Connection,
     christoffels,
@@ -15,8 +15,9 @@ from bilag.structures import (
     para_structure,
     torsion,
 )
-from bilag.symexpr import ZERO, compact, is_zero
-from test_structures import STRUCTURES, lifted, parabola_structure
+from bilag.symexpr import ONE, ZERO, compact, is_zero
+from test_frame_formula import transport_push
+from test_structures import STRUCTURES, dense_curvature, lifted, parabola_structure
 
 # every pool structure at its own dimension and lifted to dims 4 and 8
 NATIVE_DIM = {name: make().chart.dim for name, make in STRUCTURES.items()}
@@ -112,3 +113,40 @@ def test_dim16_parabola_flatness_stores_four_curvature_entries():
     assert not verdict.flat
     assert len(verdict.curvature.entries) == 4
     assert [idx for idx, _ in verdict.witnesses] == list(verdict.curvature.entries)
+
+
+def assert_curvature_is_dense(conn):
+    """curvature(conn) stores exactly the nonzero entries of the n^5 reference."""
+    dense = {idx: e for idx, e in dense_cells(dense_curvature(conn), 4) if not is_zero(e)}
+    sparse = curvature(conn).entries
+    assert list(sparse) == sorted(dense)
+    for idx, e in sparse.items():
+        assert e.normal() == dense[idx].normal(), idx
+
+
+# curvature visits only the k with a term; these are the frames where
+# the restriction could drop one
+@pytest.mark.parametrize("name", ["parabola", "standard", "noncommuting-dim4"])
+def test_dim16_curvature_and_structure_match_the_references(name):
+    s = build(name, 16)
+    assert_structure_is_fresh(s.basis)
+    assert_curvature_is_dense(christoffels(s))
+
+
+def test_curvature_term_reached_only_through_the_structure_functions():
+    # [E_1, E_2] = E_3 and Gamma^1_{33} = y is the only symbol, so
+    # R^1_{123} = -c^3_{12} Gamma^1_{33} comes from neither Gamma_{1.} nor Gamma_{2.}
+    chart = Chart(("x", "y", "z"))
+    x, y, _ = chart.coords()
+    frame = (VectorField(chart, (ONE, ZERO, ZERO)), VectorField(chart, (ZERO, ONE, x)),
+             VectorField(chart, (ZERO, ZERO, ONE)))
+    conn = Connection(FrameBasis(frame), [((2, 2, 0), y)])
+    assert_curvature_is_dense(conn)
+    assert is_zero(curvature(conn).coefficient(0, 1, 2, 0) + y)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_transport_push_curvature_and_structure_match_the_references(index):
+    s = transport_push(1, index)
+    assert_structure_is_fresh(s.basis)
+    assert_curvature_is_dense(christoffels(s))

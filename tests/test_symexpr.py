@@ -163,6 +163,19 @@ class TestEquality:
         assert c.evaluations == 1
         assert symexpr._check_rng.getstate() == state
 
+    @pytest.mark.parametrize("value", [0, 1, Fraction(-3, 7)])
+    def test_literal_is_decided_by_its_value(self, value, monkeypatch):
+        def never(self, names, num):
+            raise AssertionError("a literal's zero test compiled the tree")
+
+        monkeypatch.setattr(Rat, "_compile", never)
+        state = symexpr._check_rng.getstate()
+        literal = Rat(value)
+        assert equal_zero(literal) is (value == 0)
+        assert equal_zero(value) is (value == 0)
+        assert symexpr._check_rng.getstate() == state
+        assert literal._nf is None
+
     @pytest.mark.parametrize("value, claims, message", [
         (3, 0, "normal form claims zero but 3 evaluates to 3 at {}"),
         (0, 1, "normal form claims nonzero but 0 vanished at 20 random points"),
