@@ -45,7 +45,7 @@ from .structures import (
     push_structure,
     validate_bilagrangian,
 )
-from .symexpr import ZERO, compact, diff, dot, equal_zero
+from .symexpr import ZERO, compact, diff, directional, dot, equal_zero
 from .symplectic import SymplecticForm, trivial_bundle_symplectic
 
 __all__ = [
@@ -102,7 +102,9 @@ def _bundle_chart(base: Chart, fiber_names) -> Chart:
 def _lift_base_field(bundle: Chart, e: VectorField, jac, kxi) -> VectorField:
     """E~ = E + sum_i C_i d/dxi_i with C_i = sum_l E(J_li) (K xi)_l."""
     n2 = len(jac)
-    fiber = [(n2 + i, dot([e.apply(jac[l][i]) for l in range(n2)], kxi)) for i in range(n2)]
+    comps, names = e._derivation()  # e.apply, taken once for all n2^2 entries
+    fiber = [(n2 + i, dot([directional(comps, names, jac[l][i]) for l in range(n2)], kxi))
+             for i in range(n2)]
     return VectorField.from_entries(bundle, list(e.entries.items()) + fiber)
 
 

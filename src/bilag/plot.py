@@ -3,8 +3,9 @@
 This is the one numeric corner of the package: leaves are drawn as integral
 curves of the foliation frame fields, integrated with fixed-step RK4 on
 unit-speed velocities, and everything runs in floating point.  Each field
-component is compiled once per curve (``symexpr.compile_float``) into a
-function of the point that performs the float operations of ``eval_float``.
+component is compiled once per plot (``symexpr.compile_float``) into a
+function of the point that performs the float operations of ``eval_float``;
+a field whose components are constants has one unit velocity.
 Opaque symbols must be bound to concrete symbol-free expressions before
 plotting; the symbolic modules never see any of this.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .calculus import VectorField
-from .symexpr import ZeroDenominator, as_expr, bind_symbol, compile_float
+from .symexpr import ZeroDenominator, as_expr, bind_symbol, compile_float, coordinates
 
 __all__ = ["PlotError", "Window", "bind_field", "integral_curve", "leaf_plot"]
 
@@ -83,54 +84,75 @@ def bind_field(field: VectorField, bindings: dict) -> VectorField:
     return VectorField.from_entries(chart, entries)
 
 
-def _velocity(fx, fy, x, y):
-    p = (x, y)
-    try:
-        vx = fx(p)
-        vy = fy(p)
-    except (ZeroDenominator, OverflowError, ValueError):
-        return None
-    norm = math.hypot(vx, vy)
-    if not math.isfinite(norm) or norm < 1e-12:
-        return None
-    return vx / norm, vy / norm
+def _unit_velocity(field: VectorField):
+    """The field's unit velocity as a function of (x, y): None at a pole, a
+    value beyond the float range or a length under 1e-12.  Each component is
+    compiled once; components with no coordinates give one velocity, taken
+    here and handed back at every point."""
+    names = field.chart.names
+    cx, cy = field.component(0), field.component(1)
+    fx, fy = compile_float(cx, names), compile_float(cy, names)
+
+    def unit(x, y):
+        p = (x, y)
+        try:
+            vx = fx(p)
+            vy = fy(p)
+        except (ZeroDenominator, OverflowError, ValueError):
+            return None
+        norm = math.hypot(vx, vy)
+        if not math.isfinite(norm) or norm < 1e-12:
+            return None
+        return vx / norm, vy / norm
+
+    if coordinates(cx) or coordinates(cy):
+        return unit
+    v = unit(0.0, 0.0)
+    return lambda x, y: v
 
 
-def _half_curve(fx, fy, start, window, steps, h, direction):
+def _half_curve(unit, start, window, steps, h, direction):
     pts = []
     x, y = start
     margin = 0.05 * max(window.width, window.height)
+    x_lo, x_hi = window.x0 - margin, window.x1 + margin
+    y_lo, y_hi = window.y0 - margin, window.y1 + margin
+    # the RK4 stage offsets c * h * direction, bit for bit: 1.0 * h is h
+    half, dh = 0.5 * h * direction, direction * h
     for _ in range(steps):
-        # the RK4 stages; a stage weight of 1.0 leaves h exact
-        ks = [_velocity(fx, fy, x, y)]
-        for c in (0.5, 0.5, 1.0):
-            if ks[-1] is None:
-                break
-            kx, ky = ks[-1]
-            ks.append(_velocity(fx, fy, x + c * h * direction * kx,
-                                y + c * h * direction * ky))
-        if ks[-1] is None:
+        k1 = unit(x, y)
+        if k1 is None:
             break
-        (k1x, k1y), (k2x, k2y), (k3x, k3y), (k4x, k4y) = ks
-        x += direction * h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        y += direction * h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
+        k2 = unit(x + half * k1[0], y + half * k1[1])
+        if k2 is None:
+            break
+        k3 = unit(x + half * k2[0], y + half * k2[1])
+        if k3 is None:
+            break
+        k4 = unit(x + dh * k3[0], y + dh * k3[1])
+        if k4 is None:
+            break
+        x += dh * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        y += dh * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
         if not (math.isfinite(x) and math.isfinite(y)):
             break
         pts.append((x, y))
-        if not window.contains(x, y, margin):
+        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
             break
     return pts
 
 
-def integral_curve(field: VectorField, start, window: Window, steps: int = 240):
-    """The leaf through `start`: unit-speed RK4 in both directions."""
-    names = field.chart.names
-    fx, fy = (compile_float(field.component(i), names) for i in (0, 1))
+def _leaf(unit, start, window: Window, steps: int):
     start = tuple(map(float, start))
     h = (window.width + window.height) / (2.0 * steps) * 4.0
-    backward = _half_curve(fx, fy, start, window, steps, h, -1.0)
-    forward = _half_curve(fx, fy, start, window, steps, h, +1.0)
+    backward = _half_curve(unit, start, window, steps, h, -1.0)
+    forward = _half_curve(unit, start, window, steps, h, +1.0)
     return list(reversed(backward)) + [start] + forward
+
+
+def integral_curve(field: VectorField, start, window: Window, steps: int = 240):
+    """The leaf through `start`: unit-speed RK4 in both directions."""
+    return _leaf(_unit_velocity(field), start, window, steps)
 
 
 def _seeds(window: Window, count: int):
@@ -193,8 +215,9 @@ def leaf_plot(f1: VectorField, f2: VectorField, window: Window = None,
             f'y2="{y_px:.2f}" stroke="#cccccc" stroke-width="0.8"/>'
         )
     for field, color in ((f1, "#1f77b4"), (f2, "#d62728")):
+        unit = _unit_velocity(field)
         for seed in _seeds(window, leaves):
-            pts = integral_curve(field, seed, window, steps)
+            pts = _leaf(unit, seed, window, steps)
             if len(pts) >= 2:
                 parts.append(_polyline(pts, to_px, color))
     parts.append("</svg>")

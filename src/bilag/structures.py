@@ -141,9 +141,11 @@ class BiLagStructure:
     `basis` is the combined frame (foliation-1 fields, then foliation-2
     fields); validate_bilagrangian hands over one that already holds the
     same-leaf structure functions its involutivity checks solved for.
+    `christoffels` keeps the foliation-frame connection in `_connection`.
     """
 
-    __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis")
+    __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis",
+                 "_connection")
 
     def __init__(self, omega: SymplecticForm, f1: tuple, f2: tuple,
                  adapted, report: ValidationReport, basis: FrameBasis):
@@ -155,6 +157,7 @@ class BiLagStructure:
         self.adapted = tuple(adapted)
         self.report = report
         self.basis = basis
+        self._connection = None
 
     @property
     def frame(self) -> tuple:
@@ -297,13 +300,15 @@ class Connection(FrameTable):
 
     `basis` is the FrameBasis over the frame, whose cached inverse and
     structure functions the connection shares; `entries` are
-    ((i, j, k), Gamma^k_{ij}) pairs.
+    ((i, j, k), Gamma^k_{ij}) pairs.  `curvature` keeps its table in
+    `_curvature`.
     """
 
-    __slots__ = ("basis", "_pairs")
+    __slots__ = ("basis", "_pairs", "_curvature")
 
     def __init__(self, basis: FrameBasis, entries):
         self.basis = basis
+        self._curvature = None
         super().__init__(basis.fields, 3, entries)
         # (i, j): the (k, Gamma^k_{ij}) with a nonzero normal form, k ascending
         self._pairs = {}
@@ -393,13 +398,16 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
     each Gamma is one dot.  The entries are handed over as they are
     formed, so only the nonzero ones are ever held at once.
 
-    The coordinate frame has no leaf structure; its symbols are the
-    foliation-frame connection re-expressed by a change of frame
-    (`Connection.in_coordinates`).
+    The foliation-frame connection is built once per structure and kept on
+    it.  The coordinate frame has no leaf structure; its symbols are that
+    connection re-expressed by a change of frame
+    (`Connection.in_coordinates`), on each call.
     """
     if frame not in ("foliation", "coordinate"):
         raise ValueError(f"unknown frame kind {frame!r}")
-    conn = Connection(s.basis, _foliation_christoffels(s))
+    if s._connection is None:
+        s._connection = Connection(s.basis, _foliation_christoffels(s))
+    conn = s._connection
     return conn if frame == "foliation" else conn.in_coordinates()
 
 
@@ -476,8 +484,11 @@ def curvature(conn: Connection) -> FrameTable:
     and j, so R^l_{jik} is the negated normal form and R^l_{iik} = 0.  Each
     term has a factor Gamma^._{jk}, Gamma^._{ik} or Gamma^._{sk} with
     c^s_{ij} nonzero, so only those k are visited, in ascending order.  The
-    table stores only the entries with a nonzero normal form.
+    table stores only the entries with a nonzero normal form, and is built
+    once per connection and kept on it.
     """
+    if conn._curvature is not None:
+        return conn._curvature
     n = len(conn.frame)
     # gam[i][j]: the (k, Gamma^k_{ij}) with a nonzero normal form
     gam = [[conn._pairs.get((i, j), ()) for j in range(n)] for i in range(n)]
@@ -501,7 +512,8 @@ def curvature(conn: Connection) -> FrameTable:
                 for l, val in acc.items():
                     entry = compact(val)
                     entries += (((i, j, k, l), entry), ((j, i, k, l), compact(-entry)))
-    return FrameTable(conn.frame, 4, entries)
+    conn._curvature = FrameTable(conn.frame, 4, entries)
+    return conn._curvature
 
 
 class FlatnessResult:
@@ -603,27 +615,26 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     Gamma^k_{ij} = G^{kl} Gamma_{ijl}, with the Christoffel symbols of the
     first kind  Gamma_{ijl} = (1/2)(d_i G_{jl} + d_j G_{il} - d_l G_{ij}).
     Both are symmetric in i and j, so each is formed once, for i <= j.
-    Each d_a G_bc is taken once, for the coordinates the nonzero G_bc
-    depend on, and summed into the three first-kind symbols it enters; only
+    Each d_a G_bc is taken once, only for the G_bc with coordinates and
+    only along those coordinates, in chart order, and summed into the three
+    first-kind symbols it enters; only
     the symbols with a term are compacted and raised, one dot against a row
     of G^{-1} per k.  This is the metric formula and reads only G, never the
     foliations or the Hess route, so it stays the independent oracle.
     """
     chart = para.chart
-    m = chart.dim
     G = para.G
     Ginv = sym_inverse([list(row) for row in G])
+    index = {name: a for a, name in enumerate(chart.names)}
     sums = {}
-    for b in range(m):
-        for c in range(m):
-            deps = coordinates(G[b][c])
-            for a, name in enumerate(chart.names):
-                if name in deps:
-                    d = diff(G[b][c], name)
-                    # d_a G_bc enters Gamma_{abc}, Gamma_{bac} and -Gamma_{bca}
-                    for key, term in (((a, b, c), d), ((b, a, c), d), ((b, c, a), -d)):
-                        if key[0] <= key[1]:
-                            sums[key] = sums.get(key, ZERO) + term
+    for b, row in enumerate(G):
+        for c, g in enumerate(row):
+            for a in sorted(index[name] for name in coordinates(g) if name in index):
+                d = diff(g, chart.names[a])
+                # d_a G_bc enters Gamma_{abc}, Gamma_{bac} and -Gamma_{bca}
+                for key, term in (((a, b, c), d), ((b, a, c), d), ((b, c, a), -d)):
+                    if key[0] <= key[1]:
+                        sums[key] = sums.get(key, ZERO) + term
     first = {}
     for (i, j, l), total in sorted(sums.items()):
         first.setdefault((i, j), {})[l] = compact(total / 2)

@@ -6,7 +6,8 @@ that its values agree bit for bit (under ``struct.pack("<d", ...)``, which
 tells -0.0 from 0.0 and compares nans) and its failures raise the same
 exception class.  The plotter's integrator is pinned the same way: a copy
 of its velocity and half-curve loop over the walk must give the points
-`integral_curve` gives.
+`integral_curve` gives, and a copy of the per-leaf compiling integrator it
+replaced must give the SVG bytes `leaf_plot` gives.
 """
 
 import math
@@ -17,8 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+from bilag import plot
 from bilag.calculus import Chart, VectorField
-from bilag.plot import Window, integral_curve
+from bilag.cli import find_scene
+from bilag.plot import Window, integral_curve, leaf_plot
+from bilag.scene import load_scene
 from bilag.symexpr import (
     Add,
     EvalError,
@@ -231,3 +235,138 @@ def test_integral_curve_stops_before_a_pole_on_its_path():
     got = integral_curve(field, (-1.0, 0.5), window, steps=128)
     assert packed(got) == packed(reference_curve(field, (-1.0, 0.5), window, 128))
     assert got[-1] == (-0.125, 0.5)
+
+
+# -- whole plots against the per-leaf compiling integrator ---------------------
+
+
+def per_leaf_velocity(fx, fy, x, y):
+    p = (x, y)
+    try:
+        vx = fx(p)
+        vy = fy(p)
+    except (ZeroDenominator, OverflowError, ValueError):
+        return None
+    norm = math.hypot(vx, vy)
+    if not math.isfinite(norm) or norm < 1e-12:
+        return None
+    return vx / norm, vy / norm
+
+
+def per_leaf_half_curve(fx, fy, start, window, steps, h, direction):
+    pts = []
+    x, y = start
+    margin = 0.05 * max(window.width, window.height)
+    for _ in range(steps):
+        ks = [per_leaf_velocity(fx, fy, x, y)]
+        for c in (0.5, 0.5, 1.0):
+            if ks[-1] is None:
+                break
+            kx, ky = ks[-1]
+            ks.append(per_leaf_velocity(fx, fy, x + c * h * direction * kx,
+                                        y + c * h * direction * ky))
+        if ks[-1] is None:
+            break
+        (k1x, k1y), (k2x, k2y), (k3x, k3y), (k4x, k4y) = ks
+        x += direction * h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        y += direction * h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
+        if not (math.isfinite(x) and math.isfinite(y)):
+            break
+        pts.append((x, y))
+        if not window.contains(x, y, margin):
+            break
+    return pts
+
+
+def per_leaf_curve(field, start, window, steps):
+    names = field.chart.names
+    fx, fy = (compile_float(field.component(i), names) for i in (0, 1))
+    start = tuple(map(float, start))
+    h = (window.width + window.height) / (2.0 * steps) * 4.0
+    backward = per_leaf_half_curve(fx, fy, start, window, steps, h, -1.0)
+    forward = per_leaf_half_curve(fx, fy, start, window, steps, h, +1.0)
+    return list(reversed(backward)) + [start] + forward
+
+
+def per_leaf_plot(monkeypatch, *args, **kwargs):
+    """leaf_plot with each leaf drawn by per_leaf_curve from the bound field."""
+    with monkeypatch.context() as m:
+        m.setattr(plot, "_unit_velocity", lambda field: field)
+        m.setattr(plot, "_leaf", per_leaf_curve)
+        return leaf_plot(*args, **kwargs)
+
+
+def scene_plot_args(name):
+    """The bundled scene's plot task as leaf_plot arguments."""
+    scene = load_scene(find_scene(name))
+    s = scene.structure()
+    args = dict(scene.task("figure").args)
+    kwargs = {"window": Window(*args.pop("window")), "leaves": args.pop("leaves"),
+              "steps": args.pop("steps")}
+    args.pop("out")
+    return (s.f1[0], s.f2[0]), dict(kwargs, bindings=args)
+
+
+def field(*components):
+    return VectorField(CH, components)
+
+
+PLOTS = {
+    "zero": ((field(ZERO, ZERO), field(ONE, X)), {}),
+    "huge constant": ((field(Rat(10**400), ONE), field(ONE, ONE)), {}),
+    # a constant that is not a literal: its trees have the coordinate x
+    "non-literal constant": ((field((X + ONE) - X, ZERO), field(ZERO, ONE)), {}),
+    "pole": ((field(ONE, ONE / X), field(ONE / (Y - X), ONE)), {"leaves": 5}),
+    "nonsquare window": ((field(Y, -X), field(ONE, 2 * X)),
+                         {"window": Window(-3.0, 1.0, -0.25, 0.5), "leaves": 4, "steps": 90}),
+}
+
+
+@pytest.mark.parametrize("name", ["standard", "parabola", *PLOTS])
+def test_leaf_plot_matches_the_per_leaf_integrator(name, monkeypatch):
+    fields, kwargs = scene_plot_args(name) if name in ("standard", "parabola") else PLOTS[name]
+    assert leaf_plot(*fields, **kwargs) == per_leaf_plot(monkeypatch, *fields, **kwargs)
+
+
+def counted_compile(monkeypatch):
+    """Spy on plot's compile_float: the fields compiled and, per compiled
+    function, how often it ran."""
+    compiled, runs = [], []
+
+    def compile_spy(e, names):
+        f = compile_float(e, names)
+        compiled.append(e)
+        runs.append(0)
+        index = len(runs) - 1
+
+        def run(p):
+            runs[index] += 1
+            return f(p)
+        return run
+
+    monkeypatch.setattr(plot, "compile_float", compile_spy)
+    return compiled, runs
+
+
+@pytest.mark.parametrize("leaves", [1, 9])
+def test_each_field_is_compiled_once_per_plot(leaves, monkeypatch):
+    compiled, _ = counted_compile(monkeypatch)
+    (f1, f2), kwargs = scene_plot_args("parabola")
+    leaf_plot(f1, f2, **dict(kwargs, leaves=leaves))
+    assert len(compiled) == 4  # two components for each of the two fields
+    leaf_plot(f1, f2, **dict(kwargs, leaves=leaves))
+    assert len(compiled) == 8
+
+
+@pytest.mark.parametrize("components, constant_runs", [
+    ((ONE, ZERO), [1, 1]),
+    ((ZERO, ZERO), [1, 1]),
+    # the first component overflows, so the second never runs
+    ((Rat(10**400), ONE), [1, 0]),
+])
+def test_a_constant_field_is_evaluated_once_per_plot(components, constant_runs, monkeypatch):
+    compiled, runs = counted_compile(monkeypatch)
+    leaf_plot(field(*components), field((X + ONE) - X, X), leaves=9, steps=60)
+    assert len(compiled) == 4
+    assert runs[:2] == constant_runs
+    assert min(runs[2:]) > 9  # the field with coordinates, at every RK4 stage
