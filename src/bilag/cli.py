@@ -16,6 +16,8 @@ An operation's flags are its task arguments, generated from
 ``plot`` takes ``out`` as ``--out`` and each symbol binding as ``--bind``.
 ``scene.make_task`` reads the flags' values once, as it reads a task
 line's, so a value is refused with the message the task line gets.
+A subcommand builds only its own flags; its help and errors are the same
+as with every subcommand built.
 
 Common flags: ``--scene`` (a path, or the name of a bundled scene),
 ``--format text|machine``, ``--out`` (report destination; for ``plot``,
@@ -58,8 +60,8 @@ def bundled_scene_dir() -> str:
 
 
 def find_scene(spec: str) -> str:
-    """Resolve a --scene value: a real path, or the name of a bundled scene."""
-    if os.path.exists(spec):
+    """Resolve a --scene value: a path but not a directory, or a bundled scene's name."""
+    if os.path.exists(spec) and not os.path.isdir(spec):
         return spec
     base = spec if spec.endswith(".scene") else spec + ".scene"
     candidate = os.path.join(bundled_scene_dir(), base)
@@ -85,13 +87,19 @@ def _add_flags(p: argparse.ArgumentParser, flags: dict):
                        help=(arg.help or arg.kind) + default)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (*OPERATIONS, "report")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command``'s alone; its usage still
+    names them all, as the 'unrecognized arguments' error prints it."""
     parser = argparse.ArgumentParser(
         prog="bilag",
         description="Construct and verify bi-Lagrangian structures on coordinate charts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for op in (*OPERATIONS, "report"):
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_COMMANDS) if command else None)
+    for op in (command,) if command else _COMMANDS:
         p = sub.add_parser(op, help=f"run the {op} operation on a scene" if op in _TASK_ARGS
                            else "run tasks declared in the scene file")
         p.add_argument("--scene", required=True, help="scene file path or bundled scene name")
@@ -169,8 +177,10 @@ def _emit(report: SceneReport, args, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_values(parser, sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # every token after a leading command goes to its subparser; other argv get the full tree
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(_attach_values(parser, argv))
     try:
         flags = {key: arg.read(f"--{key}", raw) for key, arg in _COMMON_ARGS.items()
                  if (raw := getattr(args, key.replace("-", "_"))) is not None}

@@ -26,7 +26,7 @@ from .calculus import (
     sym_det,
     sym_inverse,
 )
-from .symexpr import Expr, ONE, ZERO, Var, as_expr, compact, diff, dot, equal_zero
+from .symexpr import Expr, ONE, Rat, ZERO, Var, as_expr, compact, diff, dot, equal_zero
 
 __all__ = [
     "SymplecticError",
@@ -56,6 +56,8 @@ def pfaffian(matrix) -> Expr:
     total = ZERO
     for j in range(1, m):
         entry = matrix[0][j]
+        if entry.__class__ is Rat and entry.value == 0:
+            continue  # the term is ZERO, and adding it rebuilds the same sum
         keep = [i for i in range(1, m) if i != j]
         minor = [[matrix[a][b] for b in keep] for a in keep]
         term = entry * pfaffian(minor)

@@ -1,6 +1,7 @@
 """Scene files, task execution, machine reports, and the command line."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -947,3 +948,16 @@ def test_find_scene_variants(tmp_path):
     copied = tmp_path / "local.scene"
     copied.write_text(MINIMAL)
     assert str(find_scene(str(copied))) == str(copied)
+
+
+def test_directory_does_not_hide_bundled_scene(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "standard").mkdir()
+    assert find_scene("standard") == find_scene("standard.scene") != "standard"
+    assert main(["validate", "--scene", "standard"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--scene", "missing/standard.scene"]) == 2
+    assert capsys.readouterr().err == (
+        "bilag: no such scene file or bundled scene: 'missing/standard.scene'\n")
+    # a path that is neither a file nor a directory is still a path
+    assert find_scene(os.devnull) == os.devnull

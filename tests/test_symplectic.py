@@ -1,8 +1,11 @@
 """Symplectic forms, Hamiltonian fields, Poisson brackets, bundle forms."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from bilag import symexpr
+from bilag import symexpr, symplectic
 from bilag.calculus import (
     Chart,
     KForm,
@@ -13,7 +16,12 @@ from bilag.calculus import (
 from bilag.symexpr import (
     ONE,
     ZERO,
+    Add,
+    JetVar,
     OpaqueSymbol,
+    Pow,
+    Rat,
+    Var,
     as_expr,
     check_stream,
     equal_zero,
@@ -28,6 +36,7 @@ from bilag.symplectic import (
     trivial_bundle_symplectic,
     validate_symplectic,
 )
+from test_structures import STRUCTURES, lifted
 
 CH = Chart(("x", "y"))
 X, Y = CH.coords()
@@ -232,3 +241,93 @@ class TestPfaffian:
 
     def test_two_by_two(self):
         assert equal_zero(pfaffian([[ZERO, Y], [-Y, ZERO]]) - Y)
+
+
+def _expansion_without_skips(matrix):
+    """Reference: the first-row expansion that recurses into the minor of
+    every entry, a literal zero included."""
+    m = len(matrix)
+    if m % 2 == 1:
+        return ZERO
+    if m == 0:
+        return ONE
+    if m == 2:
+        return matrix[0][1]
+    total = ZERO
+    for j in range(1, m):
+        keep = [i for i in range(1, m) if i != j]
+        term = matrix[0][j] * _expansion_without_skips([[matrix[a][b] for b in keep] for a in keep])
+        total = total + term if j % 2 == 1 else total - term
+    return total
+
+
+def _tree(e):
+    """The node classes and leaves of an expression tree, nested."""
+    if isinstance(e, Rat):
+        return ("Rat", e.value)
+    if isinstance(e, (Var, JetVar)):
+        return (type(e).__name__, e.name)
+    if isinstance(e, Pow):
+        return ("Pow", _tree(e.base), e.exponent)
+    children = e.terms if isinstance(e, Add) else e.factors
+    return (type(e).__name__, tuple(_tree(c) for c in children))
+
+
+def _seeded_antisymmetric(seed, m):
+    rng = random.Random(seed)
+    pool = [ZERO, ZERO, ZERO, Y - Y, (X + ONE) - X, ONE, as_expr(-2), X, X * Y,
+            as_expr(Fraction(3, 2)) * Y, X - Y]
+    mat = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            mat[i][j] = rng.choice(pool)
+            mat[j][i] = -mat[i][j]
+    return mat
+
+
+class TestPfaffianSkipsLiteralZeros:
+    """`pfaffian` passes over a literal-zero entry of the first row and
+    returns the tree the full expansion builds, node class for node class."""
+
+    def assert_same_tree(self, mat):
+        new, old = pfaffian(mat), _expansion_without_skips(mat)
+        assert str(new) == str(old)
+        assert _tree(new) == _tree(old)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("dim", [None, 4, 8])
+    def test_structure_omegas(self, name, dim):
+        s = STRUCTURES[name]()
+        if dim is not None:
+            if s.chart.dim > dim:
+                pytest.skip(f"{name} is already above dim {dim}")
+            s = lifted(s, dim)
+        self.assert_same_tree(s.omega.matrix)
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_matrices(self, m, seed):
+        self.assert_same_tree(_seeded_antisymmetric(seed, m))
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 5])
+    def test_odd_and_empty(self, m):
+        self.assert_same_tree(_seeded_antisymmetric(0, m))
+        assert pfaffian(_seeded_antisymmetric(0, m)) is (ONE if m == 0 else ZERO)
+
+    def test_literal_zero_row_does_not_recurse(self, monkeypatch):
+        calls = []
+        inner = symplectic.pfaffian
+        monkeypatch.setattr(symplectic, "pfaffian", lambda mat: calls.append(len(mat)) or inner(mat))
+        assert symplectic.pfaffian([[ZERO] * 8 for _ in range(8)]) is ZERO
+        assert calls == [8]
+
+    def test_non_literal_zero_recurses(self, monkeypatch):
+        mat = _seeded_antisymmetric(0, 4)
+        mat[0] = [ZERO, Y - Y, ZERO, ZERO]
+        mat[1][0] = -(Y - Y)
+        calls = []
+        inner = symplectic.pfaffian
+        monkeypatch.setattr(symplectic, "pfaffian", lambda mat: calls.append(len(mat)) or inner(mat))
+        symplectic.pfaffian(mat)
+        assert calls == [4, 2]
+        self.assert_same_tree(mat)
