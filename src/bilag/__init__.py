@@ -4,9 +4,9 @@ A bi-Lagrangian structure on a 2n-dimensional coordinate chart is a
 symplectic form together with two transversal Lagrangian foliations.  This
 package builds such structures exactly (rational arithmetic, opaque
 function symbols with formal jets), computes their canonical connection
-with its torsion and curvature, the para-Kahler companion (G, F),
-pushforwards along symplectomorphisms, and lifts of everything to the
-trivial bundle M x R^2n — plus a scene-file CLI and SVG leaf plots.
+and its curvature, the para-Kahler companion (G, F), pushforwards along
+symplectomorphisms, and lifts of everything to the trivial bundle M x R^2n
+— plus a scene-file CLI and SVG leaf plots.
 
 Layers, lowest first:
 
@@ -102,7 +102,6 @@ from .structures import (
     push_paracomplex,
     push_structure,
     split,
-    torsion,
     validate_bilagrangian,
 )
 from .lift import (

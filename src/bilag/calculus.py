@@ -19,8 +19,8 @@ A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
 
 A `FrameBasis` caches a full frame's matrix, inverse and structure
-functions; those functions, and a connection with its torsion and
-curvature, are sparse `FrameTable`s holding only their nonzero entries.
+functions; those functions, and a connection and its curvature, are
+sparse `FrameTable`s holding only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -951,10 +951,10 @@ class FrameTable:
     """A sparse table of frame coefficients, `rank` indices deep: `entries`
     maps each index tuple whose entry has a nonzero normal form to that
     entry, in lexicographic order.  It is built from (index tuple, entry)
-    pairs in any order.  The structure functions, a connection and its
-    torsion are rank-3 tables: c[i][j][k] is the k-th frame coefficient of
-    [E_i, E_j], T[i][j][k] that of T(E_i, E_j).  A curvature table has rank
-    4, R[i][j][k][l] the l-th frame coefficient of R(E_i, E_j) E_k.
+    pairs in any order.  The structure functions and a connection are
+    rank-3 tables: c[i][j][k] is the k-th frame coefficient of [E_i, E_j],
+    Gamma[i][j][k] that of nabla_{E_i} E_j.  A curvature table has rank 4,
+    R[i][j][k][l] the l-th frame coefficient of R(E_i, E_j) E_k.
     """
 
     __slots__ = ("frame", "rank", "entries")

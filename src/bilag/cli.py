@@ -25,7 +25,8 @@ the SVG destination), ``--max-dim`` (chart-dimension cap for iterated
 lifts), ``--seed`` (seed of the randomized zero-test cross-check).
 
 Exit status: 0 when every verdict passes, 1 when any task fails or
-errors, 2 for unusable input (bad scene file, bad flags or flag values).
+errors, 2 for unusable input (bad scene file, bad flags or flag values)
+or a report destination that cannot be written.
 """
 
 from __future__ import annotations
@@ -186,18 +187,17 @@ def main(argv=None) -> int:
                  if (raw := getattr(args, key.replace("-", "_"))) is not None}
         if "seed" in flags:
             set_check_seed(flags["seed"])
-        options = {"max_dim": flags["max-dim"]}
         scene = load_scene(find_scene(args.scene))
         if args.command == "report":
-            report = run_tasks(scene, args.task, **options)
+            report = run_tasks(scene, args.task, flags["max-dim"])
         else:
             task = _adhoc_task(args, scene.chart)
             _check_references(task, scene.maps)
-            report = SceneReport(scene, [run_task(scene, task, **options)])
+            report = SceneReport(scene, [run_task(scene, task, flags["max-dim"])])
+        _emit(report, args, flags["format"])
     except (SceneError, OSError) as exc:
         print(f"bilag: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args, flags["format"])
     return 0 if report.ok else 1
 
 

@@ -155,14 +155,16 @@ def iterate_lift(s: BiLagStructure, k: int, max_dim: int = DEFAULT_MAX_DIM) -> B
         raise ValueError("lift count must be non-negative")
     current = s
     for step in range(k):
-        target = 2 * current.chart.dim
-        if target > max_dim:
-            raise LiftError(
-                f"lift {step + 1} of {k} needs a {target}-dimensional chart, "
-                f"above the cap of {max_dim}; raise max_dim to proceed"
-            )
-        current = lift_structure(current)
+        current = _lift_step(current, step, k, max_dim)
     return current
+
+
+def _lift_step(s: BiLagStructure, step: int, k: int, max_dim: int, fiber_names=None):
+    """lift_structure(s, fiber_names) as lift step + 1 of k; LiftError past max_dim."""
+    if 2 * s.chart.dim > max_dim:
+        raise LiftError(f"lift {step + 1} of {k} needs a {2 * s.chart.dim}-dimensional chart, "
+                        f"above the cap of {max_dim}; raise max_dim to proceed")
+    return lift_structure(s, fiber_names)
 
 
 class LiftedMap:

@@ -50,8 +50,8 @@ from .calculus import (
     wedge,
 )
 from .lift import (
+    _lift_step,
     iterate_lift,
-    lift_structure,
     lifted_action_check,
     DEFAULT_MAX_DIM,
 )
@@ -439,8 +439,11 @@ def loads(text: str, name: str = "<scene>") -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from None
     return loads(text, name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
@@ -660,7 +663,7 @@ def _checks_payload(report):
     return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks]
 
 
-def _run_validate(scene, task, options):
+def _run_validate(scene, task, max_dim):
     try:
         s = scene.structure()
     except BiLagError as exc:
@@ -680,7 +683,7 @@ def _run_validate(scene, task, options):
     return "pass", payload, messages
 
 
-def _run_hess(scene, task, options):
+def _run_hess(scene, task, max_dim):
     s = scene.structure()
     labels = scene.frame_labels()
     fields = s.frame
@@ -699,7 +702,7 @@ def _run_hess(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_christoffels(scene, task, options):
+def _run_christoffels(scene, task, max_dim):
     frame_kind = task.args["frame"]
     s = scene.structure()
     conn = christoffels(s, frame_kind)
@@ -723,7 +726,7 @@ def _run_christoffels(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_curvature(scene, task, options):
+def _run_curvature(scene, task, max_dim):
     s = scene.structure()
     curv = curvature(christoffels(s))
     entries = _curvature_payload(len(curv.frame), curv.entries.items())
@@ -734,7 +737,7 @@ def _run_curvature(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_flat(scene, task, options):
+def _run_flat(scene, task, max_dim):
     s = scene.structure()
     result = is_flat(s)
     payload = {"flat": result.flat,
@@ -749,7 +752,7 @@ def _run_flat(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_para(scene, task, options):
+def _run_para(scene, task, max_dim):
     s = scene.structure()
     para = para_structure(s)
     payload = {"F": _matrix_payload(para.F), "G": _matrix_payload(para.G)}
@@ -757,7 +760,7 @@ def _run_para(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_push(scene, task, options):
+def _run_push(scene, task, max_dim):
     s = scene.structure()
     psi = scene.maps[task.args["map"]]
     pushed = push_structure(psi, s)
@@ -771,15 +774,14 @@ def _run_push(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_lift(scene, task, options):
+def _run_lift(scene, task, max_dim):
     k = task.args["k"]
     fibers = task.args.get("fibers")
     s = scene.structure()
-    max_dim = options.get("max_dim", DEFAULT_MAX_DIM)
     if fibers is not None:
         if k != 1:
             raise SceneError(f"task {task.name!r}: explicit fibers only apply to k=1")
-        lifted = lift_structure(s, fibers)
+        lifted = _lift_step(s, 0, 1, max_dim, fibers)
     else:
         lifted = iterate_lift(s, k, max_dim)
     payload = {"k": k, "lifted": _structure_payload(lifted)}
@@ -791,7 +793,7 @@ def _run_lift(scene, task, options):
     return "computed", payload, messages
 
 
-def _run_act_check(scene, task, options):
+def _run_act_check(scene, task, max_dim):
     s = scene.structure()
     psi = scene.maps[task.args["map"]]
     result = lifted_action_check(psi, s)
@@ -811,12 +813,12 @@ def _run_act_check(scene, task, options):
     return status, payload, messages
 
 
-def _run_plot(scene, task, options):
+def _run_plot(scene, task, max_dim):
     s = scene.structure()
     args = task.args
     bindings = {key: e for key, e in args.items() if key not in _TASK_ARGS["plot"]}
     window = Window(*args["window"])
-    out = options.get("out") or args.get("out")
+    out = args.get("out")
     if not out:
         raise SceneError(f"task {task.name!r}: plot needs out=PATH or --out")
     svg = leaf_plot(s.f1[0], s.f2[0], window,
@@ -841,9 +843,9 @@ _RUNNERS = {
 }
 
 
-
-def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
-    """Run one task; operation failures become fail/error outcomes.
+def run_task(scene: Scene, task: Task, max_dim: int = DEFAULT_MAX_DIM) -> TaskOutcome:
+    """Run one task; operation failures become fail/error outcomes.  A lift
+    task's chart may grow to max_dim dimensions.
 
     The task's zero tests draw their points from a stream derived from the
     check seed and the task's name, so a task alone draws the same points as
@@ -853,7 +855,7 @@ def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
     start = time.perf_counter()
     try:
         with check_stream(task.name):
-            status, payload, messages = runner(scene, task, options)
+            status, payload, messages = runner(scene, task, max_dim)
     except BiLagError as exc:
         status, payload = "fail", {"checks": _checks_payload(exc.report)}
         messages = [repr(c) for c in exc.report.failures()]
@@ -865,10 +867,10 @@ def run_task(scene: Scene, task: Task, **options) -> TaskOutcome:
     return TaskOutcome(task.name, task.operation, status, payload, messages, ms)
 
 
-def run_tasks(scene: Scene, names=None, **options) -> SceneReport:
+def run_tasks(scene: Scene, names=None, max_dim: int = DEFAULT_MAX_DIM) -> SceneReport:
     """Run the named tasks (default: all declared tasks, in order)."""
     if names is None:
         tasks = list(scene.tasks)
     else:
         tasks = [scene.task(n) for n in names]
-    return SceneReport(scene, [run_task(scene, t, **options) for t in tasks])
+    return SceneReport(scene, [run_task(scene, t, max_dim) for t in tasks])

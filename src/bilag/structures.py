@@ -24,10 +24,10 @@ Christoffel symbols and structure functions, for i < j only, and fills
 R(E_j, E_i) by negation.
 
 Each operation takes one input shape.  A `Connection` is built over the
-`FrameBasis` of its frame, `torsion` and `curvature` take a `Connection`,
-and all three results are sparse `FrameTable`s (rank 3, 3 and 4), as are
-the basis's structure functions.  A structure's foliations `f1` and `f2`
-are plain tuples of frame fields.
+`FrameBasis` of its frame, `curvature` takes a `Connection`, and both are
+sparse `FrameTable`s (rank 3 and 4), as are the basis's structure
+functions.  A structure's foliations `f1` and `f2` are plain tuples of
+frame fields.
 
 A structure optionally carries "adapted functions": 2n scalar functions
 (p_1..p_n, q_1..q_n) whose level sets straighten the two foliations (the
@@ -78,7 +78,6 @@ __all__ = [
     "d_map",
     "hess_nabla",
     "christoffels",
-    "torsion",
     "curvature",
     "is_flat",
     "para_structure",
@@ -443,16 +442,6 @@ def _foliation_christoffels(s: BiLagStructure):
     for (i, j, k), c in struct.items():
         if i // n != j // n == k // n:
             yield (i, j, k), c
-
-
-def torsion(conn: Connection) -> FrameTable:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij} (structure functions c)."""
-    g, c = conn.coefficient, conn.basis.structure.coefficient
-    n = len(conn.frame)
-    return FrameTable(conn.frame, 3, (
-        ((i, j, k), compact(g(i, j, k) - g(j, i, k) - c(i, j, k)))
-        for i in range(n) for j in range(n) if i != j for k in range(n)
-    ))
 
 
 def _curvature_terms(fields, gam, struct, i, j, k):

@@ -28,13 +28,16 @@ from bilag.structures import (
     push_connection,
     push_structure,
 )
+from bilag.symexpr import ZERO
 from test_elimination import _workloads
 from test_structures import (
+    NATIVE_DIM,
     STRUCTURES,
     curved_structure,
     lifted,
     parabola_structure,
     standard_structure,
+    torsion_witnesses,
 )
 
 
@@ -138,6 +141,32 @@ def test_frame_formula_matches_the_d_map_route_on_the_transport_pushes(seed, ind
     assert_same_connection(lifted(transport_push(seed, index), dim))
 
 
+@pytest.mark.parametrize("name, dim", [(name, dim) for name in sorted(STRUCTURES)
+                                       for dim in (2, 4, 8, 16) if dim >= NATIVE_DIM[name]])
+def test_torsion_free_on_the_pool_and_its_lifts(name, dim):
+    assert torsion_witnesses(christoffels(lifted(STRUCTURES[name](), dim))) == []
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_torsion_free_on_the_transport_pushes(index):
+    assert torsion_witnesses(christoffels(transport_push(1, index))) == []
+
+
+@pytest.mark.parametrize("name", ["rescaled", "noncommuting-dim4"])
+def test_torsion_check_fails_on_a_mutated_cross_entry(name):
+    # T(E_i, E_j) reads Gamma^k_ij and Gamma^k_ji once each, so negating or
+    # dropping one stored entry with i != j leaves exactly that pair torsioned
+    conn = christoffels(STRUCTURES[name]())
+    mixed = [idx for idx in conn.entries if idx[0] != idx[1]]
+    assert mixed
+    for target in mixed:
+        i, j, _ = target
+        for mutate in (lambda g: -g, lambda g: ZERO):
+            bad = Connection(conn.basis, ((idx, mutate(g) if idx == target else g)
+                                          for idx, g in conn.entries.items()))
+            assert torsion_witnesses(bad) == [(min(i, j), max(i, j))], target
+
+
 class TestCurvedFamily:
     """omega = (1 + y^2) dx^dy with F1 = <d/dx + 2x d/dy>, F2 = <d/dy>: a
     structure that is not flat, and its pushes by the transport maps."""
@@ -145,6 +174,9 @@ class TestCurvedFamily:
     def test_christoffel_symbols(self):
         assert repr(christoffels(curved_structure())) == (
             "Connection(Gamma^1_11 = 4*x*y/(y^2 + 1); Gamma^2_22 = 2*y/(y^2 + 1))")
+
+    def test_torsion_free(self):
+        assert torsion_witnesses(christoffels(curved_structure())) == []
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_not_flat_and_agrees_with_the_oracle(self, dim):

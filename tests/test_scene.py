@@ -501,10 +501,27 @@ class TestRunTasks:
         assert report.outcomes[0].status == "error"
         assert "max_dim" in report.outcomes[0].messages[0]
 
+    @pytest.mark.parametrize("task", ["lift", "lift fibers=a,b"])
+    def test_lift_with_and_without_fibers_respects_max_dim(self, task):
+        scene = loads(MINIMAL + f"task up: {task}\n")
+        outcome = run_task(scene, scene.task("up"), max_dim=2)
+        assert outcome.status == "error"
+        assert outcome.messages == [
+            "LiftError: lift 1 of 1 needs a 4-dimensional chart, above the cap of 2; "
+            "raise max_dim to proceed"]
+        assert run_task(scene, scene.task("up"), max_dim=4).status == "computed"
+
+    def test_run_task_takes_no_other_option(self):
+        scene = loads(MINIMAL)
+        with pytest.raises(TypeError):
+            run_task(scene, scene.task("check"), out="elsewhere.svg")
+        with pytest.raises(TypeError):
+            run_tasks(scene, out="elsewhere.svg")
+
     def test_plot_task_writes_svg(self, tmp_path):
-        scene = loads(MINIMAL + "task figure: plot\n")
         out = tmp_path / "leaves.svg"
-        outcome = run_task(scene, scene.task("figure"), out=str(out))
+        scene = loads(MINIMAL + f"task figure: plot out={out}\n")
+        outcome = run_task(scene, scene.task("figure"))
         assert outcome.status == "computed"
         content = out.read_text()
         assert content.startswith("<svg")
@@ -515,7 +532,9 @@ class TestRunTasks:
         assert outcome.status == "error"
 
     def test_task_arguments_are_read_once_at_load(self, monkeypatch, tmp_path):
-        # count every call of a table parser and of the binding parser
+        # count every call of a table parser and of the binding parser; the
+        # task's own out=parabola.svg lands in tmp_path
+        monkeypatch.chdir(tmp_path)
         calls = []
 
         def counted(parse):
@@ -537,7 +556,7 @@ class TestRunTasks:
         assert type(args["leaves"]) is int and type(args["steps"]) is int
         assert calls.count("parabola.svg") == 1
         calls.clear()
-        outcome = run_task(scene, scene.task("figure"), out=str(tmp_path / "p.svg"))
+        outcome = run_task(scene, scene.task("figure"))
         assert outcome.status == "computed"
         assert calls == []
 
@@ -882,6 +901,34 @@ class TestCli:
         assert code == 0
         data = json.loads(target.read_text())
         assert data["ok"] is True
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code = main(["validate", "--scene", "standard", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("bilag: ") and captured.err.count("\n") == 1
+        assert str(target) in captured.err
+
+    def test_scene_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bytes.scene"
+        path.write_bytes(b"chart: x y\n\xff\xfe omega: dy^dx\n")
+        with pytest.raises(SceneError, match="not UTF-8 text"):
+            load_scene(path)
+        code = main(["validate", "--scene", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"bilag: {path}: not UTF-8 text: byte 11 cannot be decoded\n"
+
+    @pytest.mark.parametrize("fibers", [[], ["--fibers", "a,b"]])
+    def test_lift_cap_holds_with_and_without_fibers(self, capsys, fibers):
+        code = main(["lift", "--scene", "parabola", *fibers, "--max-dim", "2"])
+        assert code == 1
+        assert ("LiftError: lift 1 of 1 needs a 4-dimensional chart, above the cap of 2"
+                in capsys.readouterr().out)
+        assert main(["lift", "--scene", "parabola", *fibers, "--max-dim", "4"]) == 0
 
     def test_lift_cap_exit_code(self, capsys):
         code = main(["lift", "--scene", "standard", "--k", "4"])

@@ -1,4 +1,4 @@
-"""The sparse frame tables: the structure functions c, Gamma, T and R store
+"""The sparse frame tables: the structure functions c, Gamma and R store
 only their nonzero entries."""
 
 import itertools
@@ -13,14 +13,12 @@ from bilag.structures import (
     is_flat,
     levi_civita_oracle,
     para_structure,
-    torsion,
 )
 from bilag.symexpr import ONE, ZERO, compact, is_zero
 from test_frame_formula import transport_push
-from test_structures import STRUCTURES, dense_curvature, lifted, parabola_structure
+from test_structures import NATIVE_DIM, STRUCTURES, dense_curvature, lifted, parabola_structure
 
 # every pool structure at its own dimension and lifted to dims 4 and 8
-NATIVE_DIM = {name: make().chart.dim for name, make in STRUCTURES.items()}
 CASES = [(name, dim) for name in sorted(STRUCTURES) for dim in (2, 4, 8)
          if dim >= NATIVE_DIM[name]]
 
@@ -35,7 +33,6 @@ def tables(s):
         "structure": s.basis.structure,
         "gamma": conn,
         "gamma-coordinate": christoffels(s, "coordinate"),
-        "torsion": torsion(conn),
         "curvature": curvature(conn),
         "oracle": levi_civita_oracle(para_structure(s)),
     }
