@@ -9,12 +9,12 @@ Conventions fixed throughout the package:
   construction (round trip to the identity, nonvanishing Jacobian
   determinant).
 
-Linear algebra is exact: one forward-elimination kernel over the
-rational-function field, which updates the rows with `NormalForm`
-arithmetic, one multiplier per eliminated row, and never scales a pivot
-row, plus back substitution, serves solves, inverses, rank and span tests.
-A determinant is taken block by block from the matrix's block-triangular
-form: blocks of one or two rows directly, larger ones by the same kernel.
+Linear algebra is exact, over the rational-function field.  Square
+routines (determinants, solves, inverses) go block by block over the
+matrix's block-triangular form; a block larger than one row (two, for a
+determinant) goes to the one forward-elimination kernel, which updates
+rows with `NormalForm` arithmetic and never scales a pivot row, and to
+back substitution.  Rank and span tests eliminate the whole field matrix.
 A frame that is singular only on a measure-zero set is usable away from
 it, with its determinant showing up in denominators.
 
@@ -70,6 +70,7 @@ __all__ = [
     "FrameBasis",
     "frame_rank_full",
     "component_matrix",
+    "sparse_rows",
     "sym_det",
     "sym_solve",
     "sym_inverse",
@@ -252,6 +253,11 @@ def coordinate_frame(chart: Chart):
     return tuple(VectorField.from_entries(chart, ((i, ONE),)) for i in range(chart.dim))
 
 
+def sparse_rows(matrix) -> list:
+    """Each row as a dict of its entries that are not the literal 0, by column."""
+    return [{j: e for j, e in enumerate(row) if not _literal_zero(e)} for row in matrix]
+
+
 def component_matrix(fields) -> list:
     """The dense matrix, as fresh row lists, whose column j holds the
     components of fields[j]."""
@@ -343,19 +349,9 @@ class KForm:
         """For a 2-form: the full antisymmetric coefficient matrix."""
         if self.degree != 2:
             raise DegreeError("matrix() requires a 2-form")
-        m = self.chart.dim
-        rows = []
-        for a in range(m):
-            row = []
-            for b in range(m):
-                if a == b:
-                    row.append(ZERO)
-                elif a < b:
-                    row.append(self.coeffs.get((a, b), ZERO))
-                else:
-                    row.append(-self.coeffs.get((b, a), ZERO))
-            rows.append(tuple(row))
-        return tuple(rows)
+        m, c = self.chart.dim, self.coeffs
+        return tuple(tuple(ZERO if a == b else c.get((a, b), ZERO) if a < b
+                           else -c.get((b, a), ZERO) for b in range(m)) for a in range(m))
 
     def __str__(self):
         if not self.coeffs:
@@ -647,28 +643,21 @@ def _entry_tree(e) -> Expr:
 def _eliminate(rows, ncols):
     """Forward elimination in place over the first `ncols` columns.
 
-    Columns past `ncols` are augmented columns and ride along.  The rows not
-    yet used as pivots are scanned in original row order: a pivot row leaves
+    Columns past `ncols` are augmented and ride along.  The rows not yet
+    used as pivots are scanned in original row order; a pivot row leaves
     the scan, and no row moves.  A column's pivot is the first nonzero
-    rational constant in scan order, otherwise the first nonzero entry; a
-    column without one is skipped.  An entry is a rational constant when its
-    tree is a `Rat`: `(x + 1) - x` is not one while it is untouched.  Each
-    row that is nonzero in the pivot column is eliminated with one
-    multiplier, row[col] / pivot, formed once: its pivot-column entry
-    becomes 0, every later entry becomes its normal form, and where the
-    pivot row's entry p is nonzero, the form of entry - multiplier * p.  The
-    pivot row itself is never scaled.
-
-    Every update is `NormalForm` arithmetic, whose constant shortcuts keep
-    constants as plain rationals; the kernel keeps no arithmetic of its
-    own.  Each entry's form is taken at most once, and the rows hold each
-    touched entry as its form.
-    `_entry_form` and `_entry_tree` read any entry; the tree of a touched
-    entry is the canonical tree of its form.
-
-    The square routines return canonical trees of their values, so which
-    rows pivot shows only in a failed span test: its witness, and the
-    zero-test draws of its residuals.
+    rational constant in scan order (an entry whose tree is a `Rat`:
+    `(x + 1) - x` is not one while untouched), otherwise the first nonzero
+    entry; a column without one is skipped.  Each row nonzero in the pivot
+    column is eliminated with one multiplier, row[col] / pivot: its
+    pivot-column entry becomes 0, every later entry its normal form, and,
+    where the pivot row's entry p is nonzero, the form of entry -
+    multiplier * p.  The pivot row is never scaled.  Every update is
+    `NormalForm` arithmetic; each entry's form is taken at most once, and
+    the rows hold each touched entry as its form, which `_entry_form` and
+    `_entry_tree` read.  Square routines return canonical trees of their
+    values, so which rows pivot shows only in a failed span test: its
+    witness, and the zero-test draws of its residuals.
 
     Returns the pivots as (column, row, pivot form) in column order, and the
     unused rows in original order.
@@ -709,13 +698,10 @@ def _eliminate(rows, ncols):
 
 
 def _back_substitute(rows, pivots, ncols):
-    """Solve an eliminated system for every augmented column.
-
-    Each unknown is (augmented entry - the later unknowns times their row
-    entries) / pivot, on normal forms.  Returns one list per unknown,
-    indexed by column, holding the canonical tree of its value for each
-    augmented column; unknowns without a pivot are 0.
-    """
+    """Solve an eliminated system for every augmented column: each unknown
+    is (augmented entry - the later unknowns times their row entries) /
+    pivot, on normal forms.  Returns one list per unknown, by column, of
+    the canonical trees of its values; unknowns without a pivot are 0."""
     naug = len(rows[0]) - ncols if rows else 0
     solution = [[_ZERO_FORM] * naug for _ in range(ncols)]
     for p in range(len(pivots) - 1, -1, -1):
@@ -737,13 +723,10 @@ def _back_substitute(rows, pivots, ncols):
 def _perfect_matching(pattern):
     """A column -> row matching that covers every row of the zero pattern
     (pattern[i] lists the columns where row i is nonzero, ascending), or
-    None when there is none.
-
-    Each row in turn is matched along an augmenting path, found by a
+    None.  Each row in turn is matched along an augmenting path, found by a
     depth-first search kept on an explicit stack: a row on the path takes
     a free column of its own if it has one, else the path goes on through
-    the row matched to its next column not yet visited in this search.
-    """
+    the row matched to its next column not yet visited in this search."""
     n = len(pattern)
     row_of = [-1] * n
     seen = [-1] * n  # the search that last visited each column
@@ -779,10 +762,10 @@ def _diagonal_blocks(pattern, row_of):
     """The strongly connected components of the column graph, each as its
     ascending columns: column c points to each column d != c where c's
     matched row row_of[c] is nonzero.  Tarjan's algorithm, with the
-    depth-first walk kept on an explicit stack."""
+    depth-first walk kept on an explicit stack; a column whose component is
+    emitted gets index n, so no later edge lowers a low through it."""
     n = len(row_of)
     index, low = [-1] * n, [0] * n
-    on_stack = [False] * n
     stack, blocks = [], []
     counter = 0
     for root in range(n):
@@ -791,7 +774,6 @@ def _diagonal_blocks(pattern, row_of):
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         walk = [(root, 0)]
         while walk:
             v, k = walk[-1]
@@ -803,9 +785,8 @@ def _diagonal_blocks(pattern, row_of):
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     walk.append((w, 0))
-                elif on_stack[w] and index[w] < low[v]:
+                elif index[w] < low[v]:
                     low[v] = index[w]
                 continue
             walk.pop()
@@ -815,7 +796,7 @@ def _diagonal_blocks(pattern, row_of):
                 block = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    index[w] = n
                     block.append(w)
                     if w == v:
                         break
@@ -824,10 +805,9 @@ def _diagonal_blocks(pattern, row_of):
 
 
 def _block_det(rows) -> NormalForm:
-    """Determinant of one diagonal block of forms.  One or two rows give
-    the entry or ad - bc, with no division; a larger block gives the
-    product of its elimination pivots, negated when their rows form an odd
-    permutation."""
+    """Determinant of one diagonal block of forms: the entry or ad - bc for
+    one or two rows, else the product of its elimination pivots, negated
+    when their rows form an odd permutation."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -843,39 +823,37 @@ def _block_det(rows) -> NormalForm:
     return det.neg() if _perm_sign_to_sorted([i for _, i, _ in pivots]) == -1 else det
 
 
-def sym_det(matrix) -> Expr:
-    """Exact determinant, as the canonical tree of its value.
-
-    The matrix is split into its block-triangular form, read off the zero
-    pattern of the entries' normal forms (an entry such as y - y counts as
-    zero).  A perfect row -> column matching is found by augmenting paths;
-    without one the determinant is identically zero.  Each strongly
-    connected component of the column graph (column c points to column d
-    when c's matched row is nonzero in d) is one diagonal block, its rows
-    and columns in ascending order.  The determinant is the product of
-    the blocks' determinants, negated when pairing each block's rows with
-    its columns in order is an odd permutation.  A block of one or two
-    rows is its entry or ad - bc, a larger one is eliminated by
-    `_eliminate`; the entries off the diagonal blocks are never touched.
-    Both walks are iterative, so any size runs within the recursion
-    limit.
-    """
+def _block_triangular(matrix):
+    """The entries' forms, their zero pattern (pattern[i]: the columns where
+    row i's form is nonzero, so y - y is zero) and the diagonal blocks as
+    (rows, columns), both ascending, or None without a perfect matching.  A
+    block is a strongly connected component of the column graph; in
+    Tarjan's emission order its rows reach only its own and earlier columns."""
     forms = [[_entry_form(e) for e in r] for r in matrix]
-    n = len(forms)
-    if any(len(r) != n for r in forms):
-        raise ValueError("determinant of a non-square matrix")
+    if any(len(r) != len(forms) for r in forms):
+        raise ValueError("non-square matrix")
     pattern = [[c for c, f in enumerate(r) if not f.is_zero] for r in forms]
     row_of = _perfect_matching(pattern)
-    if row_of is None:
+    return forms, pattern, None if row_of is None else [
+        (sorted(row_of[c] for c in cols), cols) for cols in _diagonal_blocks(pattern, row_of)]
+
+
+def sym_det(matrix) -> Expr:
+    """Exact determinant, as the canonical tree of its value: 0 without a
+    perfect matching (`_block_triangular`), else the product of the
+    diagonal blocks' determinants (`_block_det`), negated when pairing each
+    block's rows with its columns in order is an odd permutation.  Entries
+    off the diagonal blocks are never touched, and both graph walks are
+    iterative, so any size runs within the recursion limit."""
+    forms, _, blocks = _block_triangular(matrix)
+    if blocks is None:
         return ZERO
     det = ONE.normal()
-    paired = [0] * n  # the row paired with each column
-    for cols in _diagonal_blocks(pattern, row_of):
-        block_rows = sorted(row_of[c] for c in cols)
-        for r, c in zip(block_rows, cols):
+    paired = [0] * len(forms)  # the row paired with each column
+    for rows, cols in blocks:
+        for r, c in zip(rows, cols):
             paired[c] = r
-        block = [[forms[r][c] for c in cols] for r in block_rows]
-        value = _block_det(block)
+        value = _block_det([[forms[r][c] for c in cols] for r in rows])
         if value.is_zero:
             return ZERO
         det = det.mul(value)
@@ -884,60 +862,88 @@ def sym_det(matrix) -> Expr:
     return _cached_tree(det)
 
 
-def _solve_square(rows, n):
-    pivots, _ = _eliminate(rows, n)
-    if len(pivots) < n:
+def _block_solve(matrix, rhs):
+    """Row c of X, a dict of its nonzero forms, for each unknown c of matrix
+    X = B, where rhs[i] is row i of B as a dict of forms.  The blocks of
+    `_block_triangular` are solved in order, each row's right-hand side less
+    its terms in the unknowns already found: one row by one multiplication by
+    its entry's inverse, more by `_eliminate` and `_back_substitute`.  No
+    matching, or a block short of pivots, raises SingularFrame."""
+    forms, pattern, blocks = _block_triangular(matrix)
+    if blocks is None:
         raise SingularFrame("matrix determinant is identically zero")
-    return _back_substitute(rows, pivots, n)
+    solution = [None] * len(forms)
+    for rows, cols in blocks:
+        reduced = [dict(rhs[r]) for r in rows]
+        for r, acc in zip(rows, reduced):
+            for d in pattern[r]:
+                if solution[d]:  # an unknown already found, with a nonzero entry
+                    f = forms[r][d].neg()
+                    for k, x in solution[d].items():
+                        acc[k] = acc[k].add(f.mul(x)) if k in acc else f.mul(x)
+        if len(rows) == 1:
+            inv = forms[rows[0]][cols[0]].inv()
+            solution[cols[0]] = {k: v.mul(inv) for k, v in reduced[0].items() if not v.is_zero}
+            continue
+        ks = sorted(set().union(*reduced))
+        block = [[forms[r][c] for c in cols] + [acc.get(k, _ZERO_FORM) for k in ks]
+                 for r, acc in zip(rows, reduced)]
+        pivots, _ = _eliminate(block, len(cols))
+        if len(pivots) < len(cols):
+            raise SingularFrame("matrix determinant is identically zero")
+        for c, values in zip(cols, _back_substitute(block, pivots, len(cols))):
+            solution[c] = {k: v.normal() for k, v in zip(ks, values) if not _literal_zero(v)}
+    return solution
 
 
 def sym_solve(matrix, rhs):
-    """Solve a square system exactly.
+    """Solve a square system exactly, block by block (`_block_solve`).
 
     Raises SingularFrame when the matrix determinant is identically zero.
     Pivots that are singular only at points are fine symbolically: their
     reciprocals simply appear in the solution's denominators.
     """
-    n = len(matrix)
-    rows = [list(r) + [rhs[i]] for i, r in enumerate(matrix)]
-    return tuple(x[0] for x in _solve_square(rows, n))
+    solution = _block_solve(matrix, [{0: _entry_form(b)} for b in rhs])
+    return tuple(_cached_tree(x.get(0, _ZERO_FORM)) for x in solution)
 
 
 def sym_inverse(matrix):
-    """Exact matrix inverse via elimination on an augmented system."""
+    """Exact matrix inverse, block by block (`_block_solve`)."""
     n = len(matrix)
-    rows = [list(r) + [ONE if j == i else ZERO for j in range(n)] for i, r in enumerate(matrix)]
-    return tuple(tuple(x) for x in _solve_square(rows, n))
+    solution = _block_solve(matrix, [{i: ONE.normal()} for i in range(n)])
+    return tuple(tuple(_cached_tree(x.get(k, _ZERO_FORM)) for k in range(n)) for x in solution)
 
 
 def span_membership(xs, fields) -> tuple:
     """Is each x in xs in the pointwise span of the given fields?
 
-    Returns one verdict per x, in order: (True, coefficients) with a
-    decomposition certificate, or (False, witness_component_index) naming
-    an unmatchable component.  Decided by one exact elimination of the
-    fields' component matrix, with every x as an augmented column.  Pivots
-    come from the fields' columns only, so each verdict is the one a
-    single-vector elimination gives: the witness is the first unused row,
-    in original row order, whose residual is nonzero.  Residuals are
-    zero-tested x by x, each stopping at its witness, so the cross-check
-    draws the points that one call per x would.  An empty xs gives ().
+    One verdict per x, in order: (True, coefficients) with a decomposition
+    certificate, or (False, witness_component_index) naming an unmatchable
+    component.  An x with no stored component is (True, r zeros) at once;
+    the others are augmented columns of one exact elimination of the
+    fields' whole component matrix.  Pivots come from the fields' columns
+    only, so each verdict is the one a single-vector elimination gives: the
+    witness is the first unused row, in original order, whose residual is
+    nonzero.  Residuals are zero-tested x by x, each stopping at its
+    witness, so the cross-check draws what one call per x would.  An empty
+    xs gives ().
     """
-    xs = tuple(xs)
+    xs, fields = tuple(xs), tuple(fields)
     if not xs:
         return ()
-    fields = tuple(fields)
     _require_same_chart(*xs, *fields)
     r = len(fields)
-    rows = component_matrix(fields + xs)
-    pivots, unused = _eliminate(rows, r)
-    witnesses = [next((i for i in unused if not equal_zero(_entry_tree(rows[i][r + k]))), None)
-                 for k in range(len(xs))]
-    solution = _back_substitute(rows, pivots, r)
-    return tuple(
-        (True, tuple(c[k] for c in solution)) if w is None else (False, w)
-        for k, w in enumerate(witnesses)
-    )
+    verdicts = [(True, (ZERO,) * r)] * len(xs)
+    held = [k for k, x in enumerate(xs) if x.entries]
+    if held:
+        rows = component_matrix(fields + tuple(xs[k] for k in held))
+        pivots, unused = _eliminate(rows, r)
+        witnesses = [next((i for i in unused if not equal_zero(_entry_tree(rows[i][r + q]))), None)
+                     for q in range(len(held))]
+        solution = _back_substitute(rows, pivots, r)
+        for q, (k, w) in enumerate(zip(held, witnesses)):
+            verdicts[k] = (True, tuple(c[q] for c in solution)) if w is None else (False, w)
+    return tuple(verdicts)
 
 
 def _dense(n, rank, entry, idx=()):
@@ -1011,12 +1017,9 @@ class FrameBasis:
     def inverse(self):
         if self._inverse is None:
             try:
-                dense = sym_inverse(component_matrix(self.fields))
+                self._inverse = tuple(sparse_rows(sym_inverse(component_matrix(self.fields))))
             except SingularFrame:
                 raise SingularFrame("frame fields are linearly dependent") from None
-            self._inverse = tuple(
-                {j: e for j, e in enumerate(row) if not _literal_zero(e)} for row in dense
-            )
         return self._inverse
 
     def decompose(self, x: VectorField) -> tuple:
@@ -1054,10 +1057,6 @@ class FrameBasis:
 def frame_rank_full(fields) -> bool:
     """Do the fields have full rank (as many independent directions as fields)?"""
     fields = tuple(fields)
-    if not fields:
-        return True
-    r = len(fields)
-    if r > fields[0].chart.dim:
-        return False
-    pivots, _ = _eliminate(component_matrix(fields), r)
-    return len(pivots) == r
+    if not fields or len(fields) > fields[0].chart.dim:
+        return not fields
+    return len(_eliminate(component_matrix(fields), len(fields))[0]) == len(fields)

@@ -55,6 +55,7 @@ from .calculus import (
     pullback_form,
     pushforward_field,
     span_membership,
+    sparse_rows,
     sym_det,
     sym_inverse,
     zero_field,
@@ -567,35 +568,34 @@ class ParaKahler:
 def para_structure(s: BiLagStructure) -> ParaKahler:
     """F = +id on foliation 1, -id on foliation 2; G(X, Y) = omega(FX, Y).
 
-    Internal consistency (F^2 = id, G symmetric) is verified through normal
-    forms; both are theorems for a valid structure, so a failure here means
-    a defect and raises.
+    F's columns and G's rows are sparse, G[a][b] formed only where column a
+    of F meets column b of omega.  F^2 = id is checked through normal forms
+    at each (a, b) where a product F[a][c] F[c][b] has a term or a = b, and
+    G's symmetry at each stored entry.  Both are theorems for a valid
+    structure, so a failure means a defect and raises, naming the first
+    failing entry in row-major order.  ParaKahler gets the dense F and G.
     """
-    chart = s.chart
-    m = chart.dim
+    chart, m = s.chart, s.chart.dim
     # column b of F, sparse: the compacted stored components of F(d_b)
     columns = [{a: compact(c) for a, c in (x1 - x2).entries.items()}
                for x1, x2 in (split(s, d) for d in coordinate_frame(chart))]
-    F = tuple(tuple(columns[b].get(a, ZERO) for b in range(m)) for a in range(m))
+    F = [[columns[b].get(a, ZERO) for b in range(m)] for a in range(m)]
+    rows, omega = sparse_rows(F), s.omega.matrix
+    omega_rows, omega_columns = sparse_rows(omega), sparse_rows(zip(*omega))
     # G[a][b] = sum_c F[c][a] omega[c][b]: column a of F against column b of omega
-    omega_cols = tuple(zip(*s.omega.matrix))
-    G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
-    # internal checks: F^2 = id and G symmetric; (F^2)[a][b] is row a of F
-    # against column b of F
-    for a in range(m):
-        for b in range(m):
-            expected = ONE if a == b else ZERO
-            if not is_zero(dot(F[a], columns[b]) - expected):
-                raise BiLagError(
-                    "para-complex structure is not an involution",
-                    ValidationReport([CheckResult("F^2 = id", False, f"entry ({a},{b})")]),
-                )
-            if not is_zero(G[a][b] - G[b][a]):
-                raise BiLagError(
-                    "neutral metric is not symmetric",
-                    ValidationReport([CheckResult("G symmetric", False, f"entry ({a},{b})")]),
-                )
-    return ParaKahler(chart, F, G)
+    G = [{b: dot(column, omega_columns[b])
+          for b in sorted(set().union(*(omega_rows[c] for c in column)))} for column in columns]
+    failures = [((a, b), 0) for b, column in enumerate(columns)
+                for a in sorted({b}.union(*(columns[c] for c in column)))
+                if not is_zero(dot(rows[a], column) - (ONE if a == b else ZERO))]
+    failures += [(pair, 1) for a, row in enumerate(G) for b, g in row.items()
+                 if not is_zero(g - G[b].get(a, ZERO)) for pair in ((a, b), (b, a))]
+    if failures:
+        (a, b), kind = min(failures)
+        message, name = (("para-complex structure is not an involution", "F^2 = id"),
+                         ("neutral metric is not symmetric", "G symmetric"))[kind]
+        raise BiLagError(message, ValidationReport([CheckResult(name, False, f"entry ({a},{b})")]))
+    return ParaKahler(chart, F, [[row.get(b, ZERO) for b in range(m)] for row in G])
 
 
 def levi_civita_oracle(para: ParaKahler) -> Connection:
@@ -604,20 +604,18 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     Gamma^k_{ij} = G^{kl} Gamma_{ijl}, with the Christoffel symbols of the
     first kind  Gamma_{ijl} = (1/2)(d_i G_{jl} + d_j G_{il} - d_l G_{ij}).
     Both are symmetric in i and j, so each is formed once, for i <= j.
-    Each d_a G_bc is taken once, only for the G_bc with coordinates and
-    only along those coordinates, in chart order, and summed into the three
-    first-kind symbols it enters; only
-    the symbols with a term are compacted and raised, one dot against a row
-    of G^{-1} per k.  This is the metric formula and reads only G, never the
+    Each d_a G_bc is taken once, only for the stored G_bc with coordinates
+    and only along those, in chart order, and summed into the three
+    first-kind symbols it enters; only the symbols with a term are
+    compacted and raised, by one dot per row of G^{-1} with an entry in
+    their support.  This is the metric formula and reads only G, never the
     foliations or the Hess route, so it stays the independent oracle.
     """
     chart = para.chart
-    G = para.G
-    Ginv = sym_inverse([list(row) for row in G])
     index = {name: a for a, name in enumerate(chart.names)}
     sums = {}
-    for b, row in enumerate(G):
-        for c, g in enumerate(row):
+    for b, row in enumerate(sparse_rows(para.G)):
+        for c, g in row.items():
             for a in sorted(index[name] for name in coordinates(g) if name in index):
                 d = diff(g, chart.names[a])
                 # d_a G_bc enters Gamma_{abc}, Gamma_{bac} and -Gamma_{bca}
@@ -627,10 +625,13 @@ def levi_civita_oracle(para: ParaKahler) -> Connection:
     first = {}
     for (i, j, l), total in sorted(sums.items()):
         first.setdefault((i, j), {})[l] = compact(total / 2)
+    inverse = sym_inverse(para.G)
+    # G^{-1} by rows, and by columns: the rows k with an entry in column l
+    Ginv, columns = sparse_rows(inverse), sparse_rows(zip(*inverse))
     entries = []
     for (i, j), values in first.items():
-        for k, row in enumerate(Ginv):
-            g = dot(row, values)
+        for k in sorted(set().union(*(columns[l] for l in values))):
+            g = dot(Ginv[k], values)
             entries += (((i, j, k), g), ((j, i, k), g))
     return Connection(FrameBasis(coordinate_frame(chart)), entries)
 

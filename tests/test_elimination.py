@@ -25,6 +25,7 @@ import pytest
 from bilag import calculus, symexpr
 from bilag.calculus import (
     Chart,
+    FrameBasis,
     SingularFrame,
     VectorField,
     component_matrix,
@@ -459,3 +460,179 @@ def test_a_long_chain_of_blocks_needs_no_recursion(corner):
     finally:
         sys.setrecursionlimit(limit)
     assert str(det) == str(Rat(expected))
+
+
+# ---------------------------------------------------------------------------
+# block-by-block solves
+
+
+def xyz_block_entry(rng):
+    """`block_entry`, with the linear entries in x, y or z."""
+    kind = rng.random()
+    if kind < 0.12:
+        return ZERO
+    if kind < 0.2:
+        return NOT_LITERAL_ZERO
+    if kind < 0.3:
+        return NOT_A_RAT
+    if kind < 0.85:
+        return Rat(rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    return rng.choice((X, Y, Z)) - rng.randint(1, 3)
+
+
+def xyz_block_triangular():
+    """The permuted 8x8 that `test_permuted_block_triangular_matrices[0]`
+    draws when its diagonal-block entries may be linear in x, y or z: blocks
+    of 5, 2 and 1 rows.  A whole-matrix elimination of it with the identity
+    augmented fills the off-diagonal blocks with growing rational functions
+    and runs for minutes."""
+    rng = random.Random(0)
+    n = rng.randint(2, 8)
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 5), n - sum(sizes)))
+    block_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+    matrix = [[ZERO if block_of[c] > block_of[r]
+               else xyz_block_entry(rng) if block_of[c] == block_of[r] else random_entry(rng)
+               for c in range(n)]
+              for r in range(n)]
+    assert (n, sizes) == (8, [5, 2, 1])
+    return permuted(matrix, rows, cols)
+
+
+def product_is_identity(matrix, inverse):
+    """M M^-1 = I, entry by entry through normal forms."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(n):
+            entry = symexpr.dot(matrix[i], [row[j] for row in inverse])
+            assert entry.normal() == (ONE if i == j else ZERO).normal(), (i, j)
+
+
+def test_a_block_triangular_inverse_with_entries_in_x_y_and_z():
+    matrix = xyz_block_triangular()
+    blocks = calculus._block_triangular(matrix)[2]
+    assert sorted(len(cols) for _, cols in blocks) == [1, 2, 5]
+    assert not is_zero(sym_det(matrix))
+    inverse = sym_inverse(matrix)
+    product_is_identity(matrix, inverse)
+    # the inverse's entries are the canonical trees of their values
+    assert all(str(e) == str(compact(e)) for row in inverse for e in row)
+    rhs = [X, ONE, ZERO, Y * Z, NOT_LITERAL_ZERO, Rat(2), ZERO, X + Z]
+    solution = sym_solve(matrix, rhs)
+    for row, b in zip(matrix, rhs):
+        assert (symexpr.dot(row, solution) - b).normal().is_zero
+
+
+def test_blocks_are_solved_in_emission_order():
+    # lower triangular with a 2x2 block in the middle: each block's rows
+    # reach only its own and earlier blocks' columns, so the substitution
+    # sees only unknowns already found
+    matrix = [[X + 1, ZERO, ZERO, ZERO],
+              [Y, ONE, X, ZERO],
+              [ONE, Z, ONE, ZERO],
+              [X * Y, ZERO, Rat(2), Y + 2]]
+    blocks = calculus._block_triangular(matrix)[2]
+    assert blocks == [([0], [0]), ([1, 2], [1, 2]), ([3], [3])]
+    same_square(matrix, [ONE, X, Y, Z])
+    product_is_identity(matrix, sym_inverse(matrix))
+
+
+SINGULAR = {
+    # rows 0 and 2 are nonzero in column 1 alone (y - y is zero), so no
+    # row -> column matching exists
+    "structural": [[NOT_LITERAL_ZERO, X + 1, ZERO],
+                   [ONE, Y, Z],
+                   [ZERO, 2 * Y, NOT_LITERAL_ZERO]],
+    # a matching exists, but the diagonal block [[x, x], [1, 1]] (rows 0
+    # and 2, columns 1 and 2) is singular
+    "symbolic": [[ZERO, X, X],
+                 [Y, Rat(2), ONE],
+                 [ZERO, ONE, ONE]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SINGULAR))
+def test_singular_inputs_raise(kind):
+    matrix = SINGULAR[kind]
+    blocks = calculus._block_triangular(matrix)[2]
+    if kind == "structural":
+        assert blocks is None
+    else:
+        assert ([0, 2], [1, 2]) in blocks
+    assert sym_det(matrix) is ZERO
+    for run in (lambda: sym_inverse(matrix), lambda: sym_solve(matrix, [ONE, X, Y])):
+        with pytest.raises(SingularFrame) as info:
+            run()
+        assert str(info.value) == "matrix determinant is identically zero"
+    fields = [VectorField(RANDOM_CH, column) for column in zip(*matrix)]
+    with pytest.raises(SingularFrame) as info:
+        FrameBasis(fields).inverse
+    assert str(info.value) == "frame fields are linearly dependent"
+
+
+# ---------------------------------------------------------------------------
+# span tests skip the x without a stored component
+
+
+def ref_span_membership_every_x(xs, fields):
+    """Reference: every x an augmented column of one elimination, the
+    empty ones included."""
+    xs, fields = tuple(xs), tuple(fields)
+    if not xs:
+        return ()
+    r = len(fields)
+    rows = component_matrix(fields + xs)
+    pivots, unused = calculus._eliminate(rows, r)
+    witnesses = [next((i for i in unused
+                       if not equal_zero(calculus._entry_tree(rows[i][r + k]))), None)
+                 for k in range(len(xs))]
+    solution = calculus._back_substitute(rows, pivots, r)
+    return tuple((True, tuple(c[k] for c in solution)) if w is None else (False, w)
+                 for k, w in enumerate(witnesses))
+
+
+EMPTY = VectorField(RANDOM_CH, (ZERO, ZERO, ZERO))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_empty_xs_among_others_keep_verdicts_and_draws(seed, monkeypatch):
+    rng = random.Random(seed)
+    fields = (VectorField(RANDOM_CH, (ONE, X, ZERO)), VectorField(RANDOM_CH, (ZERO, Y, ONE)))
+    spanned = fields[0].scale(X + rng.randint(1, 3)) + fields[1].scale(Rat(rng.randint(-2, 2)))
+    escapes = VectorField(RANDOM_CH, (ZERO, ONE, ZERO))
+    xs = [EMPTY, spanned,
+          VectorField(RANDOM_CH, (NOT_LITERAL_ZERO, ZERO, ZERO)),  # zero only after normalization
+          EMPTY, escapes, EMPTY]
+    rng.shuffle(xs)
+    verdicts = same(lambda: span_membership(xs, fields),
+                    lambda: ref_span_membership_every_x(xs, fields))
+    assert [ok for ok, _ in verdicts] == [x is not escapes for x in xs]
+    assert all(verdict == (True, (("0", True),) * 2)
+               for x, verdict in zip(xs, verdicts) if x is EMPTY)
+
+    # only the x with a stored component are augmented columns
+    widths = []
+    eliminate = calculus._eliminate
+
+    def spy(rows, ncols):
+        widths.append(len(rows[0]) - ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(calculus, "_eliminate", spy)
+    span_membership(xs, fields)
+    assert widths == [3]
+
+
+def test_only_empty_xs_need_no_elimination(monkeypatch):
+    def eliminate(*args, **kwargs):
+        raise AssertionError("an x without a stored component needs no elimination")
+
+    fields = (VectorField(RANDOM_CH, (ONE, X, ZERO)),)
+    want = outcome(lambda: ref_span_membership_every_x([EMPTY, EMPTY], fields))
+    monkeypatch.setattr(calculus, "_eliminate", eliminate)
+    assert outcome(lambda: span_membership([EMPTY, EMPTY], fields)) == want
+    assert span_membership([EMPTY], ()) == ((True, ()),)

@@ -1,5 +1,7 @@
 """Bi-Lagrangian structures: validation, connection, curvature, transport."""
 
+import functools
+
 import pytest
 
 from bilag import structures, symexpr
@@ -21,7 +23,10 @@ from bilag.calculus import (
 from bilag.lift import lift_structure
 from bilag.structures import (
     BiLagError,
+    CheckResult,
     Connection,
+    ParaKahler,
+    ValidationReport,
     christoffels,
     connections_equal,
     curvature,
@@ -44,7 +49,10 @@ from bilag.symexpr import (
     as_expr,
     bind_symbol,
     check_stream,
+    compact,
+    coordinates,
     diff,
+    dot,
     equal_zero,
     is_zero,
 )
@@ -875,6 +883,151 @@ class TestLeviCivitaOracle:
     def test_agrees_on_lifts_and_rescaled_frame(self, name):
         s = STRUCTURES[name]()
         assert connections_equal(christoffels(s), levi_civita_oracle(para_structure(s)))
+
+
+# ---------------------------------------------------------------------------
+# sparse para_structure and oracle against the dense loops they replaced
+
+
+def dense_para_structure(s):
+    """Reference: F and G built densely, F^2 = id and G's symmetry checked
+    at every (a, b) in row-major order, F^2 first."""
+    m = s.chart.dim
+    columns = [{a: compact(c) for a, c in (x1 - x2).entries.items()}
+               for x1, x2 in (structures.split(s, d) for d in coordinate_frame(s.chart))]
+    F = tuple(tuple(columns[b].get(a, ZERO) for b in range(m)) for a in range(m))
+    omega_cols = tuple(zip(*s.omega.matrix))
+    G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
+    for a in range(m):
+        for b in range(m):
+            if not is_zero(dot(F[a], columns[b]) - (ONE if a == b else ZERO)):
+                raise BiLagError("para-complex structure is not an involution", ValidationReport(
+                    [CheckResult("F^2 = id", False, f"entry ({a},{b})")]))
+            if not is_zero(G[a][b] - G[b][a]):
+                raise BiLagError("neutral metric is not symmetric", ValidationReport(
+                    [CheckResult("G symmetric", False, f"entry ({a},{b})")]))
+    return ParaKahler(s.chart, F, G)
+
+
+def dense_levi_civita_oracle(para):
+    """Reference: the oracle walking every G entry and raising each
+    first-kind symbol against every row of G^{-1}."""
+    chart, G = para.chart, para.G
+    Ginv = sym_inverse([list(row) for row in G])
+    index = {name: a for a, name in enumerate(chart.names)}
+    sums = {}
+    for b, row in enumerate(G):
+        for c, g in enumerate(row):
+            for a in sorted(index[name] for name in coordinates(g) if name in index):
+                d = diff(g, chart.names[a])
+                for key, term in (((a, b, c), d), ((b, a, c), d), ((b, c, a), -d)):
+                    if key[0] <= key[1]:
+                        sums[key] = sums.get(key, ZERO) + term
+    first = {}
+    for (i, j, l), total in sorted(sums.items()):
+        first.setdefault((i, j), {})[l] = compact(total / 2)
+    entries = []
+    for (i, j), values in first.items():
+        for k, row in enumerate(Ginv):
+            g = dot(row, values)
+            entries += (((i, j, k), g), ((j, i, k), g))
+    return Connection(FrameBasis(coordinate_frame(chart)), entries)
+
+
+@functools.lru_cache(maxsize=None)
+def para_family(name):
+    """A pool structure ("pool:<name>"), a seed-1 transport push
+    ("push:<index>"), or either lifted to dim 16 ("...@16")."""
+    base, _, dim = name.partition("@")
+    kind, _, key = base.partition(":")
+    if kind == "pool":
+        s = STRUCTURES[key]()
+    else:
+        from test_elimination import _workloads
+
+        wl = _workloads()
+        plane, spec = wl.transport_specs(1)[int(key)]
+        s = wl.plane_structure(plane)
+        s = push_structure(wl.build_map(s.chart, spec), s)
+    return lifted(s, int(dim)) if dim else s
+
+
+PARA_FAMILY = ([f"pool:{name}" for name in sorted(STRUCTURES)]
+               + [f"pool:{name}@16" for name in ("parabola", "standard", "rescaled",
+                                                "noncommuting-dim4")]
+               + [f"push:{i}" for i in range(10)] + [f"push:{i}@16" for i in (0, 4, 9)])
+
+
+def para_text(para):
+    return [[str(e) for e in row] for row in para.F], [[str(e) for e in row] for row in para.G]
+
+
+def raised(run):
+    """run()'s BiLagError text, or None when it raises none."""
+    try:
+        run()
+    except BiLagError as exc:
+        return str(exc)
+    return None
+
+
+class TestSparseParaStructure:
+    @pytest.mark.parametrize("name", PARA_FAMILY)
+    def test_same_trees_and_oracle_verdicts_as_dense_loops(self, name):
+        s = para_family(name)
+        para, reference = para_structure(s), dense_para_structure(s)
+        assert para_text(para) == para_text(reference)
+        oracle = levi_civita_oracle(para)
+        dense = dense_levi_civita_oracle(reference)
+        assert [(idx, str(g)) for idx, g in oracle.entries.items()] == \
+            [(idx, str(g)) for idx, g in dense.entries.items()]
+        hess = christoffels(s)
+        assert connections_equal(hess, oracle) is connections_equal(hess, dense) is True
+
+    @pytest.mark.parametrize("name", ["pool:parabola", "pool:noncommuting-dim4",
+                                      "push:4", "pool:rescaled@16"])
+    def test_a_perturbed_f_column_raises_as_the_dense_loops(self, name, monkeypatch):
+        s = para_family(name)
+        m = s.chart.dim
+        split = structures.split
+        seen = []
+        for b, a in ((0, 0), (m - 1, 0), (1, m - 1), (m // 2, (m // 2 + 1) % m)):
+            bump = VectorField.from_entries(s.chart, ((a, s.chart.coord(b) + 1),))
+
+            def perturbed(s_, x, b=b, bump=bump):
+                x1, x2 = split(s_, x)
+                return (x1 + bump, x2) if set(x.entries) == {b} else (x1, x2)
+
+            # a bump that keeps F an involution with G symmetric raises in neither
+            monkeypatch.setattr(structures, "split", perturbed)
+            want = raised(lambda: dense_para_structure(s))
+            assert raised(lambda: para_structure(s)) == want
+            seen.append(want)
+        assert any(w and "para-complex structure is not an involution" in w for w in seen)
+        monkeypatch.setattr(structures, "split", split)
+        assert raised(lambda: para_structure(s)) is None
+
+    @pytest.mark.parametrize("name", ["pool:parabola", "pool:standard-dim4",
+                                      "push:2", "pool:standard@16"])
+    def test_a_perturbed_g_entry_raises_as_the_dense_loops(self, name, monkeypatch):
+        # one entry of omega's matrix changes without its antisymmetric
+        # partner, so G = F^T omega may lose its symmetry there
+        s = para_family(name)
+        m = s.chart.dim
+        matrix = s.omega.matrix
+        seen = set()
+        for c, b in ((0, 1), (m - 1, 0), (1, 1), (m // 2, m - 1)):
+            rows = [list(row) for row in matrix]
+            rows[c][b] = rows[c][b] + s.chart.coord(c)
+            monkeypatch.setattr(s.omega, "_matrix", tuple(tuple(row) for row in rows))
+            want = raised(lambda: dense_para_structure(s))
+            assert raised(lambda: para_structure(s)) == want
+            seen.add(want)
+        failures = {w for w in seen if w and "neutral metric is not symmetric" in w}
+        # on dim 2 every bump that breaks G breaks it at (0,1) first
+        assert len(failures) > 1 or m == 2 and failures
+        monkeypatch.setattr(s.omega, "_matrix", matrix)
+        assert raised(lambda: para_structure(s)) is None
 
 
 @pytest.mark.parametrize("build, flat, witnesses", [
