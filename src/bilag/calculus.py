@@ -7,7 +7,9 @@ Conventions fixed throughout the package:
   factors: ``(a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)``.
 * Smooth maps carry explicit inverse components and are validated on
   construction (round trip to the identity, nonvanishing Jacobian
-  determinant).
+  determinant).  A validated map is certified, and the certificate passes
+  to its inverse and to composites of certified maps, so a proved map is
+  not validated again.
 
 Linear algebra is exact, over the rational-function field.  Square
 routines (determinants, solves, inverses) go block by block over the
@@ -512,9 +514,15 @@ class SmoothMap:
 
     Validation on construction: both composites reduce to the identity
     coordinate tuple, and the Jacobian determinant is not identically zero.
+    A validated map is certified: it records that these facts are proved,
+    so no one proves them again.  Its inverse shares the certificate, as
+    validation proves both directions, and so does the composite of two
+    certified maps, whose round trips are theirs composed.  A map built
+    with `_validate=False` is not certified until `_validate` runs.
     """
 
-    __slots__ = ("source", "target", "components", "inverse_components", "_jac", "_inv")
+    __slots__ = ("source", "target", "components", "inverse_components", "_jac", "_inv",
+                 "_certified")
 
     def __init__(self, source: Chart, target: Chart, components, inverse_components,
                  _validate: bool = True):
@@ -523,6 +531,7 @@ class SmoothMap:
         self.components = tuple(as_expr(c) for c in components)
         self.inverse_components = tuple(as_expr(c) for c in inverse_components)
         self._jac = self._inv = None
+        self._certified = False
         if source.dim != target.dim:
             raise ValueError("a map with a declared inverse needs equal chart dimensions")
         if len(self.components) != target.dim:
@@ -533,6 +542,15 @@ class SmoothMap:
             self._validate()
 
     def _validate(self):
+        self._prove_round_trips(0)
+        det = sym_det(self.jacobian())
+        if is_zero(det):
+            raise CalculusError("Jacobian determinant is identically zero")
+        self._certify()
+
+    def _prove_round_trips(self, start: int):
+        """Both composites give back every coordinate from index `start` on;
+        CalculusError names the first that does not."""
         # components are functions of the source names, inverse components
         # of the target names; compose in both orders and demand identity
         for names, comps, round_trip, what in (
@@ -541,13 +559,16 @@ class SmoothMap:
             (self.target.names, self.components, self.push_scalar,
              "forward components do not invert the inverse"),
         ):
-            for name, c in zip(names, comps):
+            for name, c in zip(names[start:], comps[start:]):
                 back = round_trip(c)
                 if not equal_zero(back - Var(name)):
                     raise CalculusError(f"{what}: coordinate {name!r} round-trips to {back}")
-        det = sym_det(self.jacobian())
-        if is_zero(det):
-            raise CalculusError("Jacobian determinant is identically zero")
+
+    def _certify(self):
+        """Record the proof on this map and on its inverse, if built."""
+        self._certified = True
+        if self._inv is not None:
+            self._inv._certified = True
 
     def jacobian(self):
         """J[i][j] = d(components[i]) / d(source coordinate j)."""
@@ -564,15 +585,18 @@ class SmoothMap:
             self._inv = SmoothMap(self.target, self.source, self.inverse_components,
                                   self.components, _validate=False)
             self._inv._inv = self
+            self._inv._certified = self._certified
         return self._inv
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
-        """self after inner (= self . inner)."""
+        """self after inner (= self . inner); certified when both are."""
         if inner.target.names != self.source.names:
             raise ChartMismatch("composition charts do not line up")
         comps = tuple(inner.pull_scalar(c) for c in self.components)
         inv_comps = tuple(self.push_scalar(c) for c in inner.inverse_components)
-        return SmoothMap(inner.source, self.target, comps, inv_comps, _validate=False)
+        composite = SmoothMap(inner.source, self.target, comps, inv_comps, _validate=False)
+        composite._certified = self._certified and inner._certified
+        return composite
 
     def push_scalar(self, f: Expr) -> Expr:
         """f . inverse, expressed in target coordinates."""

@@ -208,7 +208,12 @@ def _forms_agree(a: KForm, b: KForm) -> bool:
 def lift_map(psi: SmoothMap, omega: SymplecticForm = None, fiber_names=None) -> LiftedMap:
     """Lift a base diffeomorphism to the bundle charts.
 
-    The inverse of the lift is the lift of the inverse.  When `omega` (the
+    The inverse of the lift is the lift of the inverse.  The lift is
+    certified without validating it afresh on the bundle charts: its base
+    round trips are psi's own, which psi's validation proves (only when psi
+    is not certified already), and then only the fiber round trips are
+    proved, which checks the fiber components.  The determinant needs no
+    proof once both round trips hold.  When `omega` (the
     SymplecticForm on the source chart) is supplied and the two base
     charts share coordinate names, the lift is checked against
     omega~ = pi^* omega + d theta and the verdict stored in
@@ -227,7 +232,12 @@ def lift_map(psi: SmoothMap, omega: SymplecticForm = None, fiber_names=None) -> 
         target,
         psi.components + fwd_fiber,
         psi.inverse_components + rev_fiber,
+        _validate=False,
     )
+    if not psi._certified:
+        psi._validate()
+    lifted._prove_round_trips(psi.source.dim)
+    lifted._certify()
 
     preserves = None
     if omega is not None and psi.source.names == psi.target.names:

@@ -568,17 +568,30 @@ class ParaKahler:
 def para_structure(s: BiLagStructure) -> ParaKahler:
     """F = +id on foliation 1, -id on foliation 2; G(X, Y) = omega(FX, Y).
 
-    F's columns and G's rows are sparse, G[a][b] formed only where column a
-    of F meets column b of omega.  F^2 = id is checked through normal forms
+    F's columns and G's rows are sparse.  Column b of F is
+    F(d_b) = sum_k +-P_kb E_k, + on foliation 1 and - on foliation 2, over
+    the stored entries P_kb of the frame's inverse and the stored
+    components of E_k; G[a][b] is formed only where column a of F meets
+    column b of omega.  F^2 = id is checked through normal forms
     at each (a, b) where a product F[a][c] F[c][b] has a term or a = b, and
     G's symmetry at each stored entry.  Both are theorems for a valid
     structure, so a failure means a defect and raises, naming the first
     failing entry in row-major order.  ParaKahler gets the dense F and G.
     """
     chart, m = s.chart, s.chart.dim
-    # column b of F, sparse: the compacted stored components of F(d_b)
-    columns = [{a: compact(c) for a, c in (x1 - x2).entries.items()}
-               for x1, x2 in (split(s, d) for d in coordinate_frame(chart))]
+    # signed[b] = {k: +-P_kb}; components[a] = {k: E_k's component a}
+    signed = [{} for _ in range(m)]
+    components = [{} for _ in range(m)]
+    for k, (row, e) in enumerate(zip(s.basis.inverse, s.frame)):
+        for b, p in row.items():
+            signed[b][k] = p if k < s.n else -p
+        for a, c in e.entries.items():
+            components[a][k] = c
+    columns = []
+    for column in signed:
+        support = sorted(set().union(*(s.frame[k].entries for k in column)))
+        columns.append({a: f for a in support
+                        if not is_zero(f := dot(column, components[a]))})
     F = [[columns[b].get(a, ZERO) for b in range(m)] for a in range(m)]
     rows, omega = sparse_rows(F), s.omega.matrix
     omega_rows, omega_columns = sparse_rows(omega), sparse_rows(zip(*omega))

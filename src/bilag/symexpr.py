@@ -29,6 +29,10 @@ every image pair has a constant gcd and keeps a leading coefficient, no
 common factor can exist, because one would survive into the images; the
 gcd is then 1, exactly as the pseudo-remainder sequence would find it.  Any
 other outcome runs that sequence, so a result never depends on the test.
+A common factor is free of every variable only one side holds, so a pair
+whose variable sets differ is reduced first to the gcd of its coefficients
+in those variables, which hold only shared ones (content and primitive
+part, Knuth, TAOCP Vol. 2, 4.6.1); the sequence never runs on them.
 
 ``compact`` is the one way to shrink a tree: it rebuilds the tree from its
 normal form and caches that (canonical) form on the result, so the rebuilt
@@ -528,13 +532,47 @@ def _coprime(a: Poly, b: Poly, shared) -> bool:
     return True
 
 
+def _coeffs_outside(p: Poly, keep) -> list:
+    """p's coefficients as a polynomial in the variables outside `keep`:
+    polynomials in the variables of `keep`, one per monomial outside it."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        inner = tuple(ve for ve in m if ve[0] in keep)
+        outer = tuple(ve for ve in m if ve[0] not in keep)
+        out.setdefault(outer, {})[inner] = c
+    return [Poly(t) for t in out.values()]
+
+
+def _gcd_over_shared(a: Poly, b: Poly, shared) -> Poly:
+    """gcd(a, b) for nonzero a and b whose variable sets differ.
+
+    A common divisor is free of every variable only one side holds, so it
+    divides each coefficient of a in the variables only a holds, and of b
+    in those only b holds; the gcd of those coefficients is gcd(a, b).
+    They are folded smallest first, and a constant ends the fold; each
+    step is a poly_gcd, so the result is normalized as its results are.
+    """
+    coeffs = sorted(_coeffs_outside(a, shared) + _coeffs_outside(b, shared),
+                    key=lambda p: len(p.terms))
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        g = poly_gcd(g, c)
+        if g.is_const:
+            break
+    return g
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd via a primitive pseudo-remainder sequence.
 
     Returns an integer-primitive polynomial with positive leading
     coefficient (1 for nonzero constants).  A pair that _coprime proves
     coprime returns 1 before the sequence starts; the proof is exact, so
-    the result is the one the sequence would give.
+    the result is the one the sequence would give.  A pair whose variable
+    sets differ goes to _gcd_over_shared, which sheds the variables only
+    one side holds; the sequence runs only on pairs with one variable set.
+    Either way the gcd is unique up to a rational factor, which the
+    normalization fixes, so the result is the same polynomial.
     """
     if a.is_zero and b.is_zero:
         return Poly({})
@@ -544,9 +582,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _int_primitive(a)
     if a.is_const or b.is_const:
         return _POLY_ONE
-    shared = a.variables() & b.variables()
+    va, vb = a.variables(), b.variables()
+    shared = va & vb
     if not shared or _coprime(a, b, shared):
         return _POLY_ONE
+    if va != vb:
+        return _gcd_over_shared(a, b, shared)
     a = _int_primitive(a)
     b = _int_primitive(b)
     var = sorted(shared)[0]

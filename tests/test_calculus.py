@@ -33,6 +33,7 @@ from bilag.calculus import (
     zero_field,
 )
 from bilag.symexpr import ONE, ZERO, Var, as_expr, check_stream, equal_zero, is_zero
+from test_elimination import _workloads
 
 CH = Chart(("x", "y"))
 X, Y = CH.coords()
@@ -229,6 +230,71 @@ class TestSmoothMap:
         v = VectorField(CH, (X * Y, ONE))
         back = pushforward_field(inv, pushforward_field(psi, v))
         assert fields_equal(back, v)
+
+
+class TestCertificate:
+    """A validated map records its proof; its inverse and the composite of
+    two certified maps share it; an unvalidated map has none until
+    `_validate` runs."""
+
+    def shear(self, validate=True):
+        return SmoothMap(CH, CH, (X, Y + X * X), (X, Y - X * X), _validate=validate)
+
+    def test_validated_maps_are_certified(self):
+        assert TestSmoothMap().affine()._certified
+        assert self.shear()._certified
+
+    def test_unvalidated_maps_are_not(self):
+        assert not self.shear(validate=False)._certified
+        # a wrong inverse is accepted unproved, and stays uncertified
+        assert not SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y), _validate=False)._certified
+
+    def test_validate_certifies(self):
+        psi = self.shear(validate=False)
+        psi._validate()
+        assert psi._certified
+
+    def test_a_failed_validation_certifies_nothing(self):
+        psi = SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y), _validate=False)
+        with pytest.raises(CalculusError):
+            psi._validate()
+        assert not psi._certified and not psi.inverse()._certified
+
+    def test_inverse_inherits(self):
+        assert self.shear().inverse()._certified
+        assert not self.shear(validate=False).inverse()._certified
+
+    def test_validating_either_direction_certifies_both(self):
+        psi = self.shear(validate=False)
+        inv = psi.inverse()
+        inv._validate()
+        assert psi._certified and inv._certified
+        phi = self.shear(validate=False)
+        phi_inv = phi.inverse()
+        phi._validate()
+        assert phi_inv._certified
+
+    @pytest.mark.parametrize("outer, inner, certified", [
+        (True, True, True), (True, False, False), (False, True, False), (False, False, False)])
+    def test_compose_certified_when_both_are(self, outer, inner, certified):
+        psi = SmoothMap(CH, CH, (X + 2 * Y, Y), (X - 2 * Y, Y), _validate=outer)
+        both = psi.compose(self.shear(validate=inner))
+        assert both._certified is certified
+        assert both.inverse()._certified is certified
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_transport_composites_pass_validation(self, seed):
+        # every certified composite of the transport plan, and its bump
+        # control, also passes a validation from scratch
+        wl = _workloads()
+        for kind, spec in wl.transport_specs(seed):
+            psi = wl.build_map(CH, spec)
+            wrong = psi.compose(wl.bump_map(CH, spec["shear"]))
+            for composite in (psi, wrong):
+                assert composite._certified
+                composite._certified = False
+                composite._validate()
+                assert composite._certified
 
 
 class TestLinearAlgebra:

@@ -2,7 +2,10 @@
 
 import pytest
 
+from bilag import calculus
+from bilag import lift as lift_module
 from bilag.calculus import (
+    CalculusError,
     Chart,
     SmoothMap,
     VectorField,
@@ -21,7 +24,7 @@ from bilag.lift import (
 from bilag.cli import find_scene
 from bilag.scene import load_scene
 from bilag.structures import christoffels, curvature, push_structure, validate_bilagrangian
-from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, equal_zero
+from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, coordinates, equal_zero
 from bilag.symplectic import validate_symplectic
 from test_structures import STRUCTURES, noncommuting_structure
 from test_structures import parabola_structure as concrete_parabola
@@ -228,6 +231,77 @@ class TestLiftMap:
         for base_comp in lm.map.components[:2]:
             for fiber_name in lm.map.source.names[2:]:
                 assert is_zero(diff(base_comp, fiber_name))
+
+
+class TestLiftMapCertificate:
+    """lift_map certifies the lift without validating it afresh: it proves
+    psi's round trips only when psi is not certified, and then only the
+    fiber round trips of the lift."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        # every zero test the round trips and the form check make
+        trees = []
+
+        def recording(e):
+            trees.append(e)
+            return equal_zero(e)
+
+        monkeypatch.setattr(calculus, "equal_zero", recording)
+        monkeypatch.setattr(lift_module, "equal_zero", recording)
+        return trees
+
+    def test_a_certified_map_proves_only_the_fiber_round_trips(self, monkeypatch):
+        s = standard_structure()
+        psi = affine_symplectomorphism(s.chart)
+        assert psi._certified
+        trees = self.spied(monkeypatch)
+        lm = lift_map(psi)
+        fiber = set(lm.map.source.names[2:])
+        # two fiber coordinates, each round-tripped both ways
+        assert len(trees) == 4
+        assert all(coordinates(t) & fiber for t in trees)
+        assert lm.map._certified and lm.map.inverse()._certified
+
+    def test_a_lift_is_lifted_again_on_its_new_fibers_alone(self, monkeypatch):
+        s = standard_structure()
+        lm = lift_map(affine_symplectomorphism(s.chart))
+        trees = self.spied(monkeypatch)
+        again = lift_map(lm.map)
+        fiber = set(again.map.source.names[4:])
+        assert len(trees) == 8
+        assert all(coordinates(t) & fiber for t in trees)
+
+    def test_an_uncertified_map_is_validated_on_its_own_charts(self, monkeypatch):
+        s = standard_structure()
+        x, y = s.chart.coords()
+        psi = SmoothMap(s.chart, s.chart, (x, y + x * x), (x, y - x * x), _validate=False)
+        trees = self.spied(monkeypatch)
+        lm = lift_map(psi)
+        fiber = set(lm.map.source.names[2:])
+        # psi's four round trips on the base names, then the lift's four
+        assert len(trees) == 8
+        assert [bool(coordinates(t) & fiber) for t in trees] == [False] * 4 + [True] * 4
+        assert psi._certified and lm.map._certified
+
+    @pytest.mark.parametrize("comps, invs, message", [
+        (lambda x, y: (x + y * y, y), lambda x, y: (x - y, y),
+         "coordinate 'x' round-trips to x + y*y + (-1)*y"),
+        (lambda x, y: (x, y + x * x), lambda x, y: (x, y + x * x),
+         "coordinate 'y' round-trips to y + x*x + x*x"),
+        (lambda x, y: (x + 1, 2 * y), lambda x, y: (x - 1, y),
+         "coordinate 'y' round-trips to 2*y"),
+    ])
+    def test_a_wrong_inverse_raises_as_the_bundle_validation_did(self, comps, invs, message):
+        # the text the lift's validation on the bundle charts gave, which
+        # checked the base coordinates first
+        s = standard_structure()
+        x, y = s.chart.coords()
+        psi = SmoothMap(s.chart, s.chart, comps(x, y), invs(x, y), _validate=False)
+        with pytest.raises(CalculusError) as err:
+            lift_map(psi, omega=s.omega)
+        assert str(err.value) == "inverse components do not invert the map: " + message
+        assert not psi._certified
 
 
 class TestActionCheck:

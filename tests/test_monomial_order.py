@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 from bilag import symexpr
-from bilag.lift import lifted_action_check
+from bilag.lift import lift_map, lift_structure, lifted_action_check
 from bilag.structures import christoffels, curvature, push_structure
-from bilag.symexpr import Poly, _poly_divexact, _qdiv
+from bilag.symexpr import Poly, _lex, _poly_divexact, _qdiv
 from test_structures import STRUCTURES, curved_structure
 
 # ---------------------------------------------------------------------------
@@ -250,3 +250,129 @@ def test_divisions_of_the_transport_pushes(seed, monkeypatch):
     assert sum(len(b.terms) > 1 for _, b in calls) > 200
     for a, b in calls:
         assert division(a, b) == ref_division(a, b)
+
+
+# ---------------------------------------------------------------------------
+# gcds over the variables both sides hold, against the sequence they skip
+
+
+def ref_content_in(p, var):
+    coeffs = list(p.coeffs_in(var).values())
+    g = coeffs[0]
+    for c in coeffs[1:]:
+        g = ref_poly_gcd(g, c)
+    return g
+
+
+def ref_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """The coprimality certificate, then the primitive PRS in the smallest
+    shared variable, whatever variables only one side holds."""
+    prim = symexpr._int_primitive
+    if a.is_zero and b.is_zero:
+        return Poly({})
+    if a.is_zero:
+        return prim(b)
+    if b.is_zero:
+        return prim(a)
+    if a.is_const or b.is_const:
+        return Poly({(): 1})
+    shared = a.variables() & b.variables()
+    if not shared or symexpr._coprime(a, b, shared):
+        return Poly({(): 1})
+    a, b = prim(a), prim(b)
+    var = sorted(shared)[0]
+    ca, cb = ref_content_in(a, var), ref_content_in(b, var)
+    g_cont = ref_poly_gcd(ca, cb)
+    pa, pb = prim(_poly_divexact(a, ca)), prim(_poly_divexact(b, cb))
+    if pa.degree_in(var) < pb.degree_in(var):
+        pa, pb = pb, pa
+    while not pb.is_zero:
+        r = symexpr._prem(pa, pb, var)
+        if r.is_zero:
+            pa = pb
+            break
+        pa, pb = pb, prim(_poly_divexact(r, ref_content_in(r, var)))
+    return prim(g_cont * pa)
+
+
+def lex_typed(p: Poly):
+    """typed(p) in lex order: the terms and coefficient types, whatever the
+    dict order."""
+    return sorted(typed(p), key=lambda t: _lex(t[0]))
+
+
+def one_sided_pairs(seed):
+    """Seeded pairs g*u, g*v in which u or v uses a name the other lacks."""
+    rng = random.Random(seed)
+    while True:
+        g, u, v = (random_poly(rng, terms=rng.randint(1, 3)) for _ in range(3))
+        a, b = g * u, g * v
+        if not (a.is_zero or b.is_zero) and a.variables() != b.variables():
+            yield a, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_sided_gcds_are_the_sequence_gcds(seed):
+    # the same polynomial with the same coefficient types; the dict order
+    # may differ, as the sequence's follows the contents it divided out
+    pairs = one_sided_pairs(seed)
+    nontrivial = 0
+    for _ in range(15):
+        a, b = next(pairs)
+        got, want = symexpr.poly_gcd(a, b), ref_poly_gcd(a, b)
+        assert lex_typed(got) == lex_typed(want), (str(a), str(b))
+        assert str(got) == str(want)
+        assert symexpr.poly_gcd(b, a) == got
+        nontrivial += not got.is_const
+    assert nontrivial > 5
+
+
+def test_prem_never_runs_on_a_one_sided_variable(monkeypatch):
+    prem = symexpr._prem
+    seen = []
+
+    def spy(a, b, var):
+        seen.append(var)
+        return prem(a, b, var)
+
+    monkeypatch.setattr(symexpr, "_prem", spy)
+    pairs = one_sided_pairs(2031)
+    reference_one_sided = 0
+    for _ in range(100):
+        a, b = next(pairs)
+        one_sided = a.variables() ^ b.variables()
+        seen.clear()
+        symexpr.poly_gcd(a, b)
+        assert not one_sided.intersection(seen), (str(a), str(b))
+        seen.clear()
+        ref_poly_gcd(a, b)
+        reference_one_sided += bool(one_sided.intersection(seen))
+    # the sequence does run on them, so the spy sees the step at work
+    assert reference_one_sided > 10
+
+
+def test_gcds_of_the_depth_3_action_check(monkeypatch):
+    # every gcd the depth-3 action check asks for, recursive ones included,
+    # has the terms, dict order and coefficient types of the sequence's
+    wl = _workloads()
+    gcd = symexpr.poly_gcd
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    kind, spec = wl.transport_specs(1)[4]
+    s = wl.plane_structure(kind)
+    psi = wl.build_map(s.chart, spec)
+    for _ in range(2):
+        psi, s = lift_map(psi, s.omega).map, lift_structure(s)
+    monkeypatch.setattr(symexpr, "poly_gcd", recording)
+    assert lifted_action_check(psi, s).equal
+    monkeypatch.setattr(symexpr, "poly_gcd", gcd)
+    pairs = list(dict.fromkeys(calls))
+    one_sided = [(a, b) for a, b in pairs if a.variables() != b.variables()]
+    assert len(one_sided) > 20
+    assert sum(not ref_poly_gcd(a, b).is_const for a, b in one_sided) > 5
+    for a, b in pairs:
+        assert typed(gcd(a, b)) == typed(ref_poly_gcd(a, b)), (str(a), str(b))
