@@ -145,26 +145,21 @@ def lift_structure(s: BiLagStructure, fiber_names=None) -> BiLagStructure:
     return validate_bilagrangian(omega_lift, f1, f2, adapted)
 
 
-def iterate_lift(s: BiLagStructure, k: int, max_dim: int = DEFAULT_MAX_DIM) -> BiLagStructure:
-    """Apply lift_structure k times; k = 0 returns the structure unchanged.
+def iterate_lift(s: BiLagStructure, k: int, max_dim: int = DEFAULT_MAX_DIM,
+                 fiber_names=None) -> BiLagStructure:
+    """Apply lift_structure(., fiber_names) k times; k = 0 returns s unchanged.
 
     Raises LiftError before any step that would exceed max_dim chart
     dimensions (each step doubles the dimension).
     """
     if k < 0:
         raise ValueError("lift count must be non-negative")
-    current = s
     for step in range(k):
-        current = _lift_step(current, step, k, max_dim)
-    return current
-
-
-def _lift_step(s: BiLagStructure, step: int, k: int, max_dim: int, fiber_names=None):
-    """lift_structure(s, fiber_names) as lift step + 1 of k; LiftError past max_dim."""
-    if 2 * s.chart.dim > max_dim:
-        raise LiftError(f"lift {step + 1} of {k} needs a {2 * s.chart.dim}-dimensional chart, "
-                        f"above the cap of {max_dim}; raise max_dim to proceed")
-    return lift_structure(s, fiber_names)
+        if 2 * s.chart.dim > max_dim:
+            raise LiftError(f"lift {step + 1} of {k} needs a {2 * s.chart.dim}-dimensional chart, "
+                            f"above the cap of {max_dim}; raise max_dim to proceed")
+        s = lift_structure(s, fiber_names)
+    return s
 
 
 class LiftedMap:

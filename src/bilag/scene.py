@@ -50,7 +50,6 @@ from .calculus import (
     wedge,
 )
 from .lift import (
-    _lift_step,
     iterate_lift,
     lifted_action_check,
     DEFAULT_MAX_DIM,
@@ -778,12 +777,9 @@ def _run_lift(scene, task, max_dim):
     k = task.args["k"]
     fibers = task.args.get("fibers")
     s = scene.structure()
-    if fibers is not None:
-        if k != 1:
-            raise SceneError(f"task {task.name!r}: explicit fibers only apply to k=1")
-        lifted = _lift_step(s, 0, 1, max_dim, fibers)
-    else:
-        lifted = iterate_lift(s, k, max_dim)
+    if fibers is not None and k != 1:
+        raise SceneError(f"task {task.name!r}: explicit fibers only apply to k=1")
+    lifted = iterate_lift(s, k, max_dim, fibers)
     payload = {"k": k, "lifted": _structure_payload(lifted)}
     messages = [
         f"lifted chart: {' '.join(lifted.chart.names)}",

@@ -30,9 +30,10 @@ common factor can exist, because one would survive into the images; the
 gcd is then 1, exactly as the pseudo-remainder sequence would find it.  Any
 other outcome runs that sequence, so a result never depends on the test.
 A common factor is free of every variable only one side holds, so a pair
-whose variable sets differ is reduced first to the gcd of its coefficients
-in those variables, which hold only shared ones (content and primitive
-part, Knuth, TAOCP Vol. 2, 4.6.1); the sequence never runs on them.
+whose variable sets differ is reduced to the gcd of its coefficients in
+those variables, and the sequence never runs on it (content and primitive
+part, Knuth, TAOCP Vol. 2, 4.6.1).  One fold, ``_gcd_all``, takes that gcd
+and the contents of both sides and of each remainder in the main variable.
 
 ``compact`` is the one way to shrink a tree: it rebuilds the tree from its
 normal form and caches that (canonical) form on the result, so the rebuilt
@@ -436,15 +437,6 @@ def _prem(a: Poly, b: Poly, var: str) -> Poly:
     return r
 
 
-def _content_in(p: Poly, var: str) -> Poly:
-    """gcd of the coefficients of p collected in `var`."""
-    coeffs = list(p.coeffs_in(var).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd(g, c)
-    return g
-
-
 def _gcd_point(name: str) -> int:
     """The nonzero residue modulo _P at which the certificate fixes a variable.
 
@@ -543,20 +535,16 @@ def _coeffs_outside(p: Poly, keep) -> list:
     return [Poly(t) for t in out.values()]
 
 
-def _gcd_over_shared(a: Poly, b: Poly, shared) -> Poly:
-    """gcd(a, b) for nonzero a and b whose variable sets differ.
+def _gcd_all(polys) -> Poly:
+    """The gcd of nonzero polynomials, folded by poly_gcd fewest terms first.
 
-    A common divisor is free of every variable only one side holds, so it
-    divides each coefficient of a in the variables only a holds, and of b
-    in those only b holds; the gcd of those coefficients is gcd(a, b).
-    They are folded smallest first, and a constant ends the fold; each
-    step is a poly_gcd, so the result is normalized as its results are.
+    A constant ends the fold, as every later step would give 1; a single
+    polynomial is returned as it is.
     """
-    coeffs = sorted(_coeffs_outside(a, shared) + _coeffs_outside(b, shared),
-                    key=lambda p: len(p.terms))
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = poly_gcd(g, c)
+    polys = sorted(polys, key=lambda p: len(p.terms))
+    g = polys[0]
+    for p in polys[1:]:
+        g = poly_gcd(g, p)
         if g.is_const:
             break
     return g
@@ -569,8 +557,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     coefficient (1 for nonzero constants).  A pair that _coprime proves
     coprime returns 1 before the sequence starts; the proof is exact, so
     the result is the one the sequence would give.  A pair whose variable
-    sets differ goes to _gcd_over_shared, which sheds the variables only
-    one side holds; the sequence runs only on pairs with one variable set.
+    sets differ goes to _gcd_all on its coefficients outside the shared
+    variables; the sequence runs only on pairs with one variable set, and
+    takes the contents of a, b and each remainder from _gcd_all too.
     Either way the gcd is unique up to a rational factor, which the
     normalization fixes, so the result is the same polynomial.
     """
@@ -587,11 +576,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not shared or _coprime(a, b, shared):
         return _POLY_ONE
     if va != vb:
-        return _gcd_over_shared(a, b, shared)
+        return _gcd_all(_coeffs_outside(a, shared) + _coeffs_outside(b, shared))
     a = _int_primitive(a)
     b = _int_primitive(b)
     var = sorted(shared)[0]
-    ca, cb = _content_in(a, var), _content_in(b, var)
+    ca, cb = (_gcd_all(p.coeffs_in(var).values()) for p in (a, b))
     g_cont = poly_gcd(ca, cb)
     pa = _int_primitive(_poly_divexact(a, ca))
     pb = _int_primitive(_poly_divexact(b, cb))
@@ -602,7 +591,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if r.is_zero:
             pa = pb
             break
-        pa, pb = pb, _int_primitive(_poly_divexact(r, _content_in(r, var)))
+        pa, pb = pb, _int_primitive(_poly_divexact(r, _gcd_all(r.coeffs_in(var).values())))
     return _int_primitive(g_cont * pa)
 
 

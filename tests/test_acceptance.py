@@ -134,10 +134,10 @@ def test_criterion_01_christoffel_table_exact():
     x = s.chart.coord(0)
     hv = H.jet((0, 0))
     hx, hy = diff(hv, "x"), diff(hv, "y")
-    assert equal_zero(conn.gamma[0][0][0] - (hx + 2 * x * hy) / hv)
-    assert equal_zero(conn.gamma[1][1][1] - hy / hv)
+    assert equal_zero(conn.coefficient(0, 0, 0) - (hx + 2 * x * hy) / hv)
+    assert equal_zero(conn.coefficient(1, 1, 1) - hy / hv)
     for (i, j, k) in [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)]:
-        assert equal_zero(conn.gamma[i][j][k]), (i, j, k)
+        assert equal_zero(conn.coefficient(i, j, k)), (i, j, k)
     report_line(1, "christoffel table")
 
 
@@ -146,7 +146,7 @@ def test_criterion_02_curvature_table_exact():
     conn = christoffels(s)
     r = curvature(conn)
     u, v = s.f1[0], s.f2[0]
-    g111, g222 = conn.gamma[0][0][0], conn.gamma[1][1][1]
+    g111, g222 = conn.coefficient(0, 0, 0), conn.coefficient(1, 1, 1)
     expected = {
         (1, 0, 0, 0): v.apply(g111),
         (0, 1, 0, 0): -v.apply(g111),

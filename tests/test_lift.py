@@ -22,7 +22,7 @@ from bilag.lift import (
     lifted_action_check,
 )
 from bilag.cli import find_scene
-from bilag.scene import load_scene
+from bilag.scene import _structure_payload, load_scene
 from bilag.structures import christoffels, curvature, push_structure, validate_bilagrangian
 from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, coordinates, equal_zero
 from bilag.symplectic import validate_symplectic
@@ -158,6 +158,19 @@ class TestIterateLift:
         lifted = iterate_lift(standard_structure(), 3, max_dim=16)
         assert lifted.chart.dim == 16
         assert lifted.report.ok
+
+    def test_fiber_names_give_the_single_lift(self):
+        s = standard_structure()
+        lifted = iterate_lift(s, 1, fiber_names=("a", "b"))
+        single = lift_structure(s, ("a", "b"))
+        assert lifted.chart.names == single.chart.names == ("x", "y", "a", "b")
+        assert _structure_payload(lifted) == _structure_payload(single)
+
+    def test_fiber_names_obey_the_cap(self):
+        with pytest.raises(LiftError) as err:
+            iterate_lift(standard_structure(), 1, max_dim=2, fiber_names=("a", "b"))
+        assert str(err.value) == ("lift 1 of 1 needs a 4-dimensional chart, above the cap "
+                                  "of 2; raise max_dim to proceed")
 
 
 class TestLiftMap:

@@ -327,6 +327,60 @@ def test_one_sided_gcds_are_the_sequence_gcds(seed):
     assert nontrivial > 5
 
 
+def same_set_pairs(seed):
+    """Seeded pairs g*u, g*v whose two sides hold the same variables, so the
+    sequence runs and takes its contents through the fold."""
+    rng = random.Random(seed)
+    while True:
+        g, u, v = (random_poly(rng, terms=rng.randint(1, 3)) for _ in range(3))
+        a, b = g * u, g * v
+        if not (a.is_zero or a.is_const or b.is_zero) and a.variables() == b.variables():
+            yield a, b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_same_set_gcds_are_the_sequence_gcds(seed, monkeypatch):
+    gcd_all = symexpr._gcd_all
+    folds = []
+
+    def spy(polys):
+        polys = list(polys)
+        folds.append(len(polys))
+        return gcd_all(polys)
+
+    monkeypatch.setattr(symexpr, "_gcd_all", spy)
+    pairs = same_set_pairs(seed)
+    for _ in range(15):
+        a, b = next(pairs)
+        got, want = symexpr.poly_gcd(a, b), ref_poly_gcd(a, b)
+        assert lex_typed(got) == lex_typed(want), (str(a), str(b))
+        assert str(got) == str(want)
+    # the contents fold more than one coefficient
+    assert sum(n > 1 for n in folds) > 5
+
+
+def test_the_fold_stops_at_a_constant(monkeypatch):
+    # the spy records the fold's own steps, not the gcds they recurse into
+    gcd = symexpr.poly_gcd
+    calls = []
+
+    def spy(a, b):
+        calls.append((str(a), str(b)))
+        with monkeypatch.context() as m:
+            m.setattr(symexpr, "poly_gcd", gcd)
+            return gcd(a, b)
+
+    monkeypatch.setattr(symexpr, "poly_gcd", spy)
+    x, y = Poly({(("x", 1),): 1}), Poly({(("y", 1),): 1})
+    xy = x * y
+    # fewest terms first: x and y give 1, and x*y + 1 and x^2 are never read
+    assert symexpr._gcd_all([xy + Poly({(): 1}), x, y, x * x]) == Poly({(): 1})
+    assert calls == [("x", "y")]
+    calls.clear()
+    assert symexpr._gcd_all([xy, xy * x, xy * y.scale(2)]) == xy
+    assert calls == [("x*y", "x^2*y"), ("x*y", "2*x*y^2")]
+
+
 def test_prem_never_runs_on_a_one_sided_variable(monkeypatch):
     prem = symexpr._prem
     seen = []

@@ -410,7 +410,7 @@ class TestRunTasks:
                 for k in range(2):
                     text = table[f"Gamma^{k + 1}_{i + 1}{j + 1}"]
                     parsed = parse_expr(text, scene.chart.names, (h,))
-                    assert equal_zero(parsed - conn.gamma[i][j][k]), (i, j, k)
+                    assert equal_zero(parsed - conn.coefficient(i, j, k)), (i, j, k)
 
     def test_twelve_field_payload_keeps_every_index_triple(self):
         # run together, (0, 10) and (10, 0) would both print "111"

@@ -166,7 +166,7 @@ def dense_curvature(conn):
     the structure functions decomposed afresh from each bracket."""
     n = len(conn.frame)
     fields = conn.frame
-    gamma = conn.gamma
+    gamma = conn.coefficient
     table = []
     for i in range(n):
         block = []
@@ -176,13 +176,13 @@ def dense_curvature(conn):
             for k in range(n):
                 row = []
                 for l in range(n):
-                    val = fields[i].apply(gamma[j][k][l]) - fields[j].apply(gamma[i][k][l])
+                    val = fields[i].apply(gamma(j, k, l)) - fields[j].apply(gamma(i, k, l))
                     for sdx in range(n):
-                        val = val + gamma[j][k][sdx] * gamma[i][sdx][l]
-                        val = val - gamma[i][k][sdx] * gamma[j][sdx][l]
+                        val = val + gamma(j, k, sdx) * gamma(i, sdx, l)
+                        val = val - gamma(i, k, sdx) * gamma(j, sdx, l)
                         c = struct[sdx]
                         if not is_zero(c):
-                            val = val - c * gamma[sdx][k][l]
+                            val = val - c * gamma(sdx, k, l)
                     row.append(val.normal().as_expr())
                 plane.append(tuple(row))
             block.append(tuple(plane))
@@ -192,15 +192,16 @@ def dense_curvature(conn):
 
 def dense_is_flat(s):
     """Reference: the witnesses of the zero test on every curvature entry."""
-    table = curvature(christoffels(s)).table
-    n = len(table)
+    r = curvature(christoffels(s))
+    n = len(r.frame)
     witnesses = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    if not equal_zero(table[i][j][k][l]):
-                        witnesses.append(((i, j, k, l), table[i][j][k][l]))
+                    e = r.coefficient(i, j, k, l)
+                    if not equal_zero(e):
+                        witnesses.append(((i, j, k, l), e))
     return witnesses
 
 
@@ -476,15 +477,16 @@ class TestConnection:
         x, _ = s.chart.coords()
         hx = diff(hv, "x")
         hy = diff(hv, "y")
-        assert equal_zero(conn.gamma[0][0][0] - (hx + 2 * x * hy) / hv)
-        assert equal_zero(conn.gamma[1][1][1] - hy / hv)
+        assert equal_zero(conn.coefficient(0, 0, 0) - (hx + 2 * x * hy) / hv)
+        assert equal_zero(conn.coefficient(1, 1, 1) - hy / hv)
         for (i, j, k) in [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)]:
-            assert is_zero(conn.gamma[i][j][k].normal().as_expr()) or equal_zero(conn.gamma[i][j][k]), (i, j, k)
+            g = conn.coefficient(i, j, k)
+            assert is_zero(g.normal().as_expr()) or equal_zero(g), (i, j, k)
 
     def test_standard_connection_vanishes(self):
         conn = christoffels(standard_structure())
         assert all(
-            equal_zero(conn.gamma[i][j][k])
+            equal_zero(conn.coefficient(i, j, k))
             for i in range(2) for j in range(2) for k in range(2)
         )
 
@@ -492,7 +494,7 @@ class TestConnection:
         s = standard_structure()
         conn = christoffels(s, frame="coordinate")
         assert all(
-            equal_zero(conn.gamma[i][j][k])
+            equal_zero(conn.coefficient(i, j, k))
             for i in range(2) for j in range(2) for k in range(2)
         )
 
@@ -509,7 +511,7 @@ class TestConnection:
         conn = christoffels(s)
         u = s.f1[0]
         duu = d_map(s, u, u)
-        expected = u.scale(conn.gamma[0][0][0])
+        expected = u.scale(conn.coefficient(0, 0, 0))
         assert fields_equal(duu, expected)
 
     def test_hess_matches_christoffels_on_frame(self):
@@ -519,7 +521,8 @@ class TestConnection:
         for i in range(2):
             for j in range(2):
                 via_hess = hess_nabla(s, frame[i], frame[j])
-                rebuilt = frame[0].scale(conn.gamma[i][j][0]) + frame[1].scale(conn.gamma[i][j][1])
+                rebuilt = (frame[0].scale(conn.coefficient(i, j, 0))
+                           + frame[1].scale(conn.coefficient(i, j, 1)))
                 assert fields_equal(via_hess, rebuilt)
 
     def test_torsion_free(self):
@@ -562,20 +565,20 @@ class TestLeafwiseAssembly:
             for j, y in enumerate(frame):
                 via_hess = s.basis.decompose(hess_nabla(s, x, y))
                 for k in range(len(frame)):
-                    assert conn.gamma[i][j][k].normal() == via_hess[k].normal(), (i, j, k)
+                    assert conn.coefficient(i, j, k).normal() == via_hess[k].normal(), (i, j, k)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_curvature_matches_dense_loop(self, name):
         conn = christoffels(STRUCTURES[name]())
-        sparse = curvature(conn).table
+        sparse = curvature(conn)
         dense = dense_curvature(conn)
         n = len(conn.frame)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     for l in range(n):
-                        assert sparse[i][j][k][l].normal() == dense[i][j][k][l].normal(), \
-                            (i, j, k, l)
+                        assert sparse.coefficient(i, j, k, l).normal() == \
+                            dense[i][j][k][l].normal(), (i, j, k, l)
 
     @pytest.mark.parametrize("build", [
         lambda: lifted(parabola_structure(), 4),
@@ -598,9 +601,9 @@ class TestLeafwiseAssembly:
     def test_rescaled_frame_exercises_cross_leaf_terms(self):
         s = rescaled_structure()
         conn = christoffels(s)
-        assert not is_zero(conn.gamma[0][1][1])  # [E_1, E_2] projected to leaf 2
-        assert not is_zero(conn.gamma[1][0][0])  # [E_2, E_1] projected to leaf 1
-        assert is_zero(conn.gamma[0][1][0]) and is_zero(conn.gamma[1][0][1])
+        assert not is_zero(conn.coefficient(0, 1, 1))  # [E_1, E_2] projected to leaf 2
+        assert not is_zero(conn.coefficient(1, 0, 0))  # [E_2, E_1] projected to leaf 1
+        assert is_zero(conn.coefficient(0, 1, 0)) and is_zero(conn.coefficient(1, 0, 1))
         assert not is_zero(s.basis.structure.coefficient(0, 1, 0))
         assert curvature(conn).entries
         assert torsion_witnesses(conn) == []
@@ -655,13 +658,13 @@ class TestOnePassCrossCheck:
     @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
     def test_oracle_matches_per_entry_formula(self, name):
         para = para_structure(CROSS_CHECKED[name]())
-        oracle = levi_civita_oracle(para).gamma
+        oracle = levi_civita_oracle(para)
         reference = dense_oracle(para)
         m = len(reference)
         for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    assert str(oracle[i][j][k]) == str(reference[i][j][k]), (i, j, k)
+                    assert str(oracle.coefficient(i, j, k)) == str(reference[i][j][k]), (i, j, k)
 
     @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
     def test_tables_and_verdict_match_per_pair_route(self, name):
@@ -794,8 +797,8 @@ class TestCurvature:
         conn = christoffels(s)
         r = curvature(conn)
         u, v = s.f1[0], s.f2[0]
-        g111 = conn.gamma[0][0][0]
-        g222 = conn.gamma[1][1][1]
+        g111 = conn.coefficient(0, 0, 0)
+        g222 = conn.coefficient(1, 1, 1)
         assert equal_zero(r.coefficient(1, 0, 0, 0) - v.apply(g111))
         assert equal_zero(r.coefficient(0, 1, 0, 0) + v.apply(g111))
         assert equal_zero(r.coefficient(0, 1, 1, 1) - u.apply(g222))
