@@ -248,8 +248,8 @@ class ActionCheckResult:
     `hat` is the lift of the pushed structure, `tilde` the push of the
     lifted structure along the lifted map; `verdicts` holds one span
     membership per frame generator in both directions, each a
-    `CheckResult` whose detail is never empty, and `equal` says
-    whether the two lifted foliation pairs span the same distributions.
+    `CheckResult` naming its coefficients or its unmatched component, and
+    `equal` says whether the two lifted foliation pairs span the same distributions.
     """
 
     __slots__ = ("hat", "tilde", "lifted_map", "omega_match", "verdicts", "equal")
@@ -272,8 +272,8 @@ class ActionCheckResult:
         return "\n".join(lines)
 
 
-def _membership_pass(label_a: str, fields_a, label_b: str, fields_b, chart, out):
-    for idx, (ok, cert) in enumerate(span_membership(fields_a, fields_b)):
+def _membership_pass(label_a: str, label_b: str, results, chart, out):
+    for idx, (ok, cert) in enumerate(results):
         if ok:
             detail = "coefficients (" + ", ".join(str(c) for c in cert) + ")"
         else:
@@ -288,9 +288,11 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure) -> ActionCheckResult:
 
     Builds both structures on the same bundle chart and certifies that
     every generator of each lifted foliation frame lies in the span of its
-    counterpart (both directions, one elimination each), alongside
-    agreement of the two lifted symplectic forms.  All three lifts take the
-    default fiber names, which skip every name of both charts.
+    counterpart, alongside agreement of the two lifted symplectic forms.
+    A leaf's forward elimination gives hat = C tilde; both frames are
+    validated, so when it passes C is invertible and the reverse
+    certificates are the rows of C^{-1}, else the reverse direction is
+    eliminated for its witnesses.  All three lifts take default fiber names.
     """
     fiber_names = default_fiber_names(_taken(psi.source, psi.target), psi.source.dim)
     hat = lift_structure(push_structure(psi, s), fiber_names)
@@ -300,8 +302,10 @@ def lifted_action_check(psi: SmoothMap, s: BiLagStructure) -> ActionCheckResult:
     omega_match = _forms_agree(hat.omega.form, tilde.omega.form)
     verdicts = []
     for leaf, hat_fol, tilde_fol in (("F1", hat.f1, tilde.f1), ("F2", hat.f2, tilde.f2)):
-        pushed = (f"pushed-then-lifted {leaf}", hat_fol)
-        lifted = (f"lifted-then-pushed {leaf}", tilde_fol)
-        for a, b in ((pushed, lifted), (lifted, pushed)):
-            _membership_pass(*a, *b, hat.chart, verdicts)
+        pushed, lifted = f"pushed-then-lifted {leaf}", f"lifted-then-pushed {leaf}"
+        forward = span_membership(hat_fol, tilde_fol)
+        reverse = ([(True, row) for row in sym_inverse([c for _, c in forward])]
+                   if all(ok for ok, _ in forward) else span_membership(tilde_fol, hat_fol))
+        _membership_pass(pushed, lifted, forward, hat.chart, verdicts)
+        _membership_pass(lifted, pushed, reverse, hat.chart, verdicts)
     return ActionCheckResult(hat, tilde, lm, omega_match, verdicts)

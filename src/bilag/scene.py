@@ -50,6 +50,7 @@ from .calculus import (
     wedge,
 )
 from .lift import (
+    LiftError,
     iterate_lift,
     lifted_action_check,
     DEFAULT_MAX_DIM,
@@ -791,6 +792,9 @@ def _run_lift(scene, task, max_dim):
 
 def _run_act_check(scene, task, max_dim):
     s = scene.structure()
+    if 2 * s.chart.dim > max_dim:
+        raise LiftError(f"act-check needs a {2 * s.chart.dim}-dimensional chart, "
+                        f"above the cap of {max_dim}; raise max_dim to proceed")
     psi = scene.maps[task.args["map"]]
     result = lifted_action_check(psi, s)
     payload = {
@@ -841,7 +845,7 @@ _RUNNERS = {
 
 def run_task(scene: Scene, task: Task, max_dim: int = DEFAULT_MAX_DIM) -> TaskOutcome:
     """Run one task; operation failures become fail/error outcomes.  A lift
-    task's chart may grow to max_dim dimensions.
+    or act-check task's chart may grow to max_dim dimensions.
 
     The task's zero tests draw their points from a stream derived from the
     check seed and the task's name, so a task alone draws the same points as

@@ -61,7 +61,8 @@ from .calculus import (
     zero_field,
 )
 from .symexpr import (
-    Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, diff, dot, equal_zero, is_zero,
+    Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, current_stream, diff, dot,
+    equal_zero, is_zero,
 )
 from .symplectic import SymplecticForm, validate_symplectic
 
@@ -145,7 +146,7 @@ class BiLagStructure:
     """
 
     __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis",
-                 "_connection")
+                 "_connection", "_pushes")
 
     def __init__(self, omega: SymplecticForm, f1: tuple, f2: tuple,
                  adapted, report: ValidationReport, basis: FrameBasis):
@@ -158,6 +159,7 @@ class BiLagStructure:
         self.report = report
         self.basis = basis
         self._connection = None
+        self._pushes = {}
 
     @property
     def frame(self) -> tuple:
@@ -657,13 +659,17 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
     """Transport the whole structure along a diffeomorphism.
 
     omega goes to (psi^{-1})^* omega, frames to psi_* fields, adapted
-    functions to a . psi^{-1}; the result is re-validated.
+    functions to a . psi^{-1}; the result is re-validated.  s keeps it in
+    `_pushes`: the same map object in the same check stream gets the same
+    structure, as each stream draws its own points.
     """
-    new_form = pullback_form(psi.inverse(), s.omega.form)
-    new_f1 = tuple(pushforward_field(psi, e) for e in s.f1)
-    new_f2 = tuple(pushforward_field(psi, e) for e in s.f2)
-    new_adapted = tuple(psi.push_scalar(a) for a in s.adapted)
-    return validate_bilagrangian(validate_symplectic(new_form), new_f1, new_f2, new_adapted)
+    key = (psi, current_stream())
+    if key not in s._pushes:
+        omega = validate_symplectic(pullback_form(psi.inverse(), s.omega.form))
+        f1, f2 = ([pushforward_field(psi, e) for e in f] for f in (s.f1, s.f2))
+        adapted = [psi.push_scalar(a) for a in s.adapted]
+        s._pushes[key] = validate_bilagrangian(omega, f1, f2, adapted)
+    return s._pushes[key]
 
 
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:

@@ -90,6 +90,7 @@ __all__ = [
     "set_check_seed",
     "check_seed",
     "check_stream",
+    "current_stream",
     "ZERO",
     "ONE",
 ]
@@ -1729,6 +1730,11 @@ def check_stream(label: str):
         yield
     finally:
         _check_rng = outer
+
+
+def current_stream():
+    """The stream drawn from now; a validation may be reused only in its own."""
+    return _check_rng
 
 
 # the random points at which equal_zero evaluates a tree

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bilag import calculus
+from bilag import calculus, structures, symplectic
 from bilag import lift as lift_module
 from bilag.calculus import (
     CalculusError,
@@ -12,6 +12,7 @@ from bilag.calculus import (
     form_from_matrix,
     lie_bracket,
     pullback_form,
+    span_membership,
 )
 from bilag.lift import (
     LiftError,
@@ -24,9 +25,10 @@ from bilag.lift import (
 from bilag.cli import find_scene
 from bilag.scene import _structure_payload, load_scene
 from bilag.structures import christoffels, curvature, push_structure, validate_bilagrangian
-from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, coordinates, equal_zero
-from bilag.symplectic import validate_symplectic
-from test_structures import STRUCTURES, noncommuting_structure
+from bilag.symexpr import ONE, ZERO, OpaqueSymbol, as_expr, check_stream, coordinates, equal_zero
+from bilag.symplectic import trivial_bundle_symplectic, validate_symplectic
+from test_elimination import _workloads
+from test_structures import STRUCTURES, curved_structure, noncommuting_structure
 from test_structures import parabola_structure as concrete_parabola
 
 H = OpaqueSymbol("h", ("x", "y"))
@@ -343,6 +345,155 @@ class TestActionCheck:
         # every generator of each route lies in the span of the other route
         for verdict in res.verdicts:
             assert verdict.passed, verdict.name
+
+
+def eliminated(r):
+    """(label, ok, detail, certificate) per verdict of the four-elimination
+    route, each leaf's frames eliminated in both directions, on r's lifts."""
+    out = []
+    for leaf, hat_fol, tilde_fol in (("F1", r.hat.f1, r.tilde.f1), ("F2", r.hat.f2, r.tilde.f2)):
+        pushed = (f"pushed-then-lifted {leaf}", hat_fol)
+        lifted = (f"lifted-then-pushed {leaf}", tilde_fol)
+        for (label_a, fields_a), (label_b, fields_b) in ((pushed, lifted), (lifted, pushed)):
+            for idx, (ok, cert) in enumerate(span_membership(fields_a, fields_b)):
+                detail = ("coefficients (" + ", ".join(str(c) for c in cert) + ")" if ok
+                          else f"unmatched component {r.hat.chart.names[cert]}")
+                out.append((f"{label_a} generator {idx + 1} in span {label_b}", ok, detail, cert))
+    return out
+
+
+def spy(monkeypatch, module, name, calls=None):
+    """The argument tuples of every call to module.name from now on,
+    appended to `calls` (default: a new list), which is returned."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestDerivedReverseCertificates:
+    """A passing leaf's reverse certificates are the rows of the inverse of
+    its forward coefficient matrix; they are the ones elimination gives."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_inverted_rows_are_the_reverse_eliminations(self, seed, monkeypatch):
+        wl = _workloads()
+        inverted = []
+        real = lift_module.sym_inverse
+        monkeypatch.setattr(lift_module, "sym_inverse",
+                            lambda matrix: inverted.append(real(matrix)) or inverted[-1])
+        for kind, spec in wl.transport_specs(seed):
+            plane = wl.plane_structure(kind)
+            psi = wl.build_map(plane.chart, spec)
+            deeper = lift_map(psi, plane.omega).map, lift_structure(plane)
+            for p, s in ((psi, plane), (psi, curved_structure()), deeper):
+                r = lifted_action_check(p, s)
+                reference = eliminated(r)
+                assert r.equal
+                assert [(v.name, v.passed, v.detail) for v in r.verdicts] == \
+                    [ref[:3] for ref in reference]
+                # the check's own inverses come after the two lifts' K matrices
+                n = r.hat.n
+                reverse = [ref[3] for ref in reference[n:2 * n] + reference[3 * n:]]
+                derived = [row for matrix in inverted[-2:] for row in matrix]
+                assert [[c.normal() for c in row] for row in derived] == \
+                    [[c.normal() for c in cert] for cert in reverse]
+
+    def test_a_passing_check_eliminates_once_per_leaf(self, monkeypatch):
+        s = standard_structure()
+        psi = affine_symplectomorphism(s.chart)
+        calls = spy(monkeypatch, lift_module, "span_membership")
+        res = lifted_action_check(psi, s)
+        assert res.equal
+        assert calls == [(res.hat.f1, res.tilde.f1), (res.hat.f2, res.tilde.f2)]
+
+    def test_a_forward_failure_eliminates_the_reverse_direction(self, monkeypatch):
+        # lift psi . bump but push along psi: the horizontal bump moves F2
+        wl = _workloads()
+        kind, spec = wl.transport_specs(1)[0]
+        s = wl.plane_structure(kind)
+        psi = wl.build_map(s.chart, spec)
+        wrong = psi.compose(wl.bump_map(s.chart, spec["shear"]))
+        real_lift_map = lift_module.lift_map
+        monkeypatch.setattr(lift_module, "lift_map",
+                            lambda _, omega, names: real_lift_map(wrong, omega, names))
+        calls = spy(monkeypatch, lift_module, "span_membership")
+        r = lifted_action_check(psi, s)
+        assert not r.equal
+        assert [(v.name, v.passed, v.detail) for v in r.verdicts] == \
+            [ref[:3] for ref in eliminated(r)]
+        assert [repr(v) for v in r.verdicts if not v.passed] == FAILING_WITNESSES
+        # F1 passes forward and takes the inverse; F2 is eliminated both ways
+        assert calls == [(r.hat.f1, r.tilde.f1), (r.hat.f2, r.tilde.f2), (r.tilde.f2, r.hat.f2)]
+
+
+# the failures the four-elimination route reported for the forward-failure
+# control above
+FAILING_WITNESSES = [
+    "[FAIL] pushed-then-lifted F2 generator 1 in span lifted-then-pushed F2: "
+    "unmatched component x",
+    "[FAIL] pushed-then-lifted F2 generator 2 in span lifted-then-pushed F2: "
+    "unmatched component t",
+    "[FAIL] lifted-then-pushed F2 generator 1 in span pushed-then-lifted F2: "
+    "unmatched component x",
+    "[FAIL] lifted-then-pushed F2 generator 2 in span pushed-then-lifted F2: "
+    "unmatched component t",
+]
+
+
+class TestValidatedOnce:
+    """The lifted form and a pushed structure are validated once per input
+    and check stream: a repeat gets the same object, other inputs or another
+    stream a fresh one."""
+
+    def test_the_bundle_form_is_kept_per_chart_and_stream(self):
+        s = standard_structure()
+        first = trivial_bundle_symplectic(s.omega, s.chart.extend(("s", "t")))
+        assert trivial_bundle_symplectic(s.omega, s.chart.extend(("s", "t"))) is first
+        with check_stream("elsewhere"):
+            assert trivial_bundle_symplectic(s.omega, s.chart.extend(("s", "t"))) is not first
+        other = trivial_bundle_symplectic(s.omega, s.chart.extend(("a", "b")))
+        assert other.chart.names == ("x", "y", "a", "b")
+
+    def test_a_chart_with_other_symbols_gets_its_own_form(self):
+        s = parabola_structure()
+        plain = Chart(s.chart.names)
+        x, y = plain.coords()
+        lift_map(SmoothMap(plain, plain, (x, y), (x, y)), s.omega)
+        assert lift_structure(s).chart.symbols == (H,)
+
+    def test_the_lifted_map_and_the_lifted_structure_share_the_form(self, monkeypatch):
+        s = standard_structure()
+        lift_map(affine_symplectomorphism(s.chart), s.omega)
+        validated = spy(monkeypatch, symplectic, "validate_symplectic")
+        lifted = lift_structure(s)
+        assert validated == []
+        assert lifted.omega is trivial_bundle_symplectic(s.omega, lifted.chart)
+
+    def test_a_push_is_kept_per_map_and_stream(self):
+        s = standard_structure()
+        psi = affine_symplectomorphism(s.chart)
+        first = push_structure(psi, s)
+        assert push_structure(psi, s) is first
+        assert push_structure(affine_symplectomorphism(s.chart), s) is not first
+        with check_stream("elsewhere"):
+            assert push_structure(psi, s) is not first
+
+    @pytest.mark.parametrize("pushed_first, validated", [(False, 4), (True, 3)])
+    def test_the_check_reuses_the_callers_push(self, monkeypatch, pushed_first, validated):
+        s = standard_structure()
+        psi = affine_symplectomorphism(s.chart)
+        if pushed_first:
+            push_structure(psi, s)
+        calls = spy(monkeypatch, structures, "validate_bilagrangian")
+        spy(monkeypatch, lift_module, "validate_bilagrangian", calls)
+        assert lifted_action_check(psi, s).equal
+        assert len(calls) == validated
 
 
 def _pushed_concrete_parabola():

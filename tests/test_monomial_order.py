@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from bilag import symexpr
+from bilag.calculus import span_membership
 from bilag.lift import lift_map, lift_structure, lifted_action_check
 from bilag.structures import christoffels, curvature, push_structure
 from bilag.symexpr import Poly, _lex, _poly_divexact, _qdiv
@@ -237,14 +238,18 @@ def test_divisions_of_the_transport_pushes(seed, monkeypatch):
     wl = _workloads()
 
     # each map also carries the curved structure, whose pushes and lifts
-    # divide by non-monomial denominators of their own
+    # divide by non-monomial denominators of their own; a passing check
+    # inverts its forward certificates, so the reverse eliminations, whose
+    # divisions this test also covers, are replayed leaf by leaf
     def run():
         for kind, spec in wl.transport_specs(seed):
             s = wl.plane_structure(kind)
             psi = wl.build_map(s.chart, spec)
             for structure in (s, curved_structure()):
                 christoffels(push_structure(psi, structure))
-                lifted_action_check(psi, structure)
+                r = lifted_action_check(psi, structure)
+                span_membership(r.tilde.f1, r.hat.f1)
+                span_membership(r.tilde.f2, r.hat.f2)
 
     calls = recorded(run, monkeypatch)
     assert sum(len(b.terms) > 1 for _, b in calls) > 200

@@ -77,6 +77,18 @@ foliation F2: @y ; @s
 structure: F1 | F2
 """
 
+# a push, a lift and two act-checks on a 4-dimensional chart, whose
+# validations draw points: each act-check pushes along the push task's map
+# and lifts the omega the lift task lifts
+LIFTED_STANDARD_ACTION = LIFTED_STANDARD + """
+adapted: x ; t | y ; s
+map shear: x, y + x^2, s - 2*x*t, t inverse x, y - x^2, s + 2*x*t, t
+task pushed: push map=shear
+task action: act-check map=shear
+task up: lift
+task again: act-check map=shear
+"""
+
 
 
 def clashing_symbol_scene(name):
@@ -511,6 +523,15 @@ class TestRunTasks:
             "raise max_dim to proceed"]
         assert run_task(scene, scene.task("up"), max_dim=4).status == "computed"
 
+    def test_act_check_respects_max_dim_option(self):
+        scene = loads(LIFTED_STANDARD + "map id: x, y, s, t inverse x, y, s, t\n"
+                      "task act: act-check map=id\n")
+        outcome = run_task(scene, scene.task("act"), max_dim=4)
+        assert outcome.status == "error"
+        assert outcome.messages == [
+            "LiftError: act-check needs a 8-dimensional chart, above the cap of 4; "
+            "raise max_dim to proceed"]
+
     def test_run_task_takes_no_other_option(self):
         scene = loads(MINIMAL)
         with pytest.raises(TypeError):
@@ -598,7 +619,8 @@ class TestRunTasks:
 
             monkeypatch.setitem(scene_module._RUNNERS, op, recording)
         for load in (lambda: load_scene(find_scene("affine-action")),
-                     lambda: loads(LIFTED_PARABOLA_TEXT)):
+                     lambda: loads(LIFTED_PARABOLA_TEXT),
+                     lambda: loads(LIFTED_STANDARD_ACTION)):
             states.clear()
             names = [t.name for t in load().tasks]
             assert len(names) > 2
@@ -935,6 +957,14 @@ class TestCli:
         assert code == 1
         code = main(["lift", "--scene", "standard", "--k", "2", "--max-dim", "8"])
         assert code == 0
+
+    def test_act_check_cap_exit_code(self, capsys):
+        code = main(["act-check", "--scene", "affine-action", "--map", "psiAB", "--max-dim", "2"])
+        assert code == 1
+        assert ("LiftError: act-check needs a 4-dimensional chart, above the cap of 2; "
+                "raise max_dim to proceed" in capsys.readouterr().out)
+        assert main(["act-check", "--scene", "affine-action", "--map", "psiAB",
+                     "--max-dim", "4"]) == 0
 
     def test_act_check_cli(self, capsys):
         code = main(["act-check", "--scene", "affine-action", "--map", "psiAB"])
