@@ -5,11 +5,11 @@ Conventions fixed throughout the package:
 * A k-form stores one coefficient per strictly increasing index tuple.
 * The wedge of 1-forms follows the determinant convention without 1/k!
   factors: ``(a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X)``.
-* Smooth maps carry explicit inverse components and are validated on
-  construction (round trip to the identity, nonvanishing Jacobian
-  determinant).  A validated map is certified, and the certificate passes
-  to its inverse and to composites of certified maps, so a proved map is
-  not validated again.
+* Every smooth map is proved: it carries explicit inverse components,
+  and construction proves the round trips to the identity and a
+  nonvanishing Jacobian determinant.  Its inverse, a composite and a lift
+  are built from proved maps, whose facts they follow from, so they are
+  not proved again (a lift proves only its fiber round trips).
 
 Linear algebra is exact, over the rational-function field.  Square
 routines (determinants, solves, inverses) go block by block over the
@@ -512,41 +512,41 @@ def lie_derivative_form(x: VectorField, a: KForm) -> KForm:
 class SmoothMap:
     """A chart-to-chart map with declared inverse components.
 
-    Validation on construction: both composites reduce to the identity
+    Construction proves the map: both composites reduce to the identity
     coordinate tuple, and the Jacobian determinant is not identically zero.
-    A validated map is certified: it records that these facts are proved,
-    so no one proves them again.  Its inverse shares the certificate, as
-    validation proves both directions, and so does the composite of two
-    certified maps, whose round trips are theirs composed.  A map built
-    with `_validate=False` is not certified until `_validate` runs.
+    Maps built from proved maps -- an inverse, a composite, a lift -- go
+    through `_derived`, which proves nothing: the round trips prove both
+    directions, and a composite's round trips are its factors' composed.
+    A lift proves its fiber round trips itself (see `lift.lift_map`).
     """
 
-    __slots__ = ("source", "target", "components", "inverse_components", "_jac", "_inv",
-                 "_certified")
+    __slots__ = ("source", "target", "components", "inverse_components", "_jac", "_inv")
 
-    def __init__(self, source: Chart, target: Chart, components, inverse_components,
-                 _validate: bool = True):
+    def __init__(self, source: Chart, target: Chart, components, inverse_components):
+        self._fill(source, target, components, inverse_components)
+        self._prove_round_trips(0)
+        if is_zero(sym_det(self.jacobian())):
+            raise CalculusError("Jacobian determinant is identically zero")
+
+    @classmethod
+    def _derived(cls, source: Chart, target: Chart, components, inverse_components):
+        """A map whose facts follow from those of proved maps, built without proof."""
+        psi = cls.__new__(cls)
+        psi._fill(source, target, components, inverse_components)
+        return psi
+
+    def _fill(self, source, target, components, inverse_components):
         self.source = source
         self.target = target
         self.components = tuple(as_expr(c) for c in components)
         self.inverse_components = tuple(as_expr(c) for c in inverse_components)
         self._jac = self._inv = None
-        self._certified = False
         if source.dim != target.dim:
             raise ValueError("a map with a declared inverse needs equal chart dimensions")
         if len(self.components) != target.dim:
             raise ValueError("component count does not match target dimension")
         if len(self.inverse_components) != source.dim:
             raise ValueError("inverse component count does not match source dimension")
-        if _validate:
-            self._validate()
-
-    def _validate(self):
-        self._prove_round_trips(0)
-        det = sym_det(self.jacobian())
-        if is_zero(det):
-            raise CalculusError("Jacobian determinant is identically zero")
-        self._certify()
 
     def _prove_round_trips(self, start: int):
         """Both composites give back every coordinate from index `start` on;
@@ -564,12 +564,6 @@ class SmoothMap:
                 if not equal_zero(back - Var(name)):
                     raise CalculusError(f"{what}: coordinate {name!r} round-trips to {back}")
 
-    def _certify(self):
-        """Record the proof on this map and on its inverse, if built."""
-        self._certified = True
-        if self._inv is not None:
-            self._inv._certified = True
-
     def jacobian(self):
         """J[i][j] = d(components[i]) / d(source coordinate j)."""
         if self._jac is None:
@@ -582,21 +576,18 @@ class SmoothMap:
     def inverse(self) -> "SmoothMap":
         """The inverse map, built once; its own inverse is this map."""
         if self._inv is None:
-            self._inv = SmoothMap(self.target, self.source, self.inverse_components,
-                                  self.components, _validate=False)
+            self._inv = SmoothMap._derived(self.target, self.source, self.inverse_components,
+                                           self.components)
             self._inv._inv = self
-            self._inv._certified = self._certified
         return self._inv
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
-        """self after inner (= self . inner); certified when both are."""
+        """self after inner (= self . inner)."""
         if inner.target.names != self.source.names:
             raise ChartMismatch("composition charts do not line up")
         comps = tuple(inner.pull_scalar(c) for c in self.components)
         inv_comps = tuple(self.push_scalar(c) for c in inner.inverse_components)
-        composite = SmoothMap(inner.source, self.target, comps, inv_comps, _validate=False)
-        composite._certified = self._certified and inner._certified
-        return composite
+        return SmoothMap._derived(inner.source, self.target, comps, inv_comps)
 
     def push_scalar(self, f: Expr) -> Expr:
         """f . inverse, expressed in target coordinates."""

@@ -663,7 +663,7 @@ def _checks_payload(report):
     return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks]
 
 
-def _run_validate(scene, task, max_dim):
+def _run_validation(scene, task, max_dim):
     try:
         s = scene.structure()
     except BiLagError as exc:
@@ -830,7 +830,7 @@ def _run_plot(scene, task, max_dim):
 
 
 _RUNNERS = {
-    "validate": _run_validate,
+    "validate": _run_validation,
     "hess": _run_hess,
     "christoffels": _run_christoffels,
     "curvature": _run_curvature,

@@ -61,8 +61,8 @@ from .calculus import (
     zero_field,
 )
 from .symexpr import (
-    Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, current_stream, diff, dot,
-    equal_zero, is_zero,
+    Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, diff, dot,
+    equal_zero, is_zero, kept,
 )
 from .symplectic import SymplecticForm, validate_symplectic
 
@@ -142,11 +142,12 @@ class BiLagStructure:
     `basis` is the combined frame (foliation-1 fields, then foliation-2
     fields); validate_bilagrangian hands over one that already holds the
     same-leaf structure functions its involutivity checks solved for.
-    `christoffels` keeps the foliation-frame connection in `_connection`.
+    `christoffels` keeps the foliation-frame connection in `_connection`,
+    and `push_structure` the last push in `_kept`.
     """
 
     __slots__ = ("omega", "f1", "f2", "chart", "n", "adapted", "report", "basis",
-                 "_connection", "_pushes")
+                 "_connection", "_kept")
 
     def __init__(self, omega: SymplecticForm, f1: tuple, f2: tuple,
                  adapted, report: ValidationReport, basis: FrameBasis):
@@ -159,7 +160,7 @@ class BiLagStructure:
         self.report = report
         self.basis = basis
         self._connection = None
-        self._pushes = {}
+        self._kept = None
 
     @property
     def frame(self) -> tuple:
@@ -659,17 +660,18 @@ def push_structure(psi: SmoothMap, s: BiLagStructure) -> BiLagStructure:
     """Transport the whole structure along a diffeomorphism.
 
     omega goes to (psi^{-1})^* omega, frames to psi_* fields, adapted
-    functions to a . psi^{-1}; the result is re-validated.  s keeps it in
-    `_pushes`: the same map object in the same check stream gets the same
-    structure, as each stream draws its own points.
+    functions to a . psi^{-1}; the result is re-validated.  s keeps its last
+    push (see `symexpr.kept`): the same map object in the same check stream
+    gets the same structure, and any other push replaces it.
     """
-    key = (psi, current_stream())
-    if key not in s._pushes:
+
+    def build():
         omega = validate_symplectic(pullback_form(psi.inverse(), s.omega.form))
         f1, f2 = ([pushforward_field(psi, e) for e in f] for f in (s.f1, s.f2))
         adapted = [psi.push_scalar(a) for a in s.adapted]
-        s._pushes[key] = validate_bilagrangian(omega, f1, f2, adapted)
-    return s._pushes[key]
+        return validate_bilagrangian(omega, f1, f2, adapted)
+
+    return kept(s, psi, build)
 
 
 def push_connection(psi: SmoothMap, conn: Connection) -> Connection:

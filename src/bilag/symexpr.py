@@ -90,7 +90,7 @@ __all__ = [
     "set_check_seed",
     "check_seed",
     "check_stream",
-    "current_stream",
+    "kept",
     "ZERO",
     "ONE",
 ]
@@ -1732,9 +1732,19 @@ def check_stream(label: str):
         _check_rng = outer
 
 
-def current_stream():
-    """The stream drawn from now; a validation may be reused only in its own."""
-    return _check_rng
+def kept(owner, key, build):
+    """The value `owner` keeps for `key` in this check stream, else `build()`.
+
+    An owner keeps one value in its `_kept` slot, with the key it was built
+    for and the check stream it was built in: a validation draws its points
+    from that stream, so the value is reused only for the same key in the
+    same stream.  Otherwise `build()` makes a value, which replaces the kept
+    one.
+    """
+    stamp = key, _check_rng
+    if owner._kept is None or owner._kept[0] != stamp:
+        owner._kept = stamp, build()
+    return owner._kept[1]
 
 
 # the random points at which equal_zero evaluates a tree

@@ -27,7 +27,7 @@ from .calculus import (
     sym_inverse,
 )
 from .symexpr import (
-    Expr, ONE, Rat, ZERO, Var, as_expr, compact, current_stream, diff, dot, equal_zero,
+    Expr, ONE, Rat, ZERO, Var, as_expr, compact, diff, dot, equal_zero, kept,
 )
 
 __all__ = [
@@ -75,7 +75,7 @@ class SymplecticForm:
     coefficient matrix for linear solves against the form.
     """
 
-    __slots__ = ("form", "chart", "witness", "warnings", "_matrix", "_inverse", "_bundle")
+    __slots__ = ("form", "chart", "witness", "warnings", "_matrix", "_inverse", "_kept")
 
     def __init__(self, form: KForm, witness: Expr, warnings=()):
         self.form = form
@@ -84,7 +84,7 @@ class SymplecticForm:
         self.warnings = tuple(warnings)
         self._matrix = None
         self._inverse = None
-        self._bundle = None
+        self._kept = None
 
     @property
     def matrix(self):
@@ -170,14 +170,15 @@ def tautological_theta(chart: Chart) -> KForm:
 def trivial_bundle_symplectic(omega: SymplecticForm, chart: Chart) -> SymplecticForm:
     """The lifted form pi^* omega + d theta, validated on the bundle chart.
 
-    omega keeps it in `_bundle`: a chart of the same names and symbols in
-    the same check stream gets the same form, as each stream draws its own.
+    omega keeps its last lift (see `symexpr.kept`): a chart of the same names
+    and symbols in the same check stream gets the same form, and any other
+    chart or stream replaces it.
     """
     if chart.dim != 2 * omega.chart.dim or chart.names[:omega.chart.dim] != omega.chart.names:
         raise SymplecticError("bundle base chart does not match the form's chart")
-    key = (chart.names, chart.symbols, current_stream())
-    if omega._bundle is None or omega._bundle[0] != key:
+
+    def build():
         pulled = KForm(chart, 2, dict(omega.form.coeffs))
-        lifted = pulled + exterior_d(tautological_theta(chart))
-        omega._bundle = key, validate_symplectic(lifted)
-    return omega._bundle[1]
+        return validate_symplectic(pulled + exterior_d(tautological_theta(chart)))
+
+    return kept(omega, (chart.names, chart.symbols), build)

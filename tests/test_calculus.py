@@ -232,69 +232,66 @@ class TestSmoothMap:
         assert fields_equal(back, v)
 
 
-class TestCertificate:
-    """A validated map records its proof; its inverse and the composite of
-    two certified maps share it; an unvalidated map has none until
-    `_validate` runs."""
+class TestEveryMapIsProved:
+    """`SmoothMap(...)` proves its map, round trips then determinant; an
+    inverse or a composite is built from proved maps and proves nothing."""
 
-    def shear(self, validate=True):
-        return SmoothMap(CH, CH, (X, Y + X * X), (X, Y - X * X), _validate=validate)
+    def shear(self):
+        return SmoothMap(CH, CH, (X, Y + X * X), (X, Y - X * X))
 
-    def test_validated_maps_are_certified(self):
-        assert TestSmoothMap().affine()._certified
-        assert self.shear()._certified
+    @staticmethod
+    def spied(monkeypatch):
+        # every zero test and determinant the map code makes
+        calls = []
+        for name in ("equal_zero", "sym_det"):
+            real = getattr(calculus, name)
+            monkeypatch.setattr(calculus, name,
+                                lambda e, real=real: calls.append(e) or real(e))
+        return calls
 
-    def test_unvalidated_maps_are_not(self):
-        assert not self.shear(validate=False)._certified
-        # a wrong inverse is accepted unproved, and stays uncertified
-        assert not SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y), _validate=False)._certified
+    def test_construction_proves_the_round_trips_and_the_determinant(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        self.shear()
+        # two coordinates, each round-tripped both ways, then one determinant
+        assert len(calls) == 5
+        assert isinstance(calls[-1], tuple)
 
-    def test_validate_certifies(self):
-        psi = self.shear(validate=False)
-        psi._validate()
-        assert psi._certified
+    def test_a_wrong_inverse_is_refused_on_construction(self):
+        with pytest.raises(CalculusError, match="inverse components do not invert the map"):
+            SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y))
 
-    def test_a_failed_validation_certifies_nothing(self):
-        psi = SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y), _validate=False)
-        with pytest.raises(CalculusError):
-            psi._validate()
-        assert not psi._certified and not psi.inverse()._certified
+    def test_there_is_no_switch_to_skip_the_proof(self):
+        with pytest.raises(TypeError):
+            SmoothMap(CH, CH, (X + Y, Y), (X + Y, Y), _validate=False)
 
-    def test_inverse_inherits(self):
-        assert self.shear().inverse()._certified
-        assert not self.shear(validate=False).inverse()._certified
-
-    def test_validating_either_direction_certifies_both(self):
-        psi = self.shear(validate=False)
+    def test_an_inverse_proves_nothing(self, monkeypatch):
+        psi = self.shear()
+        calls = self.spied(monkeypatch)
         inv = psi.inverse()
-        inv._validate()
-        assert psi._certified and inv._certified
-        phi = self.shear(validate=False)
-        phi_inv = phi.inverse()
-        phi._validate()
-        assert phi_inv._certified
+        assert calls == []
+        assert inv.inverse() is psi and psi.inverse() is inv
+        assert inv.components == psi.inverse_components
 
-    @pytest.mark.parametrize("outer, inner, certified", [
-        (True, True, True), (True, False, False), (False, True, False), (False, False, False)])
-    def test_compose_certified_when_both_are(self, outer, inner, certified):
-        psi = SmoothMap(CH, CH, (X + 2 * Y, Y), (X - 2 * Y, Y), _validate=outer)
-        both = psi.compose(self.shear(validate=inner))
-        assert both._certified is certified
-        assert both.inverse()._certified is certified
+    def test_a_composite_proves_nothing(self, monkeypatch):
+        psi = SmoothMap(CH, CH, (X + 2 * Y, Y), (X - 2 * Y, Y))
+        shear = self.shear()
+        calls = self.spied(monkeypatch)
+        both = psi.compose(shear)
+        both.inverse()
+        assert calls == []
+        assert both.components == (X + 2 * (Y + X * X), Y + X * X)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_transport_composites_pass_validation(self, seed):
-        # every certified composite of the transport plan, and its bump
-        # control, also passes a validation from scratch
+    def test_transport_composites_pass_a_proof(self, seed):
+        # every composite of the transport plan, and its bump control, is
+        # a map SmoothMap(...) proves afresh
         wl = _workloads()
         for kind, spec in wl.transport_specs(seed):
             psi = wl.build_map(CH, spec)
             wrong = psi.compose(wl.bump_map(CH, spec["shear"]))
             for composite in (psi, wrong):
-                assert composite._certified
-                composite._certified = False
-                composite._validate()
-                assert composite._certified
+                SmoothMap(composite.source, composite.target, composite.components,
+                          composite.inverse_components)
 
 
 class TestLinearAlgebra:

@@ -1,5 +1,8 @@
 """Cotangent-style lifts of structures and chart maps."""
 
+import gc
+import weakref
+
 import pytest
 
 from bilag import calculus, structures, symplectic
@@ -248,10 +251,9 @@ class TestLiftMap:
                 assert is_zero(diff(base_comp, fiber_name))
 
 
-class TestLiftMapCertificate:
-    """lift_map certifies the lift without validating it afresh: it proves
-    psi's round trips only when psi is not certified, and then only the
-    fiber round trips of the lift."""
+class TestLiftMapProof:
+    """A map is proved where it is made, so lift_map does not validate the
+    lift afresh: it proves only the lift's fiber round trips."""
 
     @staticmethod
     def spied(monkeypatch):
@@ -266,17 +268,18 @@ class TestLiftMapCertificate:
         monkeypatch.setattr(lift_module, "equal_zero", recording)
         return trees
 
-    def test_a_certified_map_proves_only_the_fiber_round_trips(self, monkeypatch):
+    def test_a_lift_proves_only_its_fiber_round_trips(self, monkeypatch):
         s = standard_structure()
         psi = affine_symplectomorphism(s.chart)
-        assert psi._certified
         trees = self.spied(monkeypatch)
         lm = lift_map(psi)
         fiber = set(lm.map.source.names[2:])
         # two fiber coordinates, each round-tripped both ways
         assert len(trees) == 4
         assert all(coordinates(t) & fiber for t in trees)
-        assert lm.map._certified and lm.map.inverse()._certified
+        # and the lift's inverse proves nothing
+        lm.map.inverse()
+        assert len(trees) == 4
 
     def test_a_lift_is_lifted_again_on_its_new_fibers_alone(self, monkeypatch):
         s = standard_structure()
@@ -287,17 +290,16 @@ class TestLiftMapCertificate:
         assert len(trees) == 8
         assert all(coordinates(t) & fiber for t in trees)
 
-    def test_an_uncertified_map_is_validated_on_its_own_charts(self, monkeypatch):
+    def test_a_map_is_proved_on_its_own_charts_where_it_is_made(self, monkeypatch):
         s = standard_structure()
         x, y = s.chart.coords()
-        psi = SmoothMap(s.chart, s.chart, (x, y + x * x), (x, y - x * x), _validate=False)
         trees = self.spied(monkeypatch)
+        psi = SmoothMap(s.chart, s.chart, (x, y + x * x), (x, y - x * x))
         lm = lift_map(psi)
         fiber = set(lm.map.source.names[2:])
         # psi's four round trips on the base names, then the lift's four
         assert len(trees) == 8
         assert [bool(coordinates(t) & fiber) for t in trees] == [False] * 4 + [True] * 4
-        assert psi._certified and lm.map._certified
 
     @pytest.mark.parametrize("comps, invs, message", [
         (lambda x, y: (x + y * y, y), lambda x, y: (x - y, y),
@@ -307,16 +309,14 @@ class TestLiftMapCertificate:
         (lambda x, y: (x + 1, 2 * y), lambda x, y: (x - 1, y),
          "coordinate 'y' round-trips to 2*y"),
     ])
-    def test_a_wrong_inverse_raises_as_the_bundle_validation_did(self, comps, invs, message):
-        # the text the lift's validation on the bundle charts gave, which
-        # checked the base coordinates first
+    def test_a_wrong_inverse_raises_where_the_map_is_made(self, comps, invs, message):
+        # the first coordinate whose round trip fails is named, inverse
+        # direction first
         s = standard_structure()
         x, y = s.chart.coords()
-        psi = SmoothMap(s.chart, s.chart, comps(x, y), invs(x, y), _validate=False)
         with pytest.raises(CalculusError) as err:
-            lift_map(psi, omega=s.omega)
+            SmoothMap(s.chart, s.chart, comps(x, y), invs(x, y))
         assert str(err.value) == "inverse components do not invert the map: " + message
-        assert not psi._certified
 
 
 class TestActionCheck:
@@ -449,7 +449,7 @@ FAILING_WITNESSES = [
 class TestValidatedOnce:
     """The lifted form and a pushed structure are validated once per input
     and check stream: a repeat gets the same object, other inputs or another
-    stream a fresh one."""
+    stream a fresh one, which replaces the one kept."""
 
     def test_the_bundle_form_is_kept_per_chart_and_stream(self):
         s = standard_structure()
@@ -483,6 +483,26 @@ class TestValidatedOnce:
         assert push_structure(affine_symplectomorphism(s.chart), s) is not first
         with check_stream("elsewhere"):
             assert push_structure(psi, s) is not first
+
+    def test_an_owner_keeps_one_value(self):
+        # a structure keeps only its last push and a form its last bundle
+        # lift; the first push's report, which nothing else holds, is freed
+        wl = _workloads()
+        s = wl.plane_structure("parabola")
+        maps = [wl.build_map(s.chart, spec)
+                for seed in (1, 2, 3, 4) for _, spec in wl.transport_specs(seed)]
+        assert len(maps) == 40
+        first = weakref.ref(push_structure(maps[0], s).report)
+        for psi in maps[1:]:
+            push_structure(psi, s)
+        gc.collect()
+        assert first() is None
+        (key, _), last = s._kept
+        assert key is maps[-1] and push_structure(maps[-1], s) is last
+        trivial_bundle_symplectic(s.omega, s.chart.extend(("s", "t")))
+        form = trivial_bundle_symplectic(s.omega, s.chart.extend(("a", "b")))
+        (key, _), kept = s.omega._kept
+        assert key == (("x", "y", "a", "b"), s.chart.symbols) and kept is form
 
     @pytest.mark.parametrize("pushed_first, validated", [(False, 4), (True, 3)])
     def test_the_check_reuses_the_callers_push(self, monkeypatch, pushed_first, validated):

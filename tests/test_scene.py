@@ -643,8 +643,16 @@ class TestMachineReport:
         assert data["chart"] == ["x", "y"]
         assert data["ok"] is True
 
-    def test_json_deterministic_up_to_timing(self):
-        scene = loads(PARABOLA_TEXT)
+    @pytest.mark.parametrize("load", [
+        lambda: loads(PARABOLA_TEXT),
+        *(lambda name=name: load_scene(find_scene(name))
+          for name in ("standard", "parabola", "lifted-standard", "affine-action")),
+    ], ids=["parabola-text", "standard", "parabola", "lifted-standard", "affine-action"])
+    def test_json_deterministic_up_to_timing(self, load, tmp_path, monkeypatch):
+        # a second run on one loaded scene repeats the first: a kept push or
+        # bundle form never crosses from one task's check stream into another's
+        monkeypatch.chdir(tmp_path)
+        scene = load()
 
         def snapshot():
             data = json.loads(run_tasks(scene).to_json())
