@@ -101,7 +101,6 @@ from .structures import (
     push_connection,
     push_paracomplex,
     push_structure,
-    split,
     validate_bilagrangian,
 )
 from .lift import (

@@ -68,6 +68,7 @@ __all__ = [
     "pushforward_field",
     "pullback_form",
     "span_membership",
+    "membership_detail",
     "FrameTable",
     "FrameBasis",
     "frame_rank_full",
@@ -959,6 +960,15 @@ def span_membership(xs, fields) -> tuple:
         for q, (k, w) in enumerate(zip(held, witnesses)):
             verdicts[k] = (True, tuple(c[q] for c in solution)) if w is None else (False, w)
     return tuple(verdicts)
+
+
+def membership_detail(verdict, chart: Chart) -> str:
+    """The text of one `span_membership` verdict: its coefficients, or the
+    chart's name of its witness component."""
+    ok, cert = verdict
+    if ok:
+        return "coefficients (" + ", ".join(str(c) for c in cert) + ")"
+    return f"unmatched component {chart.names[cert]}"
 
 
 def _dense(n, rank, entry, idx=()):

@@ -35,6 +35,7 @@ from .calculus import (
     KForm,
     SmoothMap,
     VectorField,
+    membership_detail,
     pullback_form,
     span_membership,
     sym_inverse,
@@ -264,14 +265,9 @@ class ActionCheckResult:
 
 
 def _membership_pass(label_a: str, label_b: str, results, chart, out):
-    for idx, (ok, cert) in enumerate(results):
-        if ok:
-            detail = "coefficients (" + ", ".join(str(c) for c in cert) + ")"
-        else:
-            detail = f"unmatched component {chart.names[cert]}"
-        out.append(CheckResult(
-            f"{label_a} generator {idx + 1} in span {label_b}", ok, detail,
-        ))
+    for idx, verdict in enumerate(results):
+        out.append(CheckResult(f"{label_a} generator {idx + 1} in span {label_b}",
+                               verdict[0], membership_detail(verdict, chart)))
 
 
 def lifted_action_check(psi: SmoothMap, s: BiLagStructure) -> ActionCheckResult:

@@ -2,26 +2,28 @@
 
 A bi-Lagrangian structure is a symplectic form together with two transversal
 Lagrangian foliations, each given here by a rank-n frame of vector fields.
-The canonical (Hess) connection is computed through the derivative map D
-characterized by  i_{D(X,Y)} omega = L_X i_Y omega,  combined per leaf:
+The canonical (Hess) connection is, with D the derivative map characterized
+by  i_{D(X,Y)} omega = L_X i_Y omega,
 
     nabla_X Y = D(X1, Y1) + [X2, Y1]_1 + D(X2, Y2) + [X1, Y2]_2
 
 where subscripts denote the splitting along the two foliations.  The test
 suite checks this connection against an independent Levi-Civita oracle for
-the associated neutral metric G(X, Y) = omega(FX, Y).
+the associated neutral metric G(X, Y) = omega(FX, Y), and against that
+formula itself, split field by field, as a test-local reference.
 
 In the foliation frame (the F1 fields, then the F2 fields) each E_i lies in
 one leaf, so the formula is applied leaf-wise (Hess, LNM 836, 1980): across
 leaves, the projected bracket, whose coefficients are the structure
 functions c^k_{ij} for k in the leaf of E_j; within a leaf, D(E_i, E_j),
 read off the L x L' block B of omega's frame matrix and its inverse (see
-christoffels).  The coordinate frame's symbols are that connection
-re-expressed by a change of frame (`Connection.in_coordinates`).  d_map and
-hess_nabla, which split arbitrary fields, serve the `hess` task as its own
-route to the connection.  Curvature forms only the products of nonzero
-Christoffel symbols and structure functions, for i < j only, and fills
-R(E_j, E_i) by negation.
+christoffels).  That connection is built once per structure and kept on
+it; it is the one route to nabla.  The coordinate frame's symbols are it
+re-expressed by a change of frame (`Connection.in_coordinates`), and
+hess_nabla, which serves the `hess` task, is it applied to arbitrary
+fields.  d_map, the D map itself, stays public but is on no route of the
+package.  Curvature forms only the products of nonzero Christoffel symbols
+and structure functions, for i < j only, and fills R(E_j, E_i) by negation.
 
 Each operation takes one input shape.  A `Connection` is built over the
 `FrameBasis` of its frame, `curvature` takes a `Connection`, and both are
@@ -52,13 +54,13 @@ from .calculus import (
     interior_product,
     lie_bracket,
     lie_derivative_form,
+    membership_detail,
     pullback_form,
     pushforward_field,
     span_membership,
     sparse_rows,
     sym_det,
     sym_inverse,
-    zero_field,
 )
 from .symexpr import (
     Expr, ONE, ZERO, Rat, as_expr, compact, coordinates, diff, dot,
@@ -76,7 +78,6 @@ __all__ = [
     "FlatnessResult",
     "ParaKahler",
     "validate_bilagrangian",
-    "split",
     "d_map",
     "hess_nabla",
     "christoffels",
@@ -231,14 +232,12 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
     for label, fields, offset in (("F1", f1, 0), ("F2", f2, n)):
         formed = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
         verdicts = span_membership(formed, fields)
-        for (i, j), bracket, (ok, cert) in zip(pairs, formed, verdicts):
-            if ok:
-                detail = ("bracket decomposes with coefficients ("
-                          + ", ".join(str(c) for c in cert) + ")")
-            else:
-                detail = (f"bracket {bracket} escapes the span "
-                          f"(unmatched component {chart.names[cert]})")
-            report.add(f"{label} involutive [{i},{j}]", ok, detail)
+        for (i, j), bracket, verdict in zip(pairs, formed, verdicts):
+            ok, cert = verdict
+            detail = membership_detail(verdict, chart)
+            report.add(f"{label} involutive [{i},{j}]", ok,
+                       f"bracket decomposes with {detail}" if ok
+                       else f"bracket {bracket} escapes the span ({detail})")
             if ok:
                 known[offset + i, offset + j] = {
                     offset + k: c for k, c in enumerate(cert) if not is_zero(c)}
@@ -266,30 +265,16 @@ def validate_bilagrangian(omega: SymplecticForm, f1_fields, f2_fields,
     return BiLagStructure(omega, f1, f2, adapted, report, FrameBasis(combined, known))
 
 
-def split(s: BiLagStructure, x: VectorField) -> tuple:
-    """Decompose X = X1 + X2 along the two foliations."""
-    halves = [zero_field(s.chart), zero_field(s.chart)]
-    for k, (c, e) in enumerate(zip(s.basis.decompose(x), s.frame)):
-        halves[k // s.n] = halves[k // s.n] + e.scale(c)
-    return tuple(halves)
-
-
 def d_map(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
-    """The derivative map D(X, Y): the unique field with i_D omega = L_X i_Y omega."""
+    """The derivative map D(X, Y): the unique field with i_D omega = L_X i_Y omega.
+
+    No route of the package calls it: the connection reads D off omega's
+    frame matrix (see christoffels)."""
     beta = lie_derivative_form(x, interior_product(y, s.omega.form))
     # i_D omega = -(Omega D) as a coefficient vector, hence the sign
     bvec = {j: -c for (j,), c in sorted(beta.coeffs.items())}
     return VectorField.from_entries(
         s.chart, ((i, dot(row, bvec)) for i, row in enumerate(s.omega.inverse_matrix)))
-
-
-def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
-    """The canonical connection applied to arbitrary fields."""
-    x1, x2 = split(s, x)
-    y1, y2 = split(s, y)
-    total = (d_map(s, x1, y1) + split(s, lie_bracket(x2, y1))[0]
-             + d_map(s, x2, y2) + split(s, lie_bracket(x1, y2))[1])
-    return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
 
 
 def index_label(n: int, *idx) -> str:
@@ -412,6 +397,12 @@ def christoffels(s: BiLagStructure, frame: str = "foliation") -> Connection:
         s._connection = Connection(s.basis, _foliation_christoffels(s))
     conn = s._connection
     return conn if frame == "foliation" else conn.in_coordinates()
+
+
+def hess_nabla(s: BiLagStructure, x: VectorField, y: VectorField) -> VectorField:
+    """The canonical connection applied to arbitrary fields: the kept
+    foliation-frame connection's `Connection.apply`."""
+    return christoffels(s).apply(x, y)
 
 
 def _foliation_christoffels(s: BiLagStructure):

@@ -5,17 +5,22 @@ In the foliation frame, christoffels takes the same-leaf symbols from
 omega's frame matrix and the nonzero structure functions.  The reference
 below is the route it replaced: one d_map and one decomposition per
 same-leaf pair.  In the coordinate frame, christoffels re-expresses that
-connection by a change of frame; its reference is one hess_nabla per
-coordinate pair.  Each pair of routes must give the same entries, in the
-same order, with the same printed text.
+connection by a change of frame; its reference is one ref_hess_nabla (split
+fields, D map, split brackets) per coordinate pair.  Each pair of routes
+must give the same entries, in the same order, with the same printed text.
+hess_nabla, and so the `hess` task, is the kept connection applied to
+arbitrary fields; it must print what ref_hess_nabla prints.
 """
 
 import functools
+import json
 
 import pytest
 
-from bilag.calculus import FrameBasis, coordinate_frame
+from bilag.calculus import FrameBasis, VectorField, coordinate_frame
+from bilag.cli import main
 from bilag.lift import lifted_action_check
+from bilag.scene import _field_payload
 from bilag.structures import (
     Connection,
     christoffels,
@@ -36,6 +41,7 @@ from test_structures import (
     curved_structure,
     lifted,
     parabola_structure,
+    ref_hess_nabla,
     standard_structure,
     torsion_witnesses,
 )
@@ -64,13 +70,13 @@ def reference_christoffels(s):
 
 def reference_coordinate_christoffels(s):
     """The coordinate-frame connection with every entry taken from
-    nabla_{d_a} d_b by the D map (hess_nabla), decomposed in the frame."""
+    nabla_{d_a} d_b by the D map (ref_hess_nabla), decomposed in the frame."""
     fields = coordinate_frame(s.chart)
     basis = FrameBasis(fields)
     return Connection(basis, (
         ((a, b, c), g)
         for a, x in enumerate(fields) for b, y in enumerate(fields)
-        for c, g in enumerate(basis.decompose(hess_nabla(s, x, y)))
+        for c, g in enumerate(basis.decompose(ref_hess_nabla(s, x, y)))
     ))
 
 
@@ -139,6 +145,44 @@ def test_frame_formula_matches_the_d_map_route(name):
 @pytest.mark.parametrize("dim", [2, 4])
 def test_frame_formula_matches_the_d_map_route_on_the_transport_pushes(seed, index, dim):
     assert_same_connection(lifted(transport_push(seed, index), dim))
+
+
+HESS_CASES = dict(STRUCTURES, curved=curved_structure, **{
+    f"transport-{index}": functools.partial(transport_push, 1, index) for index in range(10)})
+
+
+@pytest.mark.parametrize("name", sorted(HESS_CASES))
+@pytest.mark.parametrize("dim", [None, 16], ids=["native", "dim16"])
+def test_hess_nabla_prints_the_reference(name, dim):
+    # every frame pair, a coordinate pair, and a field with non-constant
+    # components on either side
+    s = HESS_CASES[name]()
+    if dim is not None:
+        s = lifted(s, dim)
+    coords = coordinate_frame(s.chart)
+    names = s.chart.coords()
+    wavy = VectorField(s.chart, names[1:] + names[:1])
+    pairs = [(x, y) for x in s.frame for y in s.frame]
+    pairs += [(coords[0], coords[-1]), (wavy, s.frame[-1]), (s.frame[0], wavy)]
+    for x, y in pairs:
+        assert _field_payload(hess_nabla(s, x, y)) == _field_payload(ref_hess_nabla(s, x, y))
+
+
+def test_the_hess_task_on_the_parabola(capsys):
+    assert main(["hess", "--scene", "parabola", "--format", "machine", "--seed", "5"]) == 0
+    (task,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert task["payload"]["table"] == {
+        "nabla_U U": ["(h_x + 2*h_y*x)/h", "(2*h_x*x + 4*h_y*x^2)/h"],
+        "nabla_U V": ["0", "0"],
+        "nabla_V U": ["0", "0"],
+        "nabla_V V": ["0", "h_y/h"],
+    }
+    assert task["messages"] == [
+        "nabla_U U = ((h_x + 2*h_y*x)/h, (2*h_x*x + 4*h_y*x^2)/h)",
+        "nabla_U V = (0, 0)",
+        "nabla_V U = (0, 0)",
+        "nabla_V V = (0, h_y/h)",
+    ]
 
 
 @pytest.mark.parametrize("name, dim", [(name, dim) for name in sorted(STRUCTURES)

@@ -21,6 +21,7 @@ from bilag.calculus import (
     zero_field,
 )
 from bilag.lift import lift_structure
+from bilag.scene import _field_payload
 from bilag.structures import (
     BiLagError,
     CheckResult,
@@ -38,7 +39,6 @@ from bilag.structures import (
     push_connection,
     push_paracomplex,
     push_structure,
-    split,
     validate_bilagrangian,
 )
 from bilag.symexpr import (
@@ -282,6 +282,26 @@ def table_strings(table):
     return [[[str(c) for c in f.components] for f in row] for row in table]
 
 
+def ref_split(s, x):
+    """Reference: X = X1 + X2 along the two foliations, from X's frame
+    coefficients summed leaf by leaf."""
+    halves = [zero_field(s.chart), zero_field(s.chart)]
+    for k, (c, e) in enumerate(zip(s.basis.decompose(x), s.frame)):
+        halves[k // s.n] = halves[k // s.n] + e.scale(c)
+    return tuple(halves)
+
+
+def ref_hess_nabla(s, x, y):
+    """Reference: Hess's formula on split fields,
+    nabla_X Y = D(X1, Y1) + [X2, Y1]_1 + D(X2, Y2) + [X1, Y2]_2,
+    with the D map and fresh brackets; it never reads a connection."""
+    x1, x2 = ref_split(s, x)
+    y1, y2 = ref_split(s, y)
+    total = (d_map(s, x1, y1) + ref_split(s, lie_bracket(x2, y1))[0]
+             + d_map(s, x2, y2) + ref_split(s, lie_bracket(x1, y2))[1])
+    return VectorField.from_entries(s.chart, ((i, compact(c)) for i, c in total.entries.items()))
+
+
 def fields_equal(a, b):
     return all(equal_zero(p - q) for p, q in zip(a.components, b.components))
 
@@ -367,6 +387,18 @@ class TestValidation:
         with pytest.raises(BiLagError) as err:
             validate_bilagrangian(om, [e1, e2], [f1, f2])
         assert "involutive" in str(err.value)
+        assert [(c.name, c.passed, c.detail) for c in err.value.report.checks
+                if "involutive" in c.name] == [
+            ("F1 involutive [0,1]", False, "bracket (1)*@d escapes the span (unmatched component d)"),
+            ("F2 involutive [0,1]", True, "bracket decomposes with coefficients (0, 0)"),
+        ]
+
+    def test_involutivity_certificates_are_worded(self):
+        s = noncommuting_structure()
+        assert [(c.name, c.detail) for c in s.report.checks if "involutive" in c.name] == [
+            ("F1 involutive [0,1]", "bracket decomposes with coefficients (0, 2*x1/(x1^2 + 1))"),
+            ("F2 involutive [0,1]", "bracket decomposes with coefficients (1, 0)"),
+        ]
 
     def test_non_lagrangian_rejected(self):
         ch = Chart(("a", "b", "c", "d"))
@@ -443,7 +475,7 @@ class TestSplit:
         s = parabola_structure()
         x, _ = s.chart.coords()
         dx = VectorField(s.chart, (ONE, ZERO))
-        x1, x2 = split(s, dx)
+        x1, x2 = ref_split(s, dx)
         # d/dx = U - 2x V
         assert fields_equal(x1, s.f1[0])
         assert fields_equal(x2, s.f2[0].scale(-2 * x))
@@ -452,21 +484,40 @@ class TestSplit:
         s = parabola_structure()
         x, y = s.chart.coords()
         v = VectorField(s.chart, (x * y, ONE))
-        x1, x2 = split(s, v)
+        x1, x2 = ref_split(s, v)
         assert fields_equal(x1 + x2, v)
 
     @pytest.mark.parametrize("call", [
         lambda s, x: s.basis.decompose(x),
-        lambda s, x: split(s, x),
         lambda s, x: hess_nabla(s, x, x),
         lambda s, x: christoffels(s).apply(x, x),
-    ], ids=["decompose", "split", "hess_nabla", "connection-apply"])
+    ], ids=["decompose", "hess_nabla", "connection-apply"])
     def test_a_field_on_another_chart_is_refused(self, call):
         # (a, b) has the structure's dimension, so only the names tell
         s = parabola_structure()
         field = VectorField(Chart(("a", "b")), (ONE, ZERO))
         with pytest.raises(ChartMismatch, match="different charts"):
             call(s, field)
+
+    def test_the_reference_reads_no_connection(self, monkeypatch):
+        # ref_hess_nabla is the second route the connection is checked
+        # against, so it must give nabla with the connection refused
+        def frame_table(nabla, s):
+            return [[_field_payload(nabla(s, x, y)) for y in s.frame] for x in s.frame]
+
+        makers = (parabola_structure, curved_structure)
+        expected = [frame_table(hess_nabla, make()) for make in makers]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference read the connection")
+
+        monkeypatch.setattr(structures, "christoffels", refuse)
+        monkeypatch.setattr(Connection, "apply", refuse)
+        for make, table in zip(makers, expected):
+            s = make()
+            with pytest.raises(AssertionError, match="read the connection"):
+                hess_nabla(s, s.frame[0], s.frame[0])
+            assert frame_table(ref_hess_nabla, s) == table
 
 
 class TestConnection:
@@ -520,7 +571,7 @@ class TestConnection:
         frame = s.frame
         for i in range(2):
             for j in range(2):
-                via_hess = hess_nabla(s, frame[i], frame[j])
+                via_hess = ref_hess_nabla(s, frame[i], frame[j])
                 rebuilt = (frame[0].scale(conn.coefficient(i, j, 0))
                            + frame[1].scale(conn.coefficient(i, j, 1)))
                 assert fields_equal(via_hess, rebuilt)
@@ -563,7 +614,7 @@ class TestLeafwiseAssembly:
         frame = s.frame
         for i, x in enumerate(frame):
             for j, y in enumerate(frame):
-                via_hess = s.basis.decompose(hess_nabla(s, x, y))
+                via_hess = s.basis.decompose(ref_hess_nabla(s, x, y))
                 for k in range(len(frame)):
                     assert conn.coefficient(i, j, k).normal() == via_hess[k].normal(), (i, j, k)
 
@@ -897,7 +948,7 @@ def dense_para_structure(s):
     at every (a, b) in row-major order, F^2 first."""
     m = s.chart.dim
     columns = [{a: compact(c) for a, c in (x1 - x2).entries.items()}
-               for x1, x2 in (structures.split(s, d) for d in coordinate_frame(s.chart))]
+               for x1, x2 in (ref_split(s, d) for d in coordinate_frame(s.chart))]
     F = tuple(tuple(columns[b].get(a, ZERO) for b in range(m)) for a in range(m))
     omega_cols = tuple(zip(*s.omega.matrix))
     G = tuple(tuple(dot(columns[a], omega_cols[b]) for b in range(m)) for a in range(m))
